@@ -1,7 +1,8 @@
 """Census kernel comparison: compiled vs pure Python.
 
-Runs the same reverse-BFS level census through both kernels on a few
-orbits of increasing size and prints the timings side by side.
+Runs the same reverse-walk level census through both kernels on a few
+orbits of increasing size and prints the timings side by side.  The pure
+kernel takes partition tuples, the compiled one a byte per pile.
 
     python3 benchmarks/bench_orbit.py [--budget N]
 """
@@ -48,7 +49,7 @@ def main() -> None:
     print("-" * len(header))
     for word, power in WORKLOADS:
         full = word * power
-        seeds = [bytes(p) for p in cycle_partitions(full)]
+        seeds = cycle_partitions(full)
         t_py, total, capped = min(
             run_once(_census_py, seeds, args.budget) for _ in range(args.repeat)
         )
@@ -56,8 +57,9 @@ def main() -> None:
             print(f"{word}^{power}: capped at the state budget, skipping")
             continue
         if _census_cy is not None:
+            byte_seeds = [bytes(p) for p in seeds]
             t_cy, total_cy, _ = min(
-                run_once(_census_cy, seeds, args.budget) for _ in range(args.repeat)
+                run_once(_census_cy, byte_seeds, args.budget) for _ in range(args.repeat)
             )
             if total_cy != total:
                 raise SystemExit(f"kernel disagreement on {word}^{power}: {total_cy} vs {total}")

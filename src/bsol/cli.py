@@ -61,14 +61,14 @@ def _status_exit(status: str) -> int:
 
 def _cmd_orbit(args) -> dict:
     word = _require_primitive(args.necklace)
-    dig = orbit.build_orbit(word, args.power, args.max_states)
+    series = orbit.d_series(word, args.power, args.max_states)
     return {
         "command": "orbit",
         "necklace": word,
         "power": args.power,
-        "size": str(dig.size),
-        "depth": dig.depth(),
-        "kernel": "structural",
+        "size": str(series(1)),
+        "depth": series.degree,
+        "kernel": orbit.kernel_name(),
         "status": "ok",
     }
 
@@ -440,10 +440,11 @@ def run(argv: list[str]) -> int:
         return 1
     except orbit.OrbitCapped as e:
         report = {
-            "command": "orbit",
+            "command": args.subcommand,
             "necklace": e.word,
             "power": e.power,
             "max_states": e.max_states,
+            "level_sizes": [str(c) for c in e.sizes],
             "status": "capped",
             "detail": str(e),
         }

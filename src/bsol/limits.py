@@ -363,7 +363,9 @@ def h_limit(word: str, depth_cap: int | None = None) -> RatFn:
     for g in gs[: sys.n_roots]:
         total = total + g
     h = (ONE - X) * total
-    assert series_value_at_zero(h) == sys.n_roots
+    h0 = series_value_at_zero(h)
+    if h0 != sys.n_roots:
+        raise ArithmeticError(f"H(0) = {h0} for {word}, but the cycle has {sys.n_roots} states")
     return h
 
 
@@ -371,7 +373,8 @@ def series_value_at_zero(f: RatFn) -> int:
     from fractions import Fraction
 
     v = Fraction(f.num.coeff(0), f.den.coeff(0))
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ArithmeticError(f"series value at zero is {v}, not an integer")
     return int(v)
 
 

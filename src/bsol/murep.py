@@ -250,12 +250,10 @@ def word_from_tail(tail: tuple[int, ...]) -> tuple[str, bool]:
         return "W" * m, True
     letters: list[str | None] = [None] * m
     i0 = next(i for i, t in enumerate(tail) if t != 1)
-    letters[i0] = "B" if tail[i0] == 2 else "W"
+    cur = letters[i0] = "B" if tail[i0] == 2 else "W"
     for step in range(m):
         j = (i0 + step) % m
         t = tail[j]
-        cur = letters[j]
-        assert cur is not None
         if t == 2 and cur != "B":
             raise ValueError(f"tail {tail!r} is not realizable (position {j + 1})")
         if t == 0 and cur != "W":
@@ -266,6 +264,7 @@ def word_from_tail(tail: tuple[int, ...]) -> tuple[str, bool]:
             letters[jj] = nxt
         elif letters[jj] != nxt:
             raise ValueError(f"tail {tail!r} is not realizable (wraparound)")
+        cur = nxt
     word = "".join(letters)  # type: ignore[arg-type]
     if tail_from_word(word) != tuple(tail):
         raise ValueError(f"tail {tail!r} is not realizable")

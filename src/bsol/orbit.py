@@ -1,14 +1,15 @@
 """Finite orbits by reverse search from the recurrent cycle.
 
 The whole orbit of a necklace hangs, via reverse moves, off its cycle of
-recurrent partitions.  Walking that digraph breadth-first yields levels,
-the level census polynomial, orbit sizes for the geometric-ratio probe,
-and the truncated limit series once the low coefficients stop changing.
+recurrent partitions.  Walking that digraph level by level yields the
+level census polynomial, orbit sizes for the geometric-ratio probe, and
+the truncated limit series once the low coefficients stop changing.
 
-Counting work is delegated to a census kernel over byte-encoded states:
-bsol._census_cy (C++) when the compiled module is importable, else
-bsol._census_py.  Set BSOL_KERNEL=py or =cy to force one.  Boards whose
-chip count exceeds a single byte fall back to a tuple-based walk here.
+There is one walk, _census_py.walk_levels; see that module for why it
+needs no visited set.  Counting goes through a census kernel:
+bsol._census_cy (C++, optional, built only when Cython is present) when
+it is importable and the board has at most 255 chips, since it packs one
+pile per byte; the pure walk bsol._census_py otherwise.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import _census_py
 from .necklaces import check_word, cycle_length, cycle_partitions, weight
-from .partitions import forward_move, predecessors
+from .partitions import forward_move
 from .polyrat import IntPoly
 
 DEFAULT_MAX_STATES = 10**7
@@ -26,23 +28,12 @@ DEFAULT_MAX_POWER = 8
 
 
 def _pick_kernel():
-    mode = os.environ.get("BSOL_KERNEL", "auto")
-    if mode == "py":
-        from . import _census_py as kernel
-
-        return kernel, "py"
-    if mode == "cy":
-        from . import _census_cy as kernel  # surface the ImportError, it was asked for
-
-        return kernel, "cy"
     try:
         from . import _census_cy as kernel
 
         return kernel, "cy"
     except ImportError:
-        from . import _census_py as kernel
-
-        return kernel, "py"
+        return _census_py, "py"
 
 
 _KERNEL, _KERNEL_NAME = _pick_kernel()
@@ -53,15 +44,22 @@ def kernel_name() -> str:
     return _KERNEL_NAME
 
 
+def _budget(max_states: int | None) -> int:
+    # the one check on a state budget, given or taken from the environment
+    name = "max_states"
+    if max_states is None:
+        raw = os.environ.get("BS_MAX_STATES")
+        if raw is None:
+            return DEFAULT_MAX_STATES
+        max_states, name = int(raw), "BS_MAX_STATES"
+    if max_states <= 0:
+        raise ValueError(f"{name} must be positive, got {max_states}")
+    return max_states
+
+
 def max_states_default() -> int:
     """State budget for censuses: BS_MAX_STATES env override or 10^7."""
-    raw = os.environ.get("BS_MAX_STATES")
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    value = int(raw)
-    if value <= 0:
-        raise ValueError("BS_MAX_STATES must be positive")
-    return value
+    return _budget(None)
 
 
 class OrbitCapped(RuntimeError):
@@ -89,37 +87,20 @@ def _primitive_word(word: str) -> str:
     return w
 
 
-def _census_wide(seeds: list[tuple[int, ...]], max_states: int) -> tuple[list[int], bool]:
-    # Tuple-state fallback for boards with more than 255 chips, where the
-    # one-byte-per-part encoding of the kernels cannot hold a pile.
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-    sizes: list[int] = []
-    while frontier:
-        sizes.append(len(frontier))
-        nxt = []
-        for state in frontier:
-            for pred in predecessors(state):
-                if pred not in seen:
-                    seen.add(pred)
-                    nxt.append(pred)
-            if len(seen) > max_states:
-                return sizes, True
-        frontier = nxt
-    return sizes, False
+def _orbit_args(word: str, power: int, max_states: int | None) -> tuple[str, int]:
+    word = _primitive_word(word)
+    if power < 1:
+        raise ValueError("power must be positive")
+    return word, _budget(max_states)
 
 
 def _level_sizes(word: str, power: int, max_states: int) -> list[int]:
     full = word * power
     seeds = cycle_partitions(full)
-    if weight(full) <= 255:
+    if _KERNEL is not _census_py and weight(full) <= 255:
         sizes, capped = _KERNEL.census_levels([bytes(p) for p in seeds], max_states)
     else:
-        sizes, capped = _census_wide(seeds, max_states)
+        sizes, capped = _census_py.census_levels(seeds, max_states)
     if capped:
         raise OrbitCapped(word, power, max_states, sizes)
     return sizes
@@ -157,59 +138,33 @@ class OrbitDigraph:
 
 
 def build_orbit(word: str, power: int = 1, max_states: int | None = None) -> OrbitDigraph:
-    """The full orbit digraph of word^power, levels assigned by reverse BFS.
+    """The full orbit digraph of word^power, levels from the reverse walk.
 
     Stores every partition, so this is for structural work at small scale;
     d_series and orbit_size run the counting kernels instead and should be
     preferred whenever only sizes are needed.
     """
-    word = _primitive_word(word)
-    if power < 1:
-        raise ValueError("power must be positive")
-    if max_states is None:
-        max_states = max_states_default()
+    word, max_states = _orbit_args(word, power, max_states)
     roots = tuple(cycle_partitions(word * power))
     levels: dict[tuple[int, ...], int] = {}
-    frontier: list[tuple[int, ...]] = []
-    for r in roots:
-        if r not in levels:
-            levels[r] = 0
-            frontier.append(r)
-    depth = 0
-    sizes = [len(frontier)]
-    while frontier:
-        depth += 1
-        nxt = []
-        for state in frontier:
-            for pred in predecessors(state):
-                if pred not in levels:
-                    levels[pred] = depth
-                    nxt.append(pred)
-            if len(levels) > max_states:
-                raise OrbitCapped(word, power, max_states, sizes)
-        if nxt:
-            sizes.append(len(nxt))
-        frontier = nxt
+    sizes: list[int] = []
+    for depth, level in enumerate(_census_py.walk_levels(roots, max_states)):
+        if level is None:
+            raise OrbitCapped(word, power, max_states, sizes)
+        sizes.append(len(level))
+        levels.update(dict.fromkeys(level, depth))
     return OrbitDigraph(word=word, power=power, levels=levels, roots=roots)
 
 
 def d_series(word: str, power: int = 1, max_states: int | None = None) -> IntPoly:
     """Level census polynomial: coefficient of x^i counts level-i states."""
-    word = _primitive_word(word)
-    if power < 1:
-        raise ValueError("power must be positive")
-    if max_states is None:
-        max_states = max_states_default()
+    word, max_states = _orbit_args(word, power, max_states)
     sizes = _level_sizes(word, power, max_states)
     return IntPoly({i: c for i, c in enumerate(sizes) if c})
 
 
 def orbit_size(word: str, power: int = 1, max_states: int | None = None) -> int:
-    word = _primitive_word(word)
-    if power < 1:
-        raise ValueError("power must be positive")
-    if max_states is None:
-        max_states = max_states_default()
+    word, max_states = _orbit_args(word, power, max_states)
     return sum(_level_sizes(word, power, max_states))
 
 
@@ -248,11 +203,12 @@ def stabilized_h_series(
     word = _primitive_word(word)
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
+    max_states = _budget(max_states)
     prev: tuple[int, ...] | None = None
     prev_power = 0
     for power in range(1, max_power + 1):
         try:
-            sizes = _level_sizes(word, power, max_states or max_states_default())
+            sizes = _level_sizes(word, power, max_states)
         except OrbitCapped:
             if prev is None:
                 raise

@@ -63,7 +63,8 @@ def reverse_move(parts: tuple[int, ...], j: int) -> tuple[int, ...]:
     for i in range(v):
         rest[i] += 1
     result = tuple(rest)
-    assert is_partition(result), (parts, j, result)
+    if not is_partition(result):
+        raise ValueError(f"not a partition: {parts!r}")
     return result
 
 

@@ -41,6 +41,19 @@ class TestDSeries:
         assert rep["kernel"] in ("py", "cy")
 
 
+    def test_capped_report_keeps_levels(self, capsys):
+        code, rep = run_json(
+            capsys, "dseries", "--necklace", "BWW", "--power", "3", "--max-states", "60"
+        )
+        _, full = run_json(capsys, "dseries", "--necklace", "BWW", "--power", "3")
+        assert code == 0
+        assert rep["command"] == "dseries"
+        assert rep["status"] == "capped"
+        levels = rep["level_sizes"]
+        assert levels and len(levels) < len(full["d_series"])
+        assert levels == full["d_series"][: len(levels)]
+
+
 class TestHSeries:
     def test_stabilizes(self, capsys):
         code, rep = run_json(capsys, "hseries", "--necklace", "BWW", "--coeffs", "4")
@@ -129,6 +142,20 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_max_states(self, capsys, budget):
+        for argv in (
+            ["orbit", "--necklace", "BWW"],
+            ["dseries", "--necklace", "BWW"],
+            ["hseries", "--necklace", "BWW"],
+            ["cratio", "--necklace", "BWW"],
+            ["verify", "lemma216", "--necklace", "BWW"],
+        ):
+            assert run(argv + ["--max-states", budget]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage error: max_states must be positive" in captured.err
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from bsol.limits import (
     p_poly,
     reduce_system,
     saturate,
+    series_value_at_zero,
     solve_system,
     verify_same_denominator,
     verify_tree_isomorphism,
@@ -243,6 +244,23 @@ class TestHLimit:
     def test_nonprimitive_rejected_upstream(self):
         with pytest.raises(ValueError):
             h_limit("XY")
+
+    def test_wrong_value_at_zero_raises(self, monkeypatch):
+        # a solve that drifts must not pass silently, also under python -O
+        from bsol import limits
+
+        def drifted(sys):
+            gs = solve_system(sys)
+            return [gs[0] + ONE] + gs[1:]
+
+        monkeypatch.setattr(limits, "solve_system", drifted)
+        with pytest.raises(ArithmeticError, match="H\\(0\\)"):
+            h_limit("BWW")
+
+    def test_value_at_zero_must_be_integral(self):
+        assert series_value_at_zero(RatFn(IntPoly({0: 6}), IntPoly({0: 2, 1: 1}))) == 3
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            series_value_at_zero(RatFn(IntPoly({0: 1}), IntPoly({0: 2, 1: 1})))
 
 
 class TestAnchored:

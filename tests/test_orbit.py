@@ -1,11 +1,12 @@
+import functools
+
 import pytest
 
 from bsol import _census_py
 from bsol.golden import h_series_forms
-from bsol.necklaces import cycle_partitions, weight
+from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
 from bsol.orbit import (
     OrbitCapped,
-    _census_wide,
     build_orbit,
     c_ratio_probe,
     d_series,
@@ -15,7 +16,7 @@ from bsol.orbit import (
     orbit_size,
     stabilized_h_series,
 )
-from bsol.partitions import forward_move
+from bsol.partitions import all_partitions, forward_move
 from bsol.polyrat import ONE, IntPoly, parse_poly, series_coeffs
 
 
@@ -97,34 +98,117 @@ class TestBuildOrbit:
         assert e.value.max_states == 10
 
 
+# every primitive necklace of size <= 5 at each small power whose board
+# has at most 30 chips, so a census over all partitions stays cheap
+DIFFERENTIAL_CASES = [
+    (word, power)
+    for size in range(1, 6)
+    for word in necklace_representatives(size)
+    if is_primitive(word)
+    for power in range(1, 4)
+    if weight(word * power) <= 30
+]
+
+
+@functools.lru_cache(maxsize=None)
+def basin_census(word, power):
+    """Level sizes of word^power by the forward move alone.
+
+    Walks every partition of the board forward until it meets the cycle of
+    word^power (its level is the number of moves taken) or repeats a state
+    on some other cycle.  No reverse move is involved.
+    """
+    cycle = set(cycle_partitions(word * power))
+    counts = {}
+    for state in all_partitions(weight(word * power)):
+        seen = set()
+        steps = 0
+        while state not in cycle and state not in seen:
+            seen.add(state)
+            state = forward_move(state)
+            steps += 1
+        if state in cycle:
+            counts[steps] = counts.get(steps, 0) + 1
+    return [counts[i] for i in range(len(counts))]
+
+
+def capped_prefix(sizes, budget):
+    """The levels a census reports when it stops at budget.
+
+    It stops while generating the level after the last one reported, the
+    first time more than budget states have been counted.
+    """
+    i = next(i for i in range(len(sizes)) if sum(sizes[: i + 2]) > budget)
+    return sizes[: i + 1]
+
+
+def check_kernel(census_levels, seeds, word, power):
+    full = basin_census(word, power)
+    total = sum(full)
+    assert census_levels(seeds, total) == (full, False)
+    for budget in range(1, total):
+        assert census_levels(seeds, budget) == (capped_prefix(full, budget), True)
+
+
+def case_id(case):
+    return f"{case[0]}-{case[1]}"
+
+
 class TestKernels:
     def test_a_kernel_is_loaded(self):
         assert kernel_name() in ("py", "cy")
         assert max_states_default() >= 10**5
 
-    @pytest.mark.parametrize("word,power", [("BWW", 2), ("BBWW", 1), ("BWWWW", 1)])
+    @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
     def test_python_kernel_agrees(self, word, power):
+        # the pure walk and build_orbit against the forward-move census,
+        # in full and capped at every budget below the orbit size
         seeds = cycle_partitions(word * power)
-        budget = max_states_default()
-        sizes_py, capped = _census_py.census_levels([bytes(s) for s in seeds], budget)
-        assert not capped
-        assert sizes_py == build_orbit(word, power).level_sizes()
+        check_kernel(_census_py.census_levels, seeds, word, power)
+        full = basin_census(word, power)
+        assert build_orbit(word, power).level_sizes() == full
+        for budget in range(1, sum(full)):
+            with pytest.raises(OrbitCapped) as e:
+                build_orbit(word, power, max_states=budget)
+            assert e.value.sizes == capped_prefix(full, budget)
 
-    @pytest.mark.parametrize("word,power", [("BWW", 2), ("BBWW", 1)])
-    def test_wide_fallback_agrees(self, word, power):
-        seeds = cycle_partitions(word * power)
-        sizes, capped = _census_wide(seeds, max_states_default())
-        assert not capped
-        assert sizes == build_orbit(word, power).level_sizes()
+    @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
+    def test_compiled_kernel_agrees(self, word, power):
+        census_cy = pytest.importorskip("bsol._census_cy")
+        seeds = [bytes(p) for p in cycle_partitions(word * power)]
+        check_kernel(census_cy.census_levels, seeds, word, power)
 
-    def test_big_board_takes_the_wide_path(self):
-        # 277 chips will not fit the one-byte pile encoding; the tuple
-        # path engages and still honors the state budget
+    def test_big_board_honors_the_budget(self):
+        # 277 chips will not fit the compiled kernel's one-byte piles; the
+        # pure walk counts it whichever kernel is loaded
         word = "B" + "W" * 23
         assert weight(word) > 255
         with pytest.raises(OrbitCapped) as e:
             d_series(word, max_states=5000)
         assert e.value.sizes[0] == len(set(cycle_partitions(word)))
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_rejected(self, budget):
+        for call in (
+            lambda: build_orbit("BWW", max_states=budget),
+            lambda: d_series("BWW", max_states=budget),
+            lambda: orbit_size("BWW", max_states=budget),
+            lambda: stabilized_h_series("BWW", 4, max_states=budget),
+            lambda: c_ratio_probe("BWW", 2, max_states=budget),
+            lambda: forest_identity_check("BWW", max_states=budget),
+        ):
+            with pytest.raises(ValueError, match="max_states must be positive"):
+                call()
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_nonpositive_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("BS_MAX_STATES", raw)
+        with pytest.raises(ValueError, match="BS_MAX_STATES must be positive"):
+            d_series("BWW")
+        with pytest.raises(ValueError, match="BS_MAX_STATES must be positive"):
+            stabilized_h_series("BWW", 4)
 
 
 class TestStabilized:

@@ -52,6 +52,11 @@ class TestReverseMove:
         with pytest.raises(ValueError):
             reverse_move((5, 3, 3, 2), 4)
 
+    def test_non_partition_rejected(self):
+        # (2, 1, 3) is not descending; its pile 1 "undoes" to (2, 4)
+        with pytest.raises(ValueError, match="not a partition"):
+            reverse_move((2, 1, 3), 1)
+
     @given(partitions_20)
     def test_reverse_then_forward_is_identity(self, lam):
         for j in playable_parts(lam):
