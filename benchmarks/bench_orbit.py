@@ -1,17 +1,22 @@
-"""Census kernel comparison: compiled vs pure Python.
+"""Census kernel throughput on the published growth rows.
 
-Runs the same reverse-walk level census through both kernels on a few
-orbits of increasing size and prints the timings side by side.  The pure
-kernel takes partition tuples, the compiled one a byte per pile.
+Censuses every growth row of golden.size_rows() at powers 1..k, where k
+is the largest verified power whose tabulated orbit size is at most
+CEILING states, and prints the total states, the best-of-N seconds for
+the whole sweep and states per second.  The pure kernel always runs; the
+compiled one runs too when it imports, and the two must agree on every
+census.  The pure kernel takes partition tuples, the compiled one a byte
+per pile.
 
-    python3 benchmarks/bench_orbit.py [--budget N]
+    python3 benchmarks/bench_orbit.py [--repeat N]
 """
 
 import argparse
 import time
 
 from bsol import _census_py
-from bsol.necklaces import cycle_partitions, weight
+from bsol.golden import size_rows
+from bsol.necklaces import cycle_partitions
 from bsol.orbit import kernel_name
 
 try:
@@ -19,58 +24,57 @@ try:
 except ImportError:
     _census_cy = None
 
-WORKLOADS = [
-    ("BWW", 4),
-    ("BBW", 4),
-    ("BWWW", 3),
-    ("BBWW", 3),
-    ("BWWWW", 2),
-    ("BWWWWWW", 2),
-]
+CEILING = 200_000
 
 
-def run_once(kernel, seeds, budget):
+def census_cases() -> list[list[tuple[int, ...]]]:
+    """The seed cycle of every (row, power) the sweep censuses."""
+    cases = []
+    for row in size_rows():
+        top = row.verified_k or 64  # proved rows: only the ceiling bounds k
+        k = 1
+        while k < top and row.count_at(k + 1) <= CEILING:
+            k += 1
+        cases.extend(cycle_partitions(row.necklace * power) for power in range(1, k + 1))
+    return cases
+
+
+def sweep(kernel, cases) -> tuple[float, list]:
     t0 = time.perf_counter()
-    sizes, capped = kernel.census_levels(seeds, budget)
-    return time.perf_counter() - t0, sum(sizes), capped
+    results = [kernel.census_levels(seeds, CEILING) for seeds in cases]
+    return time.perf_counter() - t0, results
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=10**7, help="state cap per census")
     ap.add_argument("--repeat", type=int, default=3, help="best-of runs per kernel")
     args = ap.parse_args()
 
+    cases = census_cases()
+    kernels = [("py", _census_py, cases)]
+    if _census_cy is not None:
+        kernels.append(("cy", _census_cy, [[bytes(p) for p in seeds] for seeds in cases]))
     print(f"active kernel: {kernel_name()}")
+    print(f"{len(cases)} censuses, each capped at {CEILING} states")
     if _census_cy is None:
         print("compiled kernel unavailable, timing the pure path only")
-    header = f"{'orbit':>12} {'chips':>6} {'states':>9} {'py (s)':>9} {'cy (s)':>9} {'speedup':>8}"
+    best_col = f"best of {args.repeat} (s)"
+    header = f"{'kernel':>6} {'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10}"
     print(header)
     print("-" * len(header))
-    for word, power in WORKLOADS:
-        full = word * power
-        seeds = cycle_partitions(full)
-        t_py, total, capped = min(
-            run_once(_census_py, seeds, args.budget) for _ in range(args.repeat)
-        )
-        if capped:
-            print(f"{word}^{power}: capped at the state budget, skipping")
-            continue
-        if _census_cy is not None:
-            byte_seeds = [bytes(p) for p in seeds]
-            t_cy, total_cy, _ = min(
-                run_once(_census_cy, byte_seeds, args.budget) for _ in range(args.repeat)
+    reference = None
+    for name, kernel, seeds in kernels:
+        best, results = min(sweep(kernel, seeds) for _ in range(args.repeat))
+        if reference is None:
+            reference = results
+        elif results != reference:
+            bad = next(i for i, r in enumerate(results) if r != reference[i])
+            raise SystemExit(
+                f"kernel disagreement on census {bad}: {results[bad]} vs {reference[bad]}"
             )
-            if total_cy != total:
-                raise SystemExit(f"kernel disagreement on {word}^{power}: {total_cy} vs {total}")
-            ratio = f"{t_py / t_cy:7.1f}x"
-            cy_col = f"{t_cy:9.4f}"
-        else:
-            ratio, cy_col = "-", "-"
-        print(
-            f"{word + '^' + str(power):>12} {weight(full):>6} {total:>9}"
-            f" {t_py:9.4f} {cy_col:>9} {ratio:>8}"
-        )
+        states = sum(sum(sizes) for sizes, _ in results)
+        capped = sum(capped for _, capped in results)
+        print(f"{name:>6} {states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
 
 
 if __name__ == "__main__":

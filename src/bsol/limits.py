@@ -494,30 +494,6 @@ def h_poly(n: int) -> LaurentPoly:
     return _H[n]
 
 
-def h_poly_recurrence(n: int) -> LaurentPoly:
-    """The h_n recurrence with its unspecified additive part taken as zero.
-
-    Diagnostic only; compare with h_poly to see whether the dropped part
-    actually vanishes.
-    """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    if n == 2:
-        return v_norm(1).shift(3)
-    if n == 3:
-        return v_norm(1).shift(4) * 2
-    out = LaurentPoly()
-    if n % 2 == 0:
-        for i in range((n - 4) // 2 + 1):
-            out = out + v_norm(i).shift(2 * i + 1) * h_poly_recurrence(n - (2 * i + 1))
-        out = out + v_norm(n // 2).shift(n + 1)
-    else:
-        for i in range((n - 3) // 2 + 1):
-            out = out + v_norm(i).shift(2 * i + 1) * h_poly_recurrence(n - (2 * i + 1))
-        out = out + v_norm((n - 1) // 2).shift(n + 1)
-    return out
-
-
 def p_poly(n: int) -> LaurentPoly:
     """Self-coefficient of the W B^n system: g_1 = A + p_n g_1.
 

@@ -6,7 +6,10 @@ level census polynomial, orbit sizes for the geometric-ratio probe, and
 the truncated limit series once the low coefficients stop changing.
 
 There is one walk, _census_py.walk_levels; see that module for why it
-needs no visited set.  Counting goes through a census kernel:
+needs no visited set.  It holds each pile as its birth depth, the level
+at which the pile appeared; a reverse move grows every surviving pile by
+one, so birth depths never change and a predecessor is two tuple slices
+and a pad of newborn piles.  Counting goes through a census kernel:
 bsol._census_cy (C++, optional, built only when Cython is present) when
 it is importable and the board has at most 255 chips, since it packs one
 pile per byte; the pure walk bsol._census_py otherwise.

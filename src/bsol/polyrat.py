@@ -187,11 +187,6 @@ ZERO = IntPoly()
 X = IntPoly({1: 1})
 
 
-def _mixed_mul(a: _BasePoly, b: _BasePoly) -> LaurentPoly:
-    """Product in the Laurent ring regardless of operand subclasses."""
-    return LaurentPoly(a.coeffs) * LaurentPoly(b.coeffs)
-
-
 def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact division a / b in Z[x]; raises if the division is not exact."""
     if b.is_zero():
@@ -304,10 +299,6 @@ class RatFn:
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
 
-    @staticmethod
-    def from_poly(p: IntPoly) -> "RatFn":
-        return RatFn(p, ONE)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -381,10 +372,6 @@ def _as_ratfn(v) -> RatFn | None:
     if isinstance(v, int):
         return RatFn(IntPoly.const(v))
     return None
-
-
-def ratfn_normalize(num: IntPoly, den: IntPoly) -> RatFn:
-    return RatFn(num, den)
 
 
 def series_coeffs(f: RatFn, m: int) -> list[Fraction]:
@@ -516,10 +503,6 @@ def poly_to_json(p: _BasePoly) -> dict:
 
 def poly_from_json(obj: dict) -> IntPoly:
     return IntPoly({int(e): int(c) for e, c in obj["coeffs"].items()})
-
-
-def laurent_from_json(obj: dict) -> LaurentPoly:
-    return LaurentPoly({int(e): int(c) for e, c in obj["coeffs"].items()})
 
 
 def ratfn_to_json(f: RatFn) -> dict:

@@ -1,6 +1,8 @@
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsol import _census_py
 from bsol.golden import h_series_forms
@@ -16,7 +18,7 @@ from bsol.orbit import (
     orbit_size,
     stabilized_h_series,
 )
-from bsol.partitions import all_partitions, forward_move
+from bsol.partitions import all_partitions, forward_move, predecessors
 from bsol.polyrat import ONE, IntPoly, parse_poly, series_coeffs
 
 
@@ -111,25 +113,33 @@ DIFFERENTIAL_CASES = [
 
 
 @functools.lru_cache(maxsize=None)
-def basin_census(word, power):
-    """Level sizes of word^power by the forward move alone.
+def basin_levels(word, power):
+    """Each orbit state of word^power with its distance to the cycle.
 
     Walks every partition of the board forward until it meets the cycle of
     word^power (its level is the number of moves taken) or repeats a state
     on some other cycle.  No reverse move is involved.
     """
     cycle = set(cycle_partitions(word * power))
-    counts = {}
-    for state in all_partitions(weight(word * power)):
-        seen = set()
-        steps = 0
+    levels = {}
+    for start in all_partitions(weight(word * power)):
+        state, seen, steps = start, set(), 0
         while state not in cycle and state not in seen:
             seen.add(state)
             state = forward_move(state)
             steps += 1
         if state in cycle:
-            counts[steps] = counts.get(steps, 0) + 1
-    return [counts[i] for i in range(len(counts))]
+            levels[start] = steps
+    return levels
+
+
+def basin_census(word, power):
+    """Level sizes of word^power by the forward move alone."""
+    levels = basin_levels(word, power).values()
+    counts = [0] * (max(levels) + 1)
+    for steps in levels:
+        counts[steps] += 1
+    return counts
 
 
 def capped_prefix(sizes, budget):
@@ -162,11 +172,12 @@ class TestKernels:
     @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
     def test_python_kernel_agrees(self, word, power):
         # the pure walk and build_orbit against the forward-move census,
-        # in full and capped at every budget below the orbit size
+        # in full and capped at every budget below the orbit size; build_orbit
+        # must put every state at its forward distance, not just count them
         seeds = cycle_partitions(word * power)
         check_kernel(_census_py.census_levels, seeds, word, power)
         full = basin_census(word, power)
-        assert build_orbit(word, power).level_sizes() == full
+        assert build_orbit(word, power).levels == basin_levels(word, power)
         for budget in range(1, sum(full)):
             with pytest.raises(OrbitCapped) as e:
                 build_orbit(word, power, max_states=budget)
@@ -186,6 +197,30 @@ class TestKernels:
         with pytest.raises(OrbitCapped) as e:
             d_series(word, max_states=5000)
         assert e.value.sizes[0] == len(set(cycle_partitions(word)))
+
+
+class TestBirthDepths:
+    """The walk holds each pile as the level it was born at; pin that encoding."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=6), power=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_each_level_is_the_predecessors_of_the_last(self, word, power):
+        seeds = cycle_partitions(word * power)
+        cycle = set(seeds)
+        levels = list(_census_py.walk_levels(seeds, 2000))
+        assert sorted(levels[0]) == sorted(cycle)
+        for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
+            if nxt is None:
+                break
+            preds = [p for s in level for p in predecessors(s) if depth or p not in cycle]
+            assert sorted(nxt) == sorted(preds)
+
+    @given(parts=st.lists(st.integers(1, 30), max_size=12), depth=st.integers(0, 40))
+    def test_encoding_round_trips(self, parts, depth):
+        state = tuple(sorted(parts, reverse=True))
+        (births,) = _census_py._flip([state], depth + 1)
+        assert list(births) == sorted(births)
+        assert _census_py._flip([births], depth + 1) == [state]
 
 
 class TestStateBudget:
