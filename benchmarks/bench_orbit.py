@@ -3,10 +3,15 @@
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
 CEILING states, and prints the total states, the best-of-N seconds for
-the whole sweep and states per second.  The pure kernel always runs; the
-compiled one runs too when it imports, and the two must agree on every
-census.  The pure kernel takes partition tuples, the compiled one a byte
-per pile.
+the whole sweep and states per second for each way of counting them:
+
+    py    _census_py.census_levels, which counts leaves without building them
+    walk  the level sizes of _census_py.walk_levels, which builds every state
+    cy    the compiled kernel, when it imports (it takes a byte per pile)
+
+All of them must agree on every census; the script exits non-zero when
+one does not.  It then prints how many of the counted states the
+counting walk built, and the share of leaves it only counted.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -39,10 +44,31 @@ def census_cases() -> list[list[tuple[int, ...]]]:
     return cases
 
 
-def sweep(kernel, cases) -> tuple[float, list]:
+def walk_census(seeds, max_states: int) -> tuple[list[int], bool]:
+    """census_levels' result read off the levels walk_levels builds."""
+    sizes = []
+    for level in _census_py.walk_levels(seeds, max_states):
+        if level is None:
+            return sizes, True
+        sizes.append(len(level))
+    return sizes, False
+
+
+def sweep(census, cases) -> tuple[float, list]:
     t0 = time.perf_counter()
-    results = [kernel.census_levels(seeds, CEILING) for seeds in cases]
+    results = [census(seeds, CEILING) for seeds in cases]
     return time.perf_counter() - t0, results
+
+
+def built_and_leaves(cases) -> tuple[int, int]:
+    """States the counting walk builds, and leaves it only counts."""
+    built = leaves = 0
+    for seeds in cases:
+        for step in _census_py._birth_levels(seeds, CEILING):
+            if step is not None:
+                built += len(step[0])
+                leaves += len(step[1])
+    return built, leaves
 
 
 def main() -> None:
@@ -51,9 +77,10 @@ def main() -> None:
     args = ap.parse_args()
 
     cases = census_cases()
-    kernels = [("py", _census_py, cases)]
+    kernels = [("py", _census_py.census_levels, cases), ("walk", walk_census, cases)]
     if _census_cy is not None:
-        kernels.append(("cy", _census_cy, [[bytes(p) for p in seeds] for seeds in cases]))
+        cy_cases = [[bytes(p) for p in seeds] for seeds in cases]
+        kernels.append(("cy", _census_cy.census_levels, cy_cases))
     print(f"active kernel: {kernel_name()}")
     print(f"{len(cases)} censuses, each capped at {CEILING} states")
     if _census_cy is None:
@@ -63,18 +90,23 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     reference = None
-    for name, kernel, seeds in kernels:
-        best, results = min(sweep(kernel, seeds) for _ in range(args.repeat))
+    for name, census, seeds in kernels:
+        best, results = min(sweep(census, seeds) for _ in range(args.repeat))
         if reference is None:
             reference = results
         elif results != reference:
             bad = next(i for i, r in enumerate(results) if r != reference[i])
             raise SystemExit(
-                f"kernel disagreement on census {bad}: {results[bad]} vs {reference[bad]}"
+                f"{name} disagrees on census {bad}: {results[bad]} vs {reference[bad]}"
             )
         states = sum(sum(sizes) for sizes, _ in results)
         capped = sum(capped for _, capped in results)
         print(f"{name:>6} {states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
+    built, leaves = built_and_leaves(cases)
+    print(
+        f"census_levels counted {built + leaves} states and built {built}; "
+        f"{leaves} leaves ({leaves / (built + leaves):.1%}) were counted, not built"
+    )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fuse import detect_fuse, u_poly, v_norm
 from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move, recurrent_element
-from .necklaces import canonical, check_word, rotate_left, rotate_right
+from .necklaces import canonical, check_word, distinct_rotations, rotate_right
 from .polyrat import ONE, RatFn, IntPoly, LaurentPoly, X, ZERO
 
 
@@ -23,13 +23,10 @@ def family_words(word: str) -> list[str]:
 
     The order matters: the cycle child of the board of rotation i is the
     board of rotation i+1, so rows come out as g_i = 1 + x g_{i+1} + ...
+    Left rotations are the right ones taken backwards.
     """
-    out: list[str] = []
     w = check_word(word)
-    while w not in out:
-        out.append(w)
-        w = rotate_left(w)
-    return out
+    return [w] + distinct_rotations(w)[:0:-1]
 
 
 def default_depth_cap(n: int) -> int:

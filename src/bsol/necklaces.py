@@ -30,10 +30,6 @@ def rotate_left(word: str, k: int = 1) -> str:
     return word[k:] + word[:k] if k else word
 
 
-def rotations(word: str) -> list[str]:
-    return [rotate_right(word, k) for k in range(len(word))]
-
-
 def distinct_rotations(word: str) -> list[str]:
     """Successive right rotations, deduplicated, starting from the word itself."""
     out = []
@@ -46,7 +42,7 @@ def distinct_rotations(word: str) -> list[str]:
 
 def canonical(word: str) -> str:
     """Lexicographically least rotation; identifies the necklace."""
-    return min(rotations(check_word(word)))
+    return min(distinct_rotations(check_word(word)))
 
 
 def is_primitive(word: str) -> bool:
@@ -97,3 +93,24 @@ def necklace_representatives(m: int) -> list[str]:
         w = "".join("BW"[(bits >> i) & 1] for i in range(m))
         seen.add(canonical(w))
     return sorted(seen)
+
+
+def brandt_mismatches(max_size: int) -> list[str]:
+    """Necklaces of size 1..max_size whose rotations do not read off their cycle.
+
+    Brandt's description of the recurrent partitions: the partitions read
+    off a word's distinct rotations are exactly the forward-move cycle
+    through any one of them.  An empty list means it held for every
+    necklace up to max_size.
+    """
+    mismatches = []
+    for m in range(1, max_size + 1):
+        for word in necklace_representatives(m):
+            cycle: list[tuple[int, ...]] = []
+            lam = word_partition(word)
+            while lam not in cycle:
+                cycle.append(lam)
+                lam = forward_move(lam)
+            if set(cycle_partitions(word)) != set(cycle):
+                mismatches.append(word)
+    return mismatches

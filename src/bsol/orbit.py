@@ -9,7 +9,10 @@ There is one walk, _census_py.walk_levels; see that module for why it
 needs no visited set.  It holds each pile as its birth depth, the level
 at which the pile appeared; a reverse move grows every surviving pile by
 one, so birth depths never change and a predecessor is two tuple slices
-and a pad of newborn piles.  Counting goes through a census kernel:
+and a pad of newborn piles.  Leaves, nearly half of every orbit, are
+told apart before they are built, so the counting kernel only counts
+them; build_orbit, which stores every state, gets them built by
+walk_levels.  Counting goes through a census kernel:
 bsol._census_cy (C++, optional, built only when Cython is present) when
 it is importable and the board has at most 255 chips, since it packs one
 pile per byte; the pure walk bsol._census_py otherwise.

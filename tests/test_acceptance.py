@@ -17,11 +17,7 @@ from bsol.limits import (
     verify_tree_isomorphism,
 )
 from bsol.murep import from_partition, move, to_partition
-from bsol.necklaces import (
-    distinct_rotations,
-    necklace_representatives,
-    word_partition,
-)
+from bsol.necklaces import brandt_mismatches
 from bsol.orbit import (
     OrbitCapped,
     c_ratio_probe,
@@ -193,16 +189,7 @@ class TestAcceptance:
             for lam in parts:
                 if set(predecessors(lam)) != by_image.get(lam, set()):
                     issues.append(("preimages", lam))
-        for m in range(1, 7):
-            for word in necklace_representatives(m):
-                images = {word_partition(w) for w in distinct_rotations(word)}
-                lam = word_partition(word)
-                cycle = []
-                while lam not in cycle:
-                    cycle.append(lam)
-                    lam = forward_move(lam)
-                if images != set(cycle):
-                    issues.append(("brandt", word))
+        issues.extend(("brandt", word) for word in brandt_mismatches(6))
         for power in (1, 2):
             for m in range(6):
                 if not forest_identity_check("BWW", power, m):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsol import _census_py
-from bsol.golden import h_series_forms
+from bsol.golden import h_series_forms, size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
 from bsol.orbit import (
     OrbitCapped,
@@ -221,6 +221,67 @@ class TestBirthDepths:
         (births,) = _census_py._flip([state], depth + 1)
         assert list(births) == sorted(births)
         assert _census_py._flip([births], depth + 1) == [state]
+
+
+def walk_census(seeds, budget):
+    """census_levels' result read off the levels walk_levels builds."""
+    sizes = []
+    for level in _census_py.walk_levels(seeds, budget):
+        if level is None:
+            return sizes, True
+        sizes.append(len(level))
+    return sizes, False
+
+
+def predecessor_census(seeds, budget):
+    """census_levels' result from a plain search with partitions.predecessors.
+
+    Level by level over value partitions, with the same cap rule; it shares
+    no code with the birth-depth walk and knows nothing of leaves.
+    """
+    cycle = set(seeds)
+    level = list(dict.fromkeys(seeds))
+    sizes, total = [], len(level)
+    while level:
+        sizes.append(len(level))
+        nxt = []
+        for state in level:
+            nxt.extend(p for p in predecessors(state) if p not in cycle)
+            if total + len(nxt) > budget:
+                return sizes, True
+        total += len(nxt)
+        level = nxt
+    return sizes, False
+
+
+class TestLeafCounting:
+    """census_levels counts leaves without building them; walk_levels builds all."""
+
+    @given(
+        word=st.text(alphabet="BW", min_size=1, max_size=7),
+        power=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_the_built_levels(self, word, power, data):
+        seeds = cycle_partitions(word * power)
+        full, capped = predecessor_census(seeds, 5000)
+        top = 5000 if capped else sum(full)
+        budget = data.draw(st.integers(1, top), label="budget")
+        got = _census_py.census_levels(seeds, budget)
+        assert got == walk_census(seeds, budget) == predecessor_census(seeds, budget)
+        if not capped:
+            assert got == ((full, False) if budget == top else (capped_prefix(full, budget), True))
+
+    @pytest.mark.parametrize("word,power", [("BWW", 6), ("BWBWB", 3), ("BBBBBBBW", 1)])
+    def test_growth_rows_at_every_97th_budget(self, word, power):
+        seeds = cycle_partitions(word * power)
+        full, capped = predecessor_census(seeds, 20_000)
+        row = next(row for row in size_rows() if row.necklace == word)
+        assert not capped and sum(full) == row.count_at(power)
+        assert _census_py.census_levels(seeds, sum(full)) == (full, False)
+        for budget in range(1, sum(full), 97):
+            assert _census_py.census_levels(seeds, budget) == (capped_prefix(full, budget), True)
 
 
 class TestStateBudget:
