@@ -5,13 +5,13 @@ is the largest verified power whose tabulated orbit size is at most
 CEILING states, and prints the total states, the best-of-N seconds for
 the whole sweep and states per second for each way of counting them:
 
-    py    _census_py.census_levels, which counts leaves without building them
+    py    _census_py.census_levels, which counts leaves and stubs (states
+          whose one predecessor is a leaf) without building them
     walk  the level sizes of _census_py.walk_levels, which builds every state
-    cy    the compiled kernel, when it imports (it takes a byte per pile)
 
-All of them must agree on every census; the script exits non-zero when
-one does not.  It then prints how many of the counted states the
-counting walk built, and the share of leaves it only counted.
+The two must agree on every census; the script exits non-zero when they
+do not.  It then splits the counted states into those the counting walk
+built, the leaves and the stubs it only counted, each with its share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -23,11 +23,6 @@ from bsol import _census_py
 from bsol.golden import size_rows
 from bsol.necklaces import cycle_partitions
 from bsol.orbit import kernel_name
-
-try:
-    from bsol import _census_cy
-except ImportError:
-    _census_cy = None
 
 CEILING = 200_000
 
@@ -60,15 +55,20 @@ def sweep(census, cases) -> tuple[float, list]:
     return time.perf_counter() - t0, results
 
 
-def built_and_leaves(cases) -> tuple[int, int]:
-    """States the counting walk builds, and leaves it only counts."""
-    built = leaves = 0
+def built_leaves_stubs(cases) -> tuple[int, int, int]:
+    """States the counting walk builds, leaves and stubs it only counts.
+
+    Each stub's own leaf, one level down, is among the leaves.
+    """
+    built = leaves = stubs = 0
     for seeds in cases:
         for step in _census_py._birth_levels(seeds, CEILING):
             if step is not None:
-                built += len(step[0])
-                leaves += len(step[1])
-    return built, leaves
+                level, parents, held = step
+                built += len(level)
+                leaves += len(parents) + len(held)
+                stubs += len(held)
+    return built, leaves, stubs
 
 
 def main() -> None:
@@ -77,21 +77,16 @@ def main() -> None:
     args = ap.parse_args()
 
     cases = census_cases()
-    kernels = [("py", _census_py.census_levels, cases), ("walk", walk_census, cases)]
-    if _census_cy is not None:
-        cy_cases = [[bytes(p) for p in seeds] for seeds in cases]
-        kernels.append(("cy", _census_cy.census_levels, cy_cases))
+    kernels = [("py", _census_py.census_levels), ("walk", walk_census)]
     print(f"active kernel: {kernel_name()}")
     print(f"{len(cases)} censuses, each capped at {CEILING} states")
-    if _census_cy is None:
-        print("compiled kernel unavailable, timing the pure path only")
     best_col = f"best of {args.repeat} (s)"
     header = f"{'kernel':>6} {'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10}"
     print(header)
     print("-" * len(header))
     reference = None
-    for name, census, seeds in kernels:
-        best, results = min(sweep(census, seeds) for _ in range(args.repeat))
+    for name, census in kernels:
+        best, results = min(sweep(census, cases) for _ in range(args.repeat))
         if reference is None:
             reference = results
         elif results != reference:
@@ -102,11 +97,11 @@ def main() -> None:
         states = sum(sum(sizes) for sizes, _ in results)
         capped = sum(capped for _, capped in results)
         print(f"{name:>6} {states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
-    built, leaves = built_and_leaves(cases)
-    print(
-        f"census_levels counted {built + leaves} states and built {built}; "
-        f"{leaves} leaves ({leaves / (built + leaves):.1%}) were counted, not built"
-    )
+    counts = built_leaves_stubs(cases)
+    total = sum(counts)
+    print(f"census_levels counted {total} states:")
+    for what, n in zip(("built", "leaves, counted only", "stubs, counted only"), counts):
+        print(f"{n:>9} {n / total:6.1%}  {what}")
 
 
 if __name__ == "__main__":

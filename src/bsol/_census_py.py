@@ -14,11 +14,16 @@ L + 1.  That predecessor's own room is t + 2.
 Nearly half of an orbit is leaves, states with no predecessor: their
 first birth is past their room.  Undoing any pile but the first keeps
 state[0] <= t in front, so only the first pile's predecessor can be a
-leaf, and comparing state[1] with t + 2 tells before it is built.  The walk
-builds only the states it will expand and hands on each leaf as its
-parent: census_levels counts leaves, walk_levels builds them (for
-orbit.build_orbit).  s -> L + 1 - s is its own inverse; it encodes the
-seeds and decodes the levels walk_levels yields.
+leaf, and comparing state[1] with t + 2 tells before it is built.  A
+further quarter is stubs, states whose one predecessor is a leaf.  A
+predecessor's first two births are state's first two past the undone
+pile, then newborns, so whether it is a stub is read off state[0..2] as
+well.  The walk builds only the states it will expand.  It hands on each
+leaf as its parent and each stub as (parent, j), its pile undone:
+census_levels counts a stub and, one level further down, its leaf;
+walk_levels builds both (for orbit.build_orbit).  s -> L + 1 - s is its
+own inverse; it encodes the seeds and decodes the levels walk_levels
+yields.
 """
 
 from __future__ import annotations
@@ -37,43 +42,69 @@ def _flip(level: Iterable[Partition], c: int) -> list[Partition]:
 
 def _birth_levels(
     seeds: Iterable[Partition], max_states: int
-) -> Iterator[tuple[list[Partition], list[Partition]] | None]:
-    # each level as (the states to expand, the parents of its leaves):
-    # a leaf is never built here, only its parent, whose first-pile
-    # predecessor it is, is handed on
+) -> Iterator[tuple[list[Partition], list[Partition], list[tuple[Partition, int]]] | None]:
+    # each level as (the states to expand, the parents of its leaves, its
+    # stubs as (parent, j)): a leaf is never built here, only its parent,
+    # whose first-pile predecessor it is, is handed on; a stub is the
+    # predecessor of parent from its pile j, and its one predecessor, a
+    # leaf one level further down, is counted with that level
     cycle = list(dict.fromkeys(seeds))
     on_cycle = set(_flip(cycle, 2))  # the cycle as level-1 births
-    level, parents = _flip(cycle, 1), []
-    total, depth = len(level), 0
-    while level or parents:
-        yield level, parents
+    level, parents, stubs = _flip(cycle, 1), [], []
+    total, depth, ahead = len(level), 0, 0
+    while level or parents or stubs or ahead:
+        yield level, parents, stubs
+        ahead = len(stubs)  # their leaves, one level down
         nxt: list[Partition] = []
-        parents = []
-        push, leaf, born = nxt.append, parents.append, (depth + 1,)
+        parents, stubs = [], []
+        push, leaf, stub, born = nxt.append, parents.append, stubs.append, (depth + 1,)
+        if total + ahead > max_states:
+            yield None
+            return
         for state in level:
             # a pile born at t <= room can have been stacked last; equal
             # births give equal predecessors, so only the first is tried.
-            # Undoing the first pile leaves state[1] in front (newborns if
-            # it was the only pile): a leaf when that is past room t + 2
-            room = depth + 2 - len(state)
+            # The predecessor p from pile j has depth + 1 - t piles and
+            # room t + 2, and its first two births a, b are state's first
+            # two past j, then newborns; for j > 1, b = state[1] <= t.
+            # p is a leaf when a > t + 2, which needs j = 0.  It is a stub
+            # when it is one pile (t = depth) and a < depth, or when
+            # b > t + 2 (a is then its one pile to undo) and b > a + 2 (the
+            # predecessor that leaves starts with b, past its room a + 2);
+            # a < t for j = 1 and a >= t for j = 0.  No stub at depth 0,
+            # where every level-1 candidate goes through the cycle check
+            n = len(state)
+            room = depth + 2 - n
+            b = state[2] if n > 2 else depth + 1
             prev, j = None, 0
             for t in state:
                 if t > room:
                     break
                 if t != prev:
                     prev = t
-                    if j or (state[1] if len(state) > 1 else depth + 1) <= t + 2:
+                    if j > 1:
                         push(state[:j] + state[j + 1 :] + born * (room - t))
                     else:
-                        leaf(state)
+                        a = state[1 - j] if n > 1 else depth + 1
+                        if a > t + 2:
+                            leaf(state)
+                        elif depth and (a < depth if t == depth else b > (t if j else a) + 2):
+                            stub((state, j))
+                        else:
+                            push(state[:j] + state[j + 1 :] + born * (room - t))
                 j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]
-            if total + len(nxt) + len(parents) > max_states:
+            if total + ahead + len(nxt) + len(parents) + len(stubs) > max_states:
                 yield None
                 return
-        total, level, depth = total + len(nxt) + len(parents), nxt, depth + 1
+        total, level, depth = total + ahead + len(nxt) + len(parents) + len(stubs), nxt, depth + 1
+
+
+def _predecessor(parent: Partition, j: int, depth: int) -> Partition:
+    # the predecessor from pile j of parent, a state at level depth - 1
+    return parent[:j] + parent[j + 1 :] + (depth,) * (depth + 1 - len(parent) - parent[j])
 
 
 def walk_levels(seeds: Iterable[Partition], max_states: int) -> Iterator[list[Partition] | None]:
@@ -84,14 +115,15 @@ def walk_levels(seeds: Iterable[Partition], max_states: int) -> Iterator[list[Pa
     predecessors exceed max_states, the walk yields None in place of the
     unfinished level and stops; every level yielded before is complete.
     """
+    held: list[Partition] = []  # the last level's stubs, built
     for depth, step in enumerate(_birth_levels(seeds, max_states)):
         if step is None:
             yield None
             return
-        level, parents = step
-        # a parent one level up has room depth + 1 - len(s); newborns are born at depth
-        leaves = [s[1:] + (depth,) * (depth + 1 - len(s) - s[0]) for s in parents]
-        yield _flip(level + leaves, depth + 1)
+        level, parents, stubs = step
+        leaves = [_predecessor(s, 0, depth) for s in parents + held]
+        held = [_predecessor(s, j, depth) for s, j in stubs]
+        yield _flip(level + leaves + held, depth + 1)
 
 
 def census_levels(seeds: list[Partition], max_states: int) -> tuple[list[int], bool]:
@@ -100,11 +132,14 @@ def census_levels(seeds: list[Partition], max_states: int) -> tuple[list[int], b
     sizes[i] counts states i reverse moves from the cycle (level 0).  When
     the states counted pass max_states the walk stops with capped=True and
     the sizes of the levels whose predecessors were being generated.
-    Leaves are counted, never built.
+    Leaves and stubs are counted, never built.
     """
     sizes: list[int] = []
+    ahead = 0  # leaves of the last level's stubs
     for step in _birth_levels(seeds, max_states):
         if step is None:
             return sizes, True
-        sizes.append(len(step[0]) + len(step[1]))
+        level, parents, stubs = step
+        sizes.append(len(level) + len(parents) + len(stubs) + ahead)
+        ahead = len(stubs)
     return sizes, False

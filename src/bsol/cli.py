@@ -36,6 +36,13 @@ def _require_primitive(word: str) -> str:
     return word
 
 
+def _cases(first: int, last: int, flag: str) -> range:
+    # a verify suite must check at least one case
+    if last < first:
+        raise _UsageError(f"{flag} must be at least {first}, got {last}")
+    return range(first, last + 1)
+
+
 def _emit(report: dict, args: argparse.Namespace, started: float) -> None:
     if getattr(args, "timing", False):
         report["elapsed_seconds"] = round(time.monotonic() - started, 3)
@@ -160,7 +167,7 @@ def _cmd_cratio(args) -> dict:
 def _verify_thm12(args) -> dict:
     results = []
     ok = True
-    for k in range(1, args.max_k + 1):
+    for k in _cases(1, args.max_k, "--max-k"):
         w1, w2 = "B" + "WB" * k, "W" + "BW" * k
         iso = limits.verify_tree_isomorphism(w1, w2, args.depth)
         equal_h = limits.h_limit(w1) == limits.h_limit(w2)
@@ -180,7 +187,7 @@ def _verify_thm12(args) -> dict:
 def _verify_thm13(args) -> dict:
     results = []
     ok = True
-    for k in range(2, args.max_k + 1):
+    for k in _cases(2, args.max_k, "--max-k"):
         f, p = limits.f_poly(k), limits.p_poly(k)
         equal, degree_ok = f == p, f.degree == k + 1
         ok = ok and equal and degree_ok
@@ -256,14 +263,13 @@ def _verify_lemma216(args) -> dict:
 
 
 def _verify_brandt(args) -> dict:
+    sizes = _cases(1, args.max_size, "--max-size")
     mismatches = brandt_mismatches(args.max_size)
     return {
         "command": "verify",
         "check": "brandt",
         "max_size": args.max_size,
-        "checked": sum(
-            len(necklace_representatives(m)) for m in range(1, args.max_size + 1)
-        ),
+        "checked": sum(len(necklace_representatives(m)) for m in sizes),
         "mismatches": [{"necklace": word, "match": False} for word in mismatches],
         "status": "mismatch" if mismatches else "ok",
     }

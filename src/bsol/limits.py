@@ -166,7 +166,12 @@ class _Expander:
     wherever it appears.
     """
 
-    def __init__(self, word: str, depth_cap: int):
+    def __init__(self, word: str, depth_cap: int | None):
+        # the one check on a depth cap; None means the default
+        if depth_cap is None:
+            depth_cap = default_depth_cap(len(word))
+        elif depth_cap <= 0:
+            raise ValueError(f"depth_cap must be positive, got {depth_cap}")
         self.word = word
         self.depth_cap = depth_cap
         self.words = family_words(word)
@@ -254,7 +259,7 @@ def expand_degenerate_tree(
 
     Returns (constant, terms).
     """
-    ex = _Expander(word, depth_cap or default_depth_cap(len(word)))
+    ex = _Expander(word, depth_cap)
     return ex.expand(i)
 
 
@@ -293,7 +298,7 @@ class LinearSystem:
 
 
 def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
-    ex = _Expander(word, depth_cap or default_depth_cap(len(word)))
+    ex = _Expander(word, depth_cap)
     rows: list[tuple[IntPoly, list[DegenerateTerm]]] = []
     i = 0
     while i < len(ex.unknowns):
@@ -531,6 +536,8 @@ def verify_tree_isomorphism(word1: str, word2: str, depth: int) -> bool:
     given.  Checks that corresponding nodes have identical barred position
     sets, recursing move by move.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if len(word1) != len(word2):
         return False
     w1 = _alternating_shift(word1) or word1

@@ -9,13 +9,11 @@ There is one walk, _census_py.walk_levels; see that module for why it
 needs no visited set.  It holds each pile as its birth depth, the level
 at which the pile appeared; a reverse move grows every surviving pile by
 one, so birth depths never change and a predecessor is two tuple slices
-and a pad of newborn piles.  Leaves, nearly half of every orbit, are
-told apart before they are built, so the counting kernel only counts
-them; build_orbit, which stores every state, gets them built by
-walk_levels.  Counting goes through a census kernel:
-bsol._census_cy (C++, optional, built only when Cython is present) when
-it is importable and the board has at most 255 chips, since it packs one
-pile per byte; the pure walk bsol._census_py otherwise.
+and a pad of newborn piles.  Leaves, nearly half of every orbit, and
+stubs, states whose one predecessor is a leaf, a further quarter, are
+told apart before they are built, so the counting kernel,
+_census_py.census_levels, only counts them; build_orbit, which stores
+every state, gets them built by walk_levels.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import _census_py
-from .necklaces import check_word, cycle_length, cycle_partitions, weight
+from .necklaces import check_word, cycle_length, cycle_partitions
 from .partitions import forward_move
 from .polyrat import IntPoly
 
@@ -33,21 +31,12 @@ DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_POWER = 8
 
 
-def _pick_kernel():
-    try:
-        from . import _census_cy as kernel
-
-        return kernel, "cy"
-    except ImportError:
-        return _census_py, "py"
-
-
-_KERNEL, _KERNEL_NAME = _pick_kernel()
+_KERNEL = _census_py  # the counting kernel, called through this name so a tracer can wrap it
 
 
 def kernel_name() -> str:
-    """Which census kernel this process selected ("py" or "cy")."""
-    return _KERNEL_NAME
+    """The census kernel's name, reported by bs orbit: always "py"."""
+    return "py"
 
 
 def _budget(max_states: int | None) -> int:
@@ -101,12 +90,7 @@ def _orbit_args(word: str, power: int, max_states: int | None) -> tuple[str, int
 
 
 def _level_sizes(word: str, power: int, max_states: int) -> list[int]:
-    full = word * power
-    seeds = cycle_partitions(full)
-    if _KERNEL is not _census_py and weight(full) <= 255:
-        sizes, capped = _KERNEL.census_levels([bytes(p) for p in seeds], max_states)
-    else:
-        sizes, capped = _census_py.census_levels(seeds, max_states)
+    sizes, capped = _KERNEL.census_levels(cycle_partitions(word * power), max_states)
     if capped:
         raise OrbitCapped(word, power, max_states, sizes)
     return sizes
@@ -276,6 +260,8 @@ def forest_identity_check(
     The path count iterates honestly: a path ending at v extends to each
     preimage of v, so counts propagate by N_{j+1}(v) = N_j(beta(v)).
     """
+    if m < 0:
+        raise ValueError("coefficient count must be nonnegative")
     orbit = build_orbit(word, power, max_states)
     census = orbit.level_sizes()
     counts = {state: (1 if lvl == 0 else 0) for state, lvl in orbit.levels.items()}

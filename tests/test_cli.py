@@ -38,7 +38,7 @@ class TestDSeries:
 
     def test_kernel_named(self, capsys):
         _, rep = run_json(capsys, "dseries", "--necklace", "BWW")
-        assert rep["kernel"] in ("py", "cy")
+        assert rep["kernel"] == "py"
 
 
     def test_capped_report_keeps_levels(self, capsys):
@@ -156,6 +156,46 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "usage error: max_states must be positive" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_depth_cap(self, capsys, cap):
+        # 0 used to fall back to the default cap, -1 to report non-closing
+        for argv in (["hlimit", "--necklace", "BBWW"], ["verify", "conj11"]):
+            assert run(argv + ["--depth-cap", cap]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage error: depth_cap must be positive" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "thm12", "--max-k", "0"],
+            ["verify", "thm12", "--depth", "-1"],
+            ["verify", "thm13", "--max-k", "1"],
+            ["verify", "brandt", "--max-size", "0"],
+            ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "-1"],
+        ],
+        ids=["thm12", "thm12-depth", "thm13", "brandt", "lemma216"],
+    )
+    def test_verify_bad_range_rejected(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "thm13", "--max-k", "2"],
+            ["verify", "brandt", "--max-size", "1"],
+            ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "0"],
+        ],
+        ids=["thm13", "brandt", "lemma216"],
+    )
+    def test_verify_smallest_range(self, capsys, argv):
+        code, rep = run_json(capsys, *argv)
+        assert code == 0
+        assert rep["status"] == "ok"
 
 
 class TestDeterminism:

@@ -150,6 +150,16 @@ class TestExpand:
     def test_depth_cap_default(self):
         assert default_depth_cap(3) == 20
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_depth_cap_rejected(self, cap):
+        for call in (
+            lambda: expand_degenerate_tree("BWW", 0, cap),
+            lambda: assemble_system("BWW", cap),
+            lambda: h_limit("BWW", cap),
+        ):
+            with pytest.raises(ValueError, match="depth_cap must be positive"):
+                call()
+
 
 class TestAssemble:
     def test_three_rotation_system(self):
@@ -360,6 +370,11 @@ class TestTreeIsomorphism:
 
     def test_size_mismatch(self):
         assert not verify_tree_isomorphism("BWW", "BWWW", 3)
+
+    def test_negative_depth_rejected(self):
+        # it used to recurse without end
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            verify_tree_isomorphism("BWB", "WBW", -1)
 
     def test_matching_limits(self):
         assert h_limit("BWB") == h_limit("WBW")

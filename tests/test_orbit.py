@@ -166,7 +166,7 @@ def case_id(case):
 
 class TestKernels:
     def test_a_kernel_is_loaded(self):
-        assert kernel_name() in ("py", "cy")
+        assert kernel_name() == "py"
         assert max_states_default() >= 10**5
 
     @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
@@ -183,17 +183,10 @@ class TestKernels:
                 build_orbit(word, power, max_states=budget)
             assert e.value.sizes == capped_prefix(full, budget)
 
-    @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
-    def test_compiled_kernel_agrees(self, word, power):
-        census_cy = pytest.importorskip("bsol._census_cy")
-        seeds = [bytes(p) for p in cycle_partitions(word * power)]
-        check_kernel(census_cy.census_levels, seeds, word, power)
-
     def test_big_board_honors_the_budget(self):
-        # 277 chips will not fit the compiled kernel's one-byte piles; the
-        # pure walk counts it whichever kernel is loaded
+        # a 277-chip board stops at its budget with its whole cycle counted
         word = "B" + "W" * 23
-        assert weight(word) > 255
+        assert weight(word) == 277
         with pytest.raises(OrbitCapped) as e:
             d_series(word, max_states=5000)
         assert e.value.sizes[0] == len(set(cycle_partitions(word)))
@@ -280,8 +273,45 @@ class TestLeafCounting:
         row = next(row for row in size_rows() if row.necklace == word)
         assert not capped and sum(full) == row.count_at(power)
         assert _census_py.census_levels(seeds, sum(full)) == (full, False)
+        assert walk_census(seeds, sum(full)) == (full, False)
         for budget in range(1, sum(full), 97):
             assert _census_py.census_levels(seeds, budget) == (capped_prefix(full, budget), True)
+
+
+class TestStubCounting:
+    """census_levels counts stubs, states whose one predecessor is a leaf."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
+        steps = _census_py._birth_levels(cycle_partitions(word * power), 5000)
+        for depth, step in enumerate(steps):
+            if step is None:
+                break
+            for parent, j in step[2]:
+                births = _census_py._predecessor(parent, j, depth)
+                (stub,) = _census_py._flip([births], depth + 1)
+                (pred,) = predecessors(stub)
+                assert predecessors(pred) == []
+
+    def test_stubs_are_counted_ahead(self):
+        # BWW^2 has a level of leaves and stubs only: no state is left to
+        # expand there, yet its stubs' leaves, one level down, must join
+        # the cap check
+        seeds = cycle_partitions("BWW" * 2)
+        steps = list(_census_py._birth_levels(seeds, 100))
+        assert any(stubs and not level for level, _, stubs in steps)
+        full = basin_census("BWW", 2)
+        for budget in range(1, sum(full) + 1):
+            want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
+            assert _census_py.census_levels(seeds, budget) == want
+
+    def test_no_stub_at_level_one(self):
+        # BWW's one level-1 state has one predecessor, a leaf, yet it is
+        # built: every level-1 candidate goes through the cycle check
+        steps = list(_census_py._birth_levels(cycle_partitions("BWW"), 100))
+        assert [len(level) + len(parents) for level, parents, _ in steps] == [3, 1, 1]
+        assert len(steps[1][0]) == 1 and steps[1][2] == []
 
 
 class TestStateBudget:
@@ -379,3 +409,7 @@ class TestForestIdentity:
     )
     def test_path_counts_match_levels(self, word, power, m):
         assert forest_identity_check(word, power, m)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            forest_identity_check("BWW", 1, -1)
