@@ -2,16 +2,16 @@
 
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
-CEILING states, and prints the total states, the best-of-N seconds for
-the whole sweep and states per second for each way of counting them:
+CEILING states, with _census_py.census_levels, which counts leaves and
+stubs (states whose one predecessor is a leaf) without building them.
+It prints the total states, the best-of-N seconds for the whole sweep and
+states per second.
 
-    py    _census_py.census_levels, which counts leaves and stubs (states
-          whose one predecessor is a leaf) without building them
-    walk  the level sizes of _census_py.walk_levels, which builds every state
-
-The two must agree on every census; the script exits non-zero when they
-do not.  It then splits the counted states into those the counting walk
-built, the leaves and the stubs it only counted, each with its share.
+Every census must match its row: a finished census must total the
+tabulated size row.count_at(power), and a capped one must be of an orbit
+tabulated above CEILING.  The script exits non-zero when one does not.
+It then splits the counted states into those the walk built, the leaves
+and the stubs it only counted, each with its share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -27,42 +27,32 @@ from bsol.orbit import kernel_name
 CEILING = 200_000
 
 
-def census_cases() -> list[list[tuple[int, ...]]]:
-    """The seed cycle of every (row, power) the sweep censuses."""
+def census_cases() -> list[tuple[str, int, int]]:
+    """(necklace, power, tabulated orbit size) for every census of the sweep."""
     cases = []
     for row in size_rows():
         top = row.verified_k or 64  # proved rows: only the ceiling bounds k
         k = 1
         while k < top and row.count_at(k + 1) <= CEILING:
             k += 1
-        cases.extend(cycle_partitions(row.necklace * power) for power in range(1, k + 1))
+        cases.extend((row.necklace, power, row.count_at(power)) for power in range(1, k + 1))
     return cases
 
 
-def walk_census(seeds, max_states: int) -> tuple[list[int], bool]:
-    """census_levels' result read off the levels walk_levels builds."""
-    sizes = []
-    for level in _census_py.walk_levels(seeds, max_states):
-        if level is None:
-            return sizes, True
-        sizes.append(len(level))
-    return sizes, False
-
-
-def sweep(census, cases) -> tuple[float, list]:
+def sweep(seeds) -> tuple[float, list]:
     t0 = time.perf_counter()
-    results = [census(seeds, CEILING) for seeds in cases]
+    results = [_census_py.census_levels(s, CEILING) for s in seeds]
     return time.perf_counter() - t0, results
 
 
-def built_leaves_stubs(cases) -> tuple[int, int, int]:
+def built_leaves_stubs(seeds) -> tuple[int, int, int]:
     """States the counting walk builds, leaves and stubs it only counts.
 
     Each stub's own leaf, one level down, is among the leaves.
     """
     built = leaves = stubs = 0
-    for seeds in cases:
-        for step in _census_py._birth_levels(seeds, CEILING):
+    for s in seeds:
+        for step in _census_py._birth_levels(s, CEILING):
             if step is not None:
                 level, parents, held = step
                 built += len(level)
@@ -73,31 +63,28 @@ def built_leaves_stubs(cases) -> tuple[int, int, int]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeat", type=int, default=3, help="best-of runs per kernel")
+    ap.add_argument("--repeat", type=int, default=3, help="best-of runs")
     args = ap.parse_args()
 
     cases = census_cases()
-    kernels = [("py", _census_py.census_levels), ("walk", walk_census)]
+    seeds = [cycle_partitions(word * power) for word, power, _ in cases]
     print(f"active kernel: {kernel_name()}")
     print(f"{len(cases)} censuses, each capped at {CEILING} states")
+    best, results = min(sweep(seeds) for _ in range(args.repeat))
+    for (word, power, want), (sizes, capped) in zip(cases, results):
+        if (want > CEILING) != capped or (not capped and sum(sizes) != want):
+            raise SystemExit(
+                f"census of {word}^{power}: {sum(sizes)} states, capped {capped}; "
+                f"the table has {want}"
+            )
+    states = sum(sum(sizes) for sizes, _ in results)
+    capped = sum(capped for _, capped in results)
     best_col = f"best of {args.repeat} (s)"
-    header = f"{'kernel':>6} {'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10}"
+    header = f"{'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10}"
     print(header)
     print("-" * len(header))
-    reference = None
-    for name, census in kernels:
-        best, results = min(sweep(census, cases) for _ in range(args.repeat))
-        if reference is None:
-            reference = results
-        elif results != reference:
-            bad = next(i for i, r in enumerate(results) if r != reference[i])
-            raise SystemExit(
-                f"{name} disagrees on census {bad}: {results[bad]} vs {reference[bad]}"
-            )
-        states = sum(sum(sizes) for sizes, _ in results)
-        capped = sum(capped for _, capped in results)
-        print(f"{name:>6} {states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
-    counts = built_leaves_stubs(cases)
+    print(f"{states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
+    counts = built_leaves_stubs(seeds)
     total = sum(counts)
     print(f"census_levels counted {total} states:")
     for what, n in zip(("built", "leaves, counted only", "stubs, counted only"), counts):

@@ -20,17 +20,15 @@ predecessor's first two births are state's first two past the undone
 pile, then newborns, so whether it is a stub is read off state[0..2] as
 well.  The walk builds only the states it will expand.  It hands on each
 leaf as its parent and each stub as (parent, j), its pile undone:
-census_levels counts a stub and, one level further down, its leaf;
-walk_levels builds both (for orbit.build_orbit).  s -> L + 1 - s is its
-own inverse; it encodes the seeds and decodes the levels walk_levels
-yields.
+census_levels counts a stub and, one level further down, its leaf.
+s -> L + 1 - s is its own inverse; it encodes the seeds.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-__all__ = ["census_levels", "walk_levels"]
+__all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 
@@ -100,30 +98,6 @@ def _birth_levels(
                 yield None
                 return
         total, level, depth = total + ahead + len(nxt) + len(parents) + len(stubs), nxt, depth + 1
-
-
-def _predecessor(parent: Partition, j: int, depth: int) -> Partition:
-    # the predecessor from pile j of parent, a state at level depth - 1
-    return parent[:j] + parent[j + 1 :] + (depth,) * (depth + 1 - len(parent) - parent[j])
-
-
-def walk_levels(seeds: Iterable[Partition], max_states: int) -> Iterator[list[Partition] | None]:
-    """The levels of the reverse walk from a whole cycle, one list each.
-
-    seeds must be every state of one cycle (or of several); level 0 is the
-    distinct seeds.  Once the states counted after some state's
-    predecessors exceed max_states, the walk yields None in place of the
-    unfinished level and stops; every level yielded before is complete.
-    """
-    held: list[Partition] = []  # the last level's stubs, built
-    for depth, step in enumerate(_birth_levels(seeds, max_states)):
-        if step is None:
-            yield None
-            return
-        level, parents, stubs = step
-        leaves = [_predecessor(s, 0, depth) for s in parents + held]
-        held = [_predecessor(s, j, depth) for s, j in stubs]
-        yield _flip(level + leaves + held, depth + 1)
 
 
 def census_levels(seeds: list[Partition], max_states: int) -> tuple[list[int], bool]:

@@ -37,7 +37,7 @@ def _require_primitive(word: str) -> str:
 
 
 def _cases(first: int, last: int, flag: str) -> range:
-    # a verify suite must check at least one case
+    # a range flag must select at least one case; an empty report says nothing
     if last < first:
         raise _UsageError(f"{flag} must be at least {first}, got {last}")
     return range(first, last + 1)
@@ -133,7 +133,7 @@ def _cmd_ufuse(args) -> dict:
     def laurent_json(p):
         return {"coeffs": {str(e): str(c) for e, c in sorted(p.coeffs.items())}}
 
-    ks = list(range(args.max_k + 1))
+    ks = _cases(0, args.max_k, "--max-k")
     return {
         "command": "ufuse",
         "max_k": args.max_k,
@@ -276,12 +276,14 @@ def _verify_brandt(args) -> dict:
 
 
 def _cmd_tables(args) -> dict:
+    sizes = _cases(1, args.max_size, "--max-size")
+    powers = _cases(1, args.max_power, "--max-power")
     size_rows = []
     tsv_lines = ["necklace\tc_P\tsize_formula\tverified_k"]
     for row in golden.size_rows():
-        if row.size > args.max_size:
+        if row.size not in sizes:
             continue
-        counts = [str(row.count_at(k)) for k in range(1, args.max_power + 1)]
+        counts = [str(row.count_at(k)) for k in powers]
         verified = "all" if row.proved else str(row.verified_k)
         size_rows.append(
             {
@@ -297,7 +299,7 @@ def _cmd_tables(args) -> dict:
         tsv_lines.append(f"{row.necklace}\t{row.c}\t{row.formula()}\t{verified}")
     h_rows = []
     for e in golden.h_table():
-        if e.size > args.max_size:
+        if e.size not in sizes:
             continue
         h_rows.append(
             {

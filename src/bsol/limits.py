@@ -286,16 +286,6 @@ class LinearSystem:
     def n(self) -> int:
         return len(self.A)
 
-    def to_json(self) -> dict:
-        from .polyrat import poly_to_json
-
-        return {
-            "rotations": list(self.words),
-            "aux_classes": [str(s) for s in self.aux],
-            "A": [poly_to_json(a) for a in self.A],
-            "M": [[poly_to_json(e) for e in row] for row in self.M],
-        }
-
 
 def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
     ex = _Expander(word, depth_cap)

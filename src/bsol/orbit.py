@@ -5,26 +5,25 @@ recurrent partitions.  Walking that digraph level by level yields the
 level census polynomial, orbit sizes for the geometric-ratio probe, and
 the truncated limit series once the low coefficients stop changing.
 
-There is one walk, _census_py.walk_levels; see that module for why it
-needs no visited set.  It holds each pile as its birth depth, the level
-at which the pile appeared; a reverse move grows every surviving pile by
-one, so birth depths never change and a predecessor is two tuple slices
-and a pad of newborn piles.  Leaves, nearly half of every orbit, and
-stubs, states whose one predecessor is a leaf, a further quarter, are
-told apart before they are built, so the counting kernel,
-_census_py.census_levels, only counts them; build_orbit, which stores
-every state, gets them built by walk_levels.
+Every census is one walk, _census_py.census_levels; see that module for
+why it needs no visited set.  It holds each pile as its birth depth, the
+level at which the pile appeared; a reverse move grows every surviving
+pile by one, so birth depths never change and a predecessor is two tuple
+slices and a pad of newborn piles.  Leaves, nearly half of every orbit,
+and stubs, states whose one predecessor is a leaf, a further quarter,
+are told apart before they are built, so the walk only counts them.
+Nothing here stores an orbit's states: the lemma 2.16 check counts its
+paths with partitions.predecessors, apart from the walk.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import _census_py
 from .necklaces import check_word, cycle_length, cycle_partitions
-from .partitions import forward_move
+from .partitions import predecessors
 from .polyrat import IntPoly
 
 DEFAULT_MAX_STATES = 10**7
@@ -96,56 +95,6 @@ def _level_sizes(word: str, power: int, max_states: int) -> list[int]:
     return sizes
 
 
-@dataclass(frozen=True)
-class OrbitDigraph:
-    """An orbit with its level map; forward-move edges are implied.
-
-    levels maps each partition to its distance from the recurrent cycle,
-    roots are the cycle in forward-move order (all at level 0).  Treat
-    instances as immutable; nothing here mutates the dict after build.
-    """
-
-    word: str
-    power: int
-    levels: Mapping[tuple[int, ...], int]
-    roots: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.levels)
-
-    def depth(self) -> int:
-        return max(self.levels.values())
-
-    def level_sizes(self) -> list[int]:
-        sizes = [0] * (self.depth() + 1)
-        for lvl in self.levels.values():
-            sizes[lvl] += 1
-        return sizes
-
-    def level_census(self) -> IntPoly:
-        return IntPoly({i: c for i, c in enumerate(self.level_sizes()) if c})
-
-
-def build_orbit(word: str, power: int = 1, max_states: int | None = None) -> OrbitDigraph:
-    """The full orbit digraph of word^power, levels from the reverse walk.
-
-    Stores every partition, so this is for structural work at small scale;
-    d_series and orbit_size run the counting kernels instead and should be
-    preferred whenever only sizes are needed.
-    """
-    word, max_states = _orbit_args(word, power, max_states)
-    roots = tuple(cycle_partitions(word * power))
-    levels: dict[tuple[int, ...], int] = {}
-    sizes: list[int] = []
-    for depth, level in enumerate(_census_py.walk_levels(roots, max_states)):
-        if level is None:
-            raise OrbitCapped(word, power, max_states, sizes)
-        sizes.append(len(level))
-        levels.update(dict.fromkeys(level, depth))
-    return OrbitDigraph(word=word, power=power, levels=levels, roots=roots)
-
-
 def d_series(word: str, power: int = 1, max_states: int | None = None) -> IntPoly:
     """Level census polynomial: coefficient of x^i counts level-i states."""
     word, max_states = _orbit_args(word, power, max_states)
@@ -193,6 +142,8 @@ def stabilized_h_series(
     word = _primitive_word(word)
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
+    if max_power < 1:
+        raise ValueError("max_power must be positive")
     max_states = _budget(max_states)
     prev: tuple[int, ...] | None = None
     prev_power = 0
@@ -257,18 +208,23 @@ def forest_identity_check(
 
     For each j <= m the number of directed reverse-move paths of length j
     starting on the cycle must equal the number of states at level <= j.
-    The path count iterates honestly: a path ending at v extends to each
-    preimage of v, so counts propagate by N_{j+1}(v) = N_j(beta(v)).
+    The paths are counted by endpoint, extended one reverse move at a
+    time with partitions.predecessors, so only states at levels 0..m are
+    ever held; the level sums come from the census walk, which shares no
+    code with predecessors.
     """
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
-    orbit = build_orbit(word, power, max_states)
-    census = orbit.level_sizes()
-    counts = {state: (1 if lvl == 0 else 0) for state, lvl in orbit.levels.items()}
-    running = 0
+    word, max_states = _orbit_args(word, power, max_states)
+    sizes = _level_sizes(word, power, max_states)
+    paths = dict.fromkeys(cycle_partitions(word * power), 1)
     for j in range(m + 1):
-        running += census[j] if j < len(census) else 0
-        if sum(counts.values()) != running:
+        if j:
+            longer: dict[tuple[int, ...], int] = {}
+            for state, count in paths.items():
+                for p in predecessors(state):
+                    longer[p] = longer.get(p, 0) + count
+            paths = longer
+        if sum(paths.values()) != sum(sizes[: j + 1]):
             return False
-        counts = {state: counts[forward_move(state)] for state in counts}
     return True

@@ -17,13 +17,6 @@ def is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-def check_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    parts = tuple(parts)
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
-    return parts
-
-
 def forward_move(parts: tuple[int, ...]) -> tuple[int, ...]:
     """One chip off every pile, the removed chips become a new pile."""
     new = [p - 1 for p in parts if p > 1]

@@ -57,10 +57,6 @@ class _BasePoly:
         return max(self._c) if self._c else -1
 
     @property
-    def min_exp(self) -> int:
-        return min(self._c) if self._c else 0
-
-    @property
     def leading(self) -> int:
         return self._c[max(self._c)] if self._c else 0
 
@@ -152,10 +148,6 @@ class IntPoly(_BasePoly):
     _allow_negative = False
 
     @staticmethod
-    def x_power(e: int, c: int = 1) -> "IntPoly":
-        return IntPoly({e: c})
-
-    @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly({0: c})
 
@@ -167,10 +159,6 @@ class LaurentPoly(_BasePoly):
     """Polynomial in x and 1/x with integer coefficients."""
 
     _allow_negative = True
-
-    @staticmethod
-    def x_power(e: int, c: int = 1) -> "LaurentPoly":
-        return LaurentPoly({e: c})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k."""

@@ -174,8 +174,15 @@ class TestUsageErrors:
             ["verify", "thm13", "--max-k", "1"],
             ["verify", "brandt", "--max-size", "0"],
             ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "-1"],
+            ["hseries", "--necklace", "BWW", "--max-k", "0"],
+            ["ufuse", "--max-k", "-1"],
+            ["tables", "--max-size", "0"],
+            ["tables", "--max-power", "0"],
         ],
-        ids=["thm12", "thm12-depth", "thm13", "brandt", "lemma216"],
+        ids=[
+            "thm12", "thm12-depth", "thm13", "brandt", "lemma216",
+            "hseries", "ufuse", "tables-size", "tables-power",
+        ],
     )
     def test_verify_bad_range_rejected(self, capsys, argv):
         assert run(argv) == 1
@@ -184,18 +191,23 @@ class TestUsageErrors:
         assert "usage error" in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,status",
         [
-            ["verify", "thm13", "--max-k", "2"],
-            ["verify", "brandt", "--max-size", "1"],
-            ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "0"],
+            (["verify", "thm13", "--max-k", "2"], "ok"),
+            (["verify", "brandt", "--max-size", "1"], "ok"),
+            (["verify", "lemma216", "--necklace", "BWW", "--coeffs", "0"], "ok"),
+            # one power cannot agree with a next one: a capped report, not an error
+            (["hseries", "--necklace", "BWW", "--max-k", "1"], "capped"),
+            (["ufuse", "--max-k", "0"], "ok"),
+            (["tables", "--max-size", "1"], "ok"),
+            (["tables", "--max-power", "1"], "ok"),
         ],
-        ids=["thm13", "brandt", "lemma216"],
+        ids=["thm13", "brandt", "lemma216", "hseries", "ufuse", "tables-size", "tables-power"],
     )
-    def test_verify_smallest_range(self, capsys, argv):
+    def test_verify_smallest_range(self, capsys, argv, status):
         code, rep = run_json(capsys, *argv)
         assert code == 0
-        assert rep["status"] == "ok"
+        assert rep["status"] == status
 
 
 class TestDeterminism:

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsol import _census_py
+from bsol import _census_py, orbit
 from bsol.golden import h_series_forms, size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
 from bsol.orbit import (
     OrbitCapped,
-    build_orbit,
     c_ratio_probe,
     d_series,
     forest_identity_check,
@@ -18,7 +17,7 @@ from bsol.orbit import (
     orbit_size,
     stabilized_h_series,
 )
-from bsol.partitions import all_partitions, forward_move, predecessors
+from bsol.partitions import all_partitions, forward_move, predecessors, reverse_move
 from bsol.polyrat import ONE, IntPoly, parse_poly, series_coeffs
 
 
@@ -59,45 +58,82 @@ class TestDSeries:
         with pytest.raises(ValueError):
             d_series("BWW", 0)
 
+    def test_cap_raises(self):
+        with pytest.raises(OrbitCapped) as e:
+            d_series("BWW", 3, max_states=10)
+        assert e.value.word == "BWW"
+        assert e.value.power == 3
+        assert e.value.max_states == 10
+
+
+def undo(parts, j):
+    """The predecessor of a value-form state from its pile j, by reverse_move.
+
+    reverse_move takes the last of a run of equal piles and the walk the
+    first; both give the same predecessor.
+    """
+    last = max(i for i, v in enumerate(parts) if v == parts[j])
+    return reverse_move(parts, last + 1)
+
+
+def rebuilt_levels(seeds, budget):
+    """The census walk's levels in value form, rebuilt from its steps.
+
+    _birth_levels hands on each level's states to expand, the parents of
+    its leaves and its stubs as (parent, j), the parents one level up.
+    Each is decoded with _flip, and the leaves, the stubs and, one level
+    down, the stubs' leaves are built with reverse_move, so nothing of the
+    walk's own predecessor rule is shared.  Returns (levels, capped);
+    every level returned is complete.
+    """
+    flip = _census_py._flip
+    levels, held = [], []  # held: the last level's stubs
+    for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
+        if step is None:
+            return levels, True
+        level, parents, stubs = step
+        leaves = [undo(s, 0) for s in flip(parents, depth) + held]
+        held = [undo(flip([s], depth)[0], j) for s, j in stubs]
+        levels.append(flip(level, depth + 1) + leaves + held)
+    return levels, False
+
+
+def orbit_levels(word, power=1):
+    """Each state of the orbit of word^power with its level in the walk."""
+    levels, capped = rebuilt_levels(cycle_partitions(word * power), 10**6)
+    assert not capped
+    return {state: depth for depth, level in enumerate(levels) for state in level}
+
 
 class TestBuildOrbit:
+    """The orbit as the census walk builds it, rebuilt from its steps."""
+
     @pytest.mark.parametrize("word,power", [("BWW", 1), ("BWW", 2), ("BBW", 1), ("BBWW", 1)])
     def test_census_matches_kernel(self, word, power):
-        dig = build_orbit(word, power)
-        assert dig.level_census() == d_series(word, power)
-        assert dig.size == orbit_size(word, power)
+        levels, _ = rebuilt_levels(cycle_partitions(word * power), 10**6)
+        assert IntPoly({i: len(level) for i, level in enumerate(levels)}) == d_series(word, power)
+        assert sum(map(len, levels)) == orbit_size(word, power)
 
     def test_roots_are_the_cycle(self):
-        dig = build_orbit("BWW")
-        at_zero = {s for s, lvl in dig.levels.items() if lvl == 0}
+        at_zero = {s for s, lvl in orbit_levels("BWW").items() if lvl == 0}
         assert at_zero == set(cycle_partitions("BWW"))
-        assert set(dig.roots) == at_zero
 
     def test_depth_is_max_level(self):
-        dig = build_orbit("BBW")
-        assert dig.depth() == max(dig.levels.values())
+        assert max(orbit_levels("BBW").values()) == d_series("BBW").degree
 
     @pytest.mark.parametrize("word", ["BWW", "BBW", "BBWW"])
     def test_forward_move_descends_one_level(self, word):
-        dig = build_orbit(word)
-        for state, lvl in dig.levels.items():
-            nxt = dig.levels[forward_move(state)]
+        levels = orbit_levels(word)
+        for state, lvl in levels.items():
+            nxt = levels[forward_move(state)]
             if lvl == 0:
                 assert nxt == 0
             else:
                 assert nxt == lvl - 1
 
     def test_all_states_share_the_weight(self):
-        dig = build_orbit("BWWW", 2)
         n = weight("BWWW" * 2)
-        assert all(sum(s) == n for s in dig.levels)
-
-    def test_cap_raises(self):
-        with pytest.raises(OrbitCapped) as e:
-            build_orbit("BWW", 3, max_states=10)
-        assert e.value.word == "BWW"
-        assert e.value.power == 3
-        assert e.value.max_states == 10
+        assert all(sum(s) == n for s in orbit_levels("BWWW", 2))
 
 
 # every primitive necklace of size <= 5 at each small power whose board
@@ -171,17 +207,12 @@ class TestKernels:
 
     @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
     def test_python_kernel_agrees(self, word, power):
-        # the pure walk and build_orbit against the forward-move census,
-        # in full and capped at every budget below the orbit size; build_orbit
-        # must put every state at its forward distance, not just count them
+        # the pure walk against the forward-move census, in full and capped
+        # at every budget below the orbit size; the walk must also put every
+        # state at its forward distance, not just count them
         seeds = cycle_partitions(word * power)
         check_kernel(_census_py.census_levels, seeds, word, power)
-        full = basin_census(word, power)
-        assert build_orbit(word, power).levels == basin_levels(word, power)
-        for budget in range(1, sum(full)):
-            with pytest.raises(OrbitCapped) as e:
-                build_orbit(word, power, max_states=budget)
-            assert e.value.sizes == capped_prefix(full, budget)
+        assert orbit_levels(word, power) == basin_levels(word, power)
 
     def test_big_board_honors_the_budget(self):
         # a 277-chip board stops at its budget with its whole cycle counted
@@ -200,11 +231,11 @@ class TestBirthDepths:
     def test_each_level_is_the_predecessors_of_the_last(self, word, power):
         seeds = cycle_partitions(word * power)
         cycle = set(seeds)
-        levels = list(_census_py.walk_levels(seeds, 2000))
+        levels, capped = rebuilt_levels(seeds, 2000)
+        if not capped:
+            levels.append([])  # the walk ends where no state has a predecessor
         assert sorted(levels[0]) == sorted(cycle)
         for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
-            if nxt is None:
-                break
             preds = [p for s in level for p in predecessors(s) if depth or p not in cycle]
             assert sorted(nxt) == sorted(preds)
 
@@ -214,16 +245,6 @@ class TestBirthDepths:
         (births,) = _census_py._flip([state], depth + 1)
         assert list(births) == sorted(births)
         assert _census_py._flip([births], depth + 1) == [state]
-
-
-def walk_census(seeds, budget):
-    """census_levels' result read off the levels walk_levels builds."""
-    sizes = []
-    for level in _census_py.walk_levels(seeds, budget):
-        if level is None:
-            return sizes, True
-        sizes.append(len(level))
-    return sizes, False
 
 
 def predecessor_census(seeds, budget):
@@ -248,7 +269,7 @@ def predecessor_census(seeds, budget):
 
 
 class TestLeafCounting:
-    """census_levels counts leaves without building them; walk_levels builds all."""
+    """census_levels counts leaves without building them; a plain search builds all."""
 
     @given(
         word=st.text(alphabet="BW", min_size=1, max_size=7),
@@ -262,7 +283,7 @@ class TestLeafCounting:
         top = 5000 if capped else sum(full)
         budget = data.draw(st.integers(1, top), label="budget")
         got = _census_py.census_levels(seeds, budget)
-        assert got == walk_census(seeds, budget) == predecessor_census(seeds, budget)
+        assert got == predecessor_census(seeds, budget)
         if not capped:
             assert got == ((full, False) if budget == top else (capped_prefix(full, budget), True))
 
@@ -273,7 +294,6 @@ class TestLeafCounting:
         row = next(row for row in size_rows() if row.necklace == word)
         assert not capped and sum(full) == row.count_at(power)
         assert _census_py.census_levels(seeds, sum(full)) == (full, False)
-        assert walk_census(seeds, sum(full)) == (full, False)
         for budget in range(1, sum(full), 97):
             assert _census_py.census_levels(seeds, budget) == (capped_prefix(full, budget), True)
 
@@ -289,8 +309,7 @@ class TestStubCounting:
             if step is None:
                 break
             for parent, j in step[2]:
-                births = _census_py._predecessor(parent, j, depth)
-                (stub,) = _census_py._flip([births], depth + 1)
+                stub = undo(_census_py._flip([parent], depth)[0], j)
                 (pred,) = predecessors(stub)
                 assert predecessors(pred) == []
 
@@ -318,7 +337,6 @@ class TestStateBudget:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_nonpositive_rejected(self, budget):
         for call in (
-            lambda: build_orbit("BWW", max_states=budget),
             lambda: d_series("BWW", max_states=budget),
             lambda: orbit_size("BWW", max_states=budget),
             lambda: stabilized_h_series("BWW", 4, max_states=budget),
@@ -413,3 +431,25 @@ class TestForestIdentity:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             forest_identity_check("BWW", 1, -1)
+
+    def test_cap_reports_the_census_levels(self):
+        full = basin_census("BWW", 2)
+        for budget in range(1, sum(full)):
+            with pytest.raises(OrbitCapped) as e:
+                forest_identity_check("BWW", 2, max_states=budget)
+            assert e.value.sizes == capped_prefix(full, budget)
+
+    def test_fails_on_a_miscounted_level(self, monkeypatch):
+        # BWW's levels are 3, 1, 1: counting one state too many at level 2
+        # must fail the check from path length 2 on, and only there
+        census_levels = orbit._KERNEL.census_levels
+
+        def miscount(seeds, max_states):
+            sizes, capped = census_levels(seeds, max_states)
+            sizes[2] += 1
+            return sizes, capped
+
+        monkeypatch.setattr(orbit._KERNEL, "census_levels", miscount)
+        assert forest_identity_check("BWW", 1, 1)
+        assert not forest_identity_check("BWW", 1, 2)
+        assert not forest_identity_check("BWW", 1, 4)

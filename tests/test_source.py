@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bsol"
@@ -17,3 +19,28 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in bsol: {found}"
+
+
+def test_every_function_has_a_caller():
+    # a def whose name appears nowhere else is code that nothing runs
+    root = PACKAGE.parent.parent
+    texts = {
+        path: path.read_text()
+        for pattern in ("src/**/*.py", "tests/**/*.py", "benchmarks/**/*.py", "perfbench/**/*.py")
+        for path in sorted(root.glob(pattern))
+    }
+    texts[root / "pyproject.toml"] = (root / "pyproject.toml").read_text()
+    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = texts[path].splitlines()
+        for node in ast.walk(ast.parse(texts[path], filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = re.findall(rf"\b{name}\b", lines[node.lineno - 1])
+            if words[name] <= len(own):
+                uncalled.append(f"{path.name}:{node.lineno} {name}")
+    assert not uncalled, f"functions with no caller: {uncalled}"
