@@ -2,16 +2,17 @@
 
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
-CEILING states, with _census_py.census_levels, which counts leaves and
-stubs (states whose one predecessor is a leaf) without building them.
+CEILING states, with _census_py.census_levels, which counts leaves, stubs
+(states whose one predecessor is a leaf) and forks (states whose two
+predecessors are a leaf and a stub) without building them.
 It prints the total states, the best-of-N seconds for the whole sweep and
 states per second.
 
 Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
 tabulated above CEILING.  The script exits non-zero when one does not.
-It then splits the counted states into those the walk built, the leaves
-and the stubs it only counted, each with its share.
+It then splits the counted states into those the walk built, the leaves,
+the stubs and the forks it only counted, each with its share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -45,20 +46,22 @@ def sweep(seeds) -> tuple[float, list]:
     return time.perf_counter() - t0, results
 
 
-def built_leaves_stubs(seeds) -> tuple[int, int, int]:
-    """States the counting walk builds, leaves and stubs it only counts.
+def built_and_counted(seeds) -> tuple[int, int, int, int]:
+    """States the counting walk builds; leaves, stubs and forks it only counts.
 
-    Each stub's own leaf, one level down, is among the leaves.
+    The leaves include each stub's and each fork's leaf, and the stubs
+    each fork's stub, all further down.
     """
-    built = leaves = stubs = 0
+    built = leaves = stubs = forks = 0
     for s in seeds:
         for step in _census_py._birth_levels(s, CEILING):
             if step is not None:
-                level, parents, held = step
+                _, level, parents, held, forked = step
                 built += len(level)
-                leaves += len(parents) + len(held)
-                stubs += len(held)
-    return built, leaves, stubs
+                leaves += len(parents) + len(held) + 2 * len(forked)
+                stubs += len(held) + len(forked)
+                forks += len(forked)
+    return built, leaves, stubs, forks
 
 
 def main() -> None:
@@ -84,10 +87,11 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     print(f"{states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
-    counts = built_leaves_stubs(seeds)
+    counts = built_and_counted(seeds)
     total = sum(counts)
     print(f"census_levels counted {total} states:")
-    for what, n in zip(("built", "leaves, counted only", "stubs, counted only"), counts):
+    kinds = ("built", "leaves, counted only", "stubs, counted only", "forks, counted only")
+    for what, n in zip(kinds, counts):
         print(f"{n:>9} {n / total:6.1%}  {what}")
 
 

@@ -11,16 +11,19 @@ depths never change: undoing the pile born at t (any t up to the state's
 room L + 2 - len(state)) drops it and appends room - t piles born at
 L + 1.  That predecessor's own room is t + 2.
 
-Nearly half of an orbit is leaves, states with no predecessor: their
-first birth is past their room.  Undoing any pile but the first keeps
-state[0] <= t in front, so only the first pile's predecessor can be a
-leaf, and comparing state[1] with t + 2 tells before it is built.  A
-further quarter is stubs, states whose one predecessor is a leaf.  A
-predecessor's first two births are state's first two past the undone
-pile, then newborns, so whether it is a stub is read off state[0..2] as
+Three shapes of the forest are counted, never built.  Nearly half of an
+orbit is leaves, states with no predecessor: their first birth is past
+their room.  Undoing any pile but the first keeps state[0] <= t in front,
+so only the first pile's predecessor can be a leaf, and comparing
+state[1] with t + 2 tells before it is built.  A further quarter is
+stubs, states whose one predecessor is a leaf, and a tenth is forks,
+states whose two predecessors are a leaf and a stub.  A predecessor's
+first three births are state's first three past the undone pile, then
+newborns, so whether it is a stub or a fork is read off state[0..3] as
 well.  The walk builds only the states it will expand.  It hands on each
-leaf as its parent and each stub as (parent, j), its pile undone:
-census_levels counts a stub and, one level further down, its leaf.
+leaf as its parent, and each stub and fork as (parent, j), its pile
+undone; a shape's states are counted at its own level and the next ones:
+a leaf 1, a stub 1 and 1, a fork 1, 2 and 1.
 s -> L + 1 - s is its own inverse; it encodes the seeds.
 """
 
@@ -31,6 +34,8 @@ from typing import Iterable, Iterator
 __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
+Handed = list[tuple[Partition, int]]  # (parent, j): the predecessor of parent from its pile j
+Step = tuple[int, list[Partition], list[Partition], Handed, Handed]
 
 
 def _flip(level: Iterable[Partition], c: int) -> list[Partition]:
@@ -39,38 +44,56 @@ def _flip(level: Iterable[Partition], c: int) -> list[Partition]:
 
 
 def _birth_levels(
-    seeds: Iterable[Partition], max_states: int
-) -> Iterator[tuple[list[Partition], list[Partition], list[tuple[Partition, int]]] | None]:
-    # each level as (the states to expand, the parents of its leaves, its
-    # stubs as (parent, j)): a leaf is never built here, only its parent,
-    # whose first-pile predecessor it is, is handed on; a stub is the
-    # predecessor of parent from its pile j, and its one predecessor, a
-    # leaf one level further down, is counted with that level
+    seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
+) -> Iterator[Step | None]:
+    # each level as (its size, the states to expand, the parents of its
+    # leaves, its stubs and its forks as (parent, j)), the parents one
+    # level up; None when the budget runs out.  A stub's leaf and a fork's
+    # leaf, stub and the stub's leaf lie further down, so they are carried
+    # into the sizes of the next two levels.  The walk stops after level
+    # max_depth
     cycle = list(dict.fromkeys(seeds))
     on_cycle = set(_flip(cycle, 2))  # the cycle as level-1 births
-    level, parents, stubs = _flip(cycle, 1), [], []
-    total, depth, ahead = len(level), 0, 0
-    while level or parents or stubs or ahead:
-        yield level, parents, stubs
-        ahead = len(stubs)  # their leaves, one level down
+    level, parents, stubs, forks = _flip(cycle, 1), [], [], []
+    size = total = len(level)
+    depth = later = 0
+    while size:
+        yield size, level, parents, stubs, forks
+        if depth == max_depth:
+            if total > max_states:  # only the cycle is not checked below
+                yield None
+            return
+        # counted ahead: states of the next level, and later those of the
+        # level after it, that shapes handed on so far put there
+        ahead, later = later + len(stubs) + 2 * len(forks), len(forks)
         nxt: list[Partition] = []
-        parents, stubs = [], []
-        push, leaf, stub, born = nxt.append, parents.append, stubs.append, (depth + 1,)
-        if total + ahead > max_states:
+        parents, stubs, forks = [], [], []
+        push, leaf, stub, fork = nxt.append, parents.append, stubs.append, forks.append
+        born = (depth + 1,)
+        left = max_states - total - ahead
+        if left < 0:
             yield None
             return
         for state in level:
             # a pile born at t <= room can have been stacked last; equal
             # births give equal predecessors, so only the first is tried.
             # The predecessor p from pile j has depth + 1 - t piles and
-            # room t + 2, and its first two births a, b are state's first
-            # two past j, then newborns; for j > 1, b = state[1] <= t.
+            # room t + 2, and its first births a, b, c are state's first
+            # three past j, then newborns; for j > 1, b = state[1] <= t.
             # p is a leaf when a > t + 2, which needs j = 0.  It is a stub
             # when it is one pile (t = depth) and a < depth, or when
             # b > t + 2 (a is then its one pile to undo) and b > a + 2 (the
             # predecessor that leaves starts with b, past its room a + 2);
-            # a < t for j = 1 and a >= t for j = 0.  No stub at depth 0,
-            # where every level-1 candidate goes through the cycle check
+            # a < t for j = 1 and a >= t for j = 0.  It is a fork when its
+            # only piles to undo are a < b <= t + 2 (c > t + 2, or it is two
+            # piles), undoing a leaves a leaf (b > a + 2) and undoing b a
+            # stub: one pile (b = depth + 1), or a second birth, c or a
+            # newborn at depth + 2, past its room b + 2 (c > b + 2, or
+            # b < depth when it is two piles).  That needs j = 1 or 2, as
+            # for j = 0, a >= t; for j = 2, b < t, and for j = 1 the stub
+            # test leaves t < depth and b <= t + 2.  No stub or fork at
+            # depth 0, where every level-1 candidate goes through the cycle
+            # check
             n = len(state)
             room = depth + 2 - n
             b = state[2] if n > 2 else depth + 1
@@ -81,39 +104,53 @@ def _birth_levels(
                 if t != prev:
                     prev = t
                     if j > 1:
-                        push(state[:j] + state[j + 1 :] + born * (room - t))
+                        if j == 2 and depth and state[0] + 2 < state[1] and (
+                            n == 3 or state[3] > t + 2
+                        ):
+                            fork((state, 2))
+                        else:
+                            push(state[:j] + state[j + 1 :] + born * (room - t))
                     else:
                         a = state[1 - j] if n > 1 else depth + 1
                         if a > t + 2:
                             leaf(state)
-                        elif depth and (a < depth if t == depth else b > (t if j else a) + 2):
+                        elif not depth:
+                            push(state[:j] + state[j + 1 :] + born * (room - t))
+                        elif a < depth if t == depth else b > (t if j else a) + 2:
                             stub((state, j))
+                        elif j and a + 2 < b and (
+                            (state[3] if n > 3 else depth + 1) > b + 2
+                            if t < depth - 1
+                            else b != depth
+                        ):
+                            fork((state, 1))
                         else:
                             push(state[:j] + state[j + 1 :] + born * (room - t))
                 j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]
-            if total + ahead + len(nxt) + len(parents) + len(stubs) > max_states:
+            if len(nxt) + len(parents) + len(stubs) + len(forks) > left:
                 yield None
                 return
-        total, level, depth = total + ahead + len(nxt) + len(parents) + len(stubs), nxt, depth + 1
+        size = ahead + len(nxt) + len(parents) + len(stubs) + len(forks)
+        total, level, depth = total + size, nxt, depth + 1
 
 
-def census_levels(seeds: list[Partition], max_states: int) -> tuple[list[int], bool]:
+def census_levels(
+    seeds: list[Partition], max_states: int, max_depth: int | None = None
+) -> tuple[list[int], bool]:
     """Level sizes of the reverse walk from the seed cycle: (sizes, capped).
 
-    sizes[i] counts states i reverse moves from the cycle (level 0).  When
-    the states counted pass max_states the walk stops with capped=True and
-    the sizes of the levels whose predecessors were being generated.
-    Leaves and stubs are counted, never built.
+    sizes[i] counts states i reverse moves from the cycle (level 0), for
+    the levels up to max_depth (all of them when it is None).  When the
+    states counted pass max_states the walk stops with capped=True and the
+    sizes of the levels whose predecessors were being generated.  Leaves,
+    stubs and forks are counted, never built.
     """
     sizes: list[int] = []
-    ahead = 0  # leaves of the last level's stubs
-    for step in _birth_levels(seeds, max_states):
+    for step in _birth_levels(seeds, max_states, max_depth):
         if step is None:
             return sizes, True
-        level, parents, stubs = step
-        sizes.append(len(level) + len(parents) + len(stubs) + ahead)
-        ahead = len(stubs)
+        sizes.append(step[0])
     return sizes, False

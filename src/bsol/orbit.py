@@ -10,10 +10,13 @@ why it needs no visited set.  It holds each pile as its birth depth, the
 level at which the pile appeared; a reverse move grows every surviving
 pile by one, so birth depths never change and a predecessor is two tuple
 slices and a pad of newborn piles.  Leaves, nearly half of every orbit,
-and stubs, states whose one predecessor is a leaf, a further quarter,
-are told apart before they are built, so the walk only counts them.
-Nothing here stores an orbit's states: the lemma 2.16 check counts its
-paths with partitions.predecessors, apart from the walk.
+stubs, states whose one predecessor is a leaf, a further quarter, and
+forks, states whose two predecessors are a leaf and a stub, a tenth, are
+told apart before they are built, so the walk only counts them and
+builds about a sixth of the states.  A caller that reads only the first
+levels bounds the walk's depth.  Nothing here stores an orbit's states:
+the lemma 2.16 check counts its paths with partitions.predecessors,
+apart from the walk.
 """
 
 from __future__ import annotations
@@ -45,7 +48,11 @@ def _budget(max_states: int | None) -> int:
         raw = os.environ.get("BS_MAX_STATES")
         if raw is None:
             return DEFAULT_MAX_STATES
-        max_states, name = int(raw), "BS_MAX_STATES"
+        name = "BS_MAX_STATES"
+        try:
+            max_states = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if max_states <= 0:
         raise ValueError(f"{name} must be positive, got {max_states}")
     return max_states
@@ -88,8 +95,10 @@ def _orbit_args(word: str, power: int, max_states: int | None) -> tuple[str, int
     return word, _budget(max_states)
 
 
-def _level_sizes(word: str, power: int, max_states: int) -> list[int]:
-    sizes, capped = _KERNEL.census_levels(cycle_partitions(word * power), max_states)
+def _level_sizes(
+    word: str, power: int, max_states: int, max_depth: int | None = None
+) -> list[int]:
+    sizes, capped = _KERNEL.census_levels(cycle_partitions(word * power), max_states, max_depth)
     if capped:
         raise OrbitCapped(word, power, max_states, sizes)
     return sizes
@@ -134,7 +143,9 @@ def stabilized_h_series(
     Censuses word^power for power = 1, 2, ... and stops when two in a row
     agree on coefficients 0..m.  A census is only comparable once it is
     deeper than m: a shallow orbit pads the window with zeros that the
-    limit never contains, so those powers are skipped.  There is no
+    limit never contains, so those powers are skipped.  Each census stops
+    after level m + 1, the first level past the window, so the state
+    budget only limits the states at levels 0..m+1.  There is no
     a-priori bound for how deep the agreement has to go; the power cap is
     policy, not mathematics, and a capped result says so rather than
     guessing.
@@ -149,7 +160,7 @@ def stabilized_h_series(
     prev_power = 0
     for power in range(1, max_power + 1):
         try:
-            sizes = _level_sizes(word, power, max_states)
+            sizes = _level_sizes(word, power, max_states, m + 1)
         except OrbitCapped:
             if prev is None:
                 raise
@@ -210,13 +221,13 @@ def forest_identity_check(
     starting on the cycle must equal the number of states at level <= j.
     The paths are counted by endpoint, extended one reverse move at a
     time with partitions.predecessors, so only states at levels 0..m are
-    ever held; the level sums come from the census walk, which shares no
-    code with predecessors.
+    ever held; the level sums come from the census walk to level m, which
+    shares no code with predecessors.
     """
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
     word, max_states = _orbit_args(word, power, max_states)
-    sizes = _level_sizes(word, power, max_states)
+    sizes = _level_sizes(word, power, max_states, m)
     paths = dict.fromkeys(cycle_partitions(word * power), 1)
     for j in range(m + 1):
         if j:

@@ -157,6 +157,14 @@ class TestUsageErrors:
             assert captured.out == ""
             assert "usage error: max_states must be positive" in captured.err
 
+    def test_non_integer_env_budget(self, capsys, monkeypatch):
+        # int() used to name no variable: "invalid literal for int() ..."
+        monkeypatch.setenv("BS_MAX_STATES", "abc")
+        assert run(["dseries", "--necklace", "BWW"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: BS_MAX_STATES must be an integer, got 'abc'" in captured.err
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_nonpositive_depth_cap(self, capsys, cap):
         # 0 used to fall back to the default cap, -1 to report non-closing

@@ -9,6 +9,7 @@ from bsol.golden import h_series_forms, size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
 from bsol.orbit import (
     OrbitCapped,
+    StabilizedSeries,
     c_ratio_probe,
     d_series,
     forest_identity_check,
@@ -79,22 +80,31 @@ def undo(parts, j):
 def rebuilt_levels(seeds, budget):
     """The census walk's levels in value form, rebuilt from its steps.
 
-    _birth_levels hands on each level's states to expand, the parents of
-    its leaves and its stubs as (parent, j), the parents one level up.
-    Each is decoded with _flip, and the leaves, the stubs and, one level
-    down, the stubs' leaves are built with reverse_move, so nothing of the
-    walk's own predecessor rule is shared.  Returns (levels, capped);
-    every level returned is complete.
+    _birth_levels hands on each level's size, its states to expand, the
+    parents of its leaves, and its stubs and forks as (parent, j), the
+    parents one level up.  Each is decoded with _flip, and the leaves, the
+    stubs and forks, and the states below them (a stub's leaf one level
+    down; a fork's leaf and stub one level down and the stub's leaf two
+    levels down) are built with reverse_move, so nothing of the walk's own
+    predecessor rule is shared.  Every rebuilt level must have the size
+    the walk gives it.  Returns (levels, capped); every level returned is
+    complete.
     """
     flip = _census_py._flip
-    levels, held = [], []  # held: the last level's stubs
+    levels, ahead, later = [], [], []  # states below the last levels' shapes
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        level, parents, stubs = step
-        leaves = [undo(s, 0) for s in flip(parents, depth) + held]
-        held = [undo(flip([s], depth)[0], j) for s, j in stubs]
-        levels.append(flip(level, depth + 1) + leaves + held)
+        size, level, parents, stubs, forks = step
+        leaves = [undo(s, 0) for s in flip(parents, depth)]
+        stubs = [undo(flip([s], depth)[0], j) for s, j in stubs]
+        forks = [undo(flip([s], depth)[0], j) for s, j in forks]
+        built = flip(level, depth + 1) + leaves + stubs + forks + ahead
+        assert len(built) == size
+        levels.append(built)
+        fork_stubs = [undo(f, 1) for f in forks]
+        ahead = later + [undo(s, 0) for s in stubs + forks] + fork_stubs
+        later = [undo(s, 0) for s in fork_stubs]
     return levels, False
 
 
@@ -298,29 +308,68 @@ class TestLeafCounting:
             assert _census_py.census_levels(seeds, budget) == (capped_prefix(full, budget), True)
 
 
+def shapes(seeds, budget):
+    """(depth, parent, j, kind) for each stub and fork the walk hands on."""
+    for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
+        if step is None:
+            return
+        for kind, handed in (("stub", step[3]), ("fork", step[4])):
+            for parent, j in handed:
+                yield depth, _census_py._flip([parent], depth)[0], j, kind
+
+
+def is_stub(state):
+    preds = predecessors(state)
+    return len(preds) == 1 and predecessors(preds[0]) == []
+
+
+class TestDepthBound:
+    """census_levels to a depth: the first levels of the full census."""
+
+    @given(
+        word=st.text(alphabet="BW", min_size=1, max_size=7),
+        power=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_levels_up_to_the_bound(self, word, power, data):
+        seeds = cycle_partitions(word * power)
+        full, capped = predecessor_census(seeds, 5000)
+        if capped:
+            return
+        depth = data.draw(st.integers(0, len(full)), label="depth")
+        budget = data.draw(st.integers(1, sum(full)), label="budget")
+        if sum(full[: depth + 1]) > budget:
+            want = (capped_prefix(full, budget), True)
+        else:
+            want = (full[: depth + 1], False)
+        assert _census_py.census_levels(seeds, budget, depth) == want
+
+    def test_stops_after_the_bound(self):
+        # no level past the bound is generated, so none is counted
+        seeds = cycle_partitions("BWW" * 4)
+        steps = list(_census_py._birth_levels(seeds, 10**6, 3))
+        assert [step[0] for step in steps] == predecessor_census(seeds, 10**6)[0][:4]
+
+
 class TestStubCounting:
     """census_levels counts stubs, states whose one predecessor is a leaf."""
 
     @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
-        steps = _census_py._birth_levels(cycle_partitions(word * power), 5000)
-        for depth, step in enumerate(steps):
-            if step is None:
-                break
-            for parent, j in step[2]:
-                stub = undo(_census_py._flip([parent], depth)[0], j)
-                (pred,) = predecessors(stub)
-                assert predecessors(pred) == []
+        for _, parent, j, kind in shapes(cycle_partitions(word * power), 5000):
+            if kind == "stub":
+                assert is_stub(undo(parent, j))
 
     def test_stubs_are_counted_ahead(self):
-        # BWW^2 has a level of leaves and stubs only: no state is left to
+        # BBW has a level of leaves and stubs only: no state is left to
         # expand there, yet its stubs' leaves, one level down, must join
         # the cap check
-        seeds = cycle_partitions("BWW" * 2)
+        seeds = cycle_partitions("BBW")
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert any(stubs and not level for level, _, stubs in steps)
-        full = basin_census("BWW", 2)
+        assert any(stubs and not level for _, level, _, stubs, _ in steps)
+        full = basin_census("BBW", 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
             assert _census_py.census_levels(seeds, budget) == want
@@ -329,8 +378,53 @@ class TestStubCounting:
         # BWW's one level-1 state has one predecessor, a leaf, yet it is
         # built: every level-1 candidate goes through the cycle check
         steps = list(_census_py._birth_levels(cycle_partitions("BWW"), 100))
-        assert [len(level) + len(parents) for level, parents, _ in steps] == [3, 1, 1]
-        assert len(steps[1][0]) == 1 and steps[1][2] == []
+        assert [len(level) + len(parents) for _, level, parents, _, _ in steps] == [3, 1, 1]
+        assert len(steps[1][1]) == 1 and steps[1][3] == []
+
+
+class TestForkCounting:
+    """census_levels counts forks, states whose two predecessors are a leaf and a stub."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
+        for _, parent, j, kind in shapes(cycle_partitions(word * power), 5000):
+            if kind == "fork":
+                preds = predecessors(undo(parent, j))
+                assert len(preds) == 2
+                assert sorted([predecessors(p) == [], is_stub(p)] for p in preds) == [
+                    [False, True],
+                    [True, False],
+                ]
+
+    @pytest.mark.parametrize("word,depth", [("BWWW", 3), ("BBWW", 4)])
+    def test_forks_are_counted_ahead(self, word, depth):
+        # a fork at level depth - 1 puts its leaf and stub at depth, where
+        # no state is left to expand, and the stub's leaf one level further
+        # down: at every budget each must join the cap check at its level
+        seeds = cycle_partitions(word)
+        steps = list(_census_py._birth_levels(seeds, 100))
+        assert steps[depth - 1][4] and not steps[depth][1]
+        full = basin_census(word, 1)
+        for budget in range(1, sum(full) + 1):
+            want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
+            assert _census_py.census_levels(seeds, budget) == want
+
+    def test_built_states_are_pinned(self):
+        # BWW^4 (625 states): the walk builds 109 and hands on 106 leaf
+        # parents, 89 stubs and 58 forks; a rule turned off builds more
+        steps = list(_census_py._birth_levels(cycle_partitions("BWW" * 4), 10**6))
+        counts = [sum(len(step[i]) for step in steps) for i in range(1, 5)]
+        assert counts == [109, 106, 89, 58]
+        assert counts[0] + counts[1] + 2 * counts[2] + 4 * counts[3] == 625
+
+    def test_no_fork_at_level_one(self):
+        # BBW's one level-1 state has two predecessors, a leaf and a stub,
+        # yet it is built: every level-1 candidate goes through the cycle
+        # check
+        steps = list(_census_py._birth_levels(cycle_partitions("BBW"), 100))
+        assert [step[0] for step in steps] == [3, 1, 2, 1]
+        assert len(steps[1][1]) == 1 and steps[1][4] == []
 
 
 class TestStateBudget:
@@ -375,10 +469,17 @@ class TestStabilized:
         assert s.reason == "power-cap"
 
     def test_state_cap_reported(self):
-        s = stabilized_h_series("BWW", 4, max_states=50)
+        # BWW^2 has 19 states at levels 0..5, BWW^3 more than 20
+        s = stabilized_h_series("BWW", 4, max_states=20)
         assert not s.stabilized
         assert s.reason == "state-cap"
         assert s.coeffs == (3, 1, 2, 3, 5)
+
+    def test_budget_counts_only_the_window(self):
+        # each census stops after level m + 1: the whole orbit of BWW^3
+        # (125 states) is past a budget of 50, its levels 0..5 are not
+        s = stabilized_h_series("BWW", 4, max_states=50)
+        assert s == StabilizedSeries((3, 1, 2, 3, 5), 2, True)
 
     def test_matches_series_references(self):
         # the single-pile family settles slowly: the m=5 window first
@@ -433,20 +534,26 @@ class TestForestIdentity:
             forest_identity_check("BWW", 1, -1)
 
     def test_cap_reports_the_census_levels(self):
+        # the check censuses levels 0..m only (m = 4), so it caps only
+        # while those pass the budget
         full = basin_census("BWW", 2)
         for budget in range(1, sum(full)):
-            with pytest.raises(OrbitCapped) as e:
-                forest_identity_check("BWW", 2, max_states=budget)
-            assert e.value.sizes == capped_prefix(full, budget)
+            if budget < sum(full[:5]):
+                with pytest.raises(OrbitCapped) as e:
+                    forest_identity_check("BWW", 2, max_states=budget)
+                assert e.value.sizes == capped_prefix(full, budget)
+            else:
+                assert forest_identity_check("BWW", 2, max_states=budget)
 
     def test_fails_on_a_miscounted_level(self, monkeypatch):
         # BWW's levels are 3, 1, 1: counting one state too many at level 2
         # must fail the check from path length 2 on, and only there
         census_levels = orbit._KERNEL.census_levels
 
-        def miscount(seeds, max_states):
-            sizes, capped = census_levels(seeds, max_states)
-            sizes[2] += 1
+        def miscount(seeds, max_states, max_depth):
+            sizes, capped = census_levels(seeds, max_states, max_depth)
+            if len(sizes) > 2:
+                sizes[2] += 1
             return sizes, capped
 
         monkeypatch.setattr(orbit._KERNEL, "census_levels", miscount)
