@@ -309,13 +309,13 @@ class TestLeafCounting:
 
 
 def shapes(seeds, budget):
-    """(depth, parent, j, kind) for each stub and fork the walk hands on."""
+    """(parent, j, kind) for each stub and fork the walk hands on, in value form."""
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return
         for kind, handed in (("stub", step[3]), ("fork", step[4])):
             for parent, j in handed:
-                yield depth, _census_py._flip([parent], depth)[0], j, kind
+                yield _census_py._flip([parent], depth)[0], j, kind
 
 
 def is_stub(state):
@@ -358,7 +358,7 @@ class TestStubCounting:
     @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
-        for _, parent, j, kind in shapes(cycle_partitions(word * power), 5000):
+        for parent, j, kind in shapes(cycle_partitions(word * power), 5000):
             if kind == "stub":
                 assert is_stub(undo(parent, j))
 
@@ -388,7 +388,7 @@ class TestForkCounting:
     @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
-        for _, parent, j, kind in shapes(cycle_partitions(word * power), 5000):
+        for parent, j, kind in shapes(cycle_partitions(word * power), 5000):
             if kind == "fork":
                 preds = predecessors(undo(parent, j))
                 assert len(preds) == 2
