@@ -176,7 +176,12 @@ X = IntPoly({1: 1})
 
 
 def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact division a / b in Z[x]; raises if the division is not exact."""
+    """Exact division a / b in Z[x].
+
+    Raises ArithmeticError when the division is not exact: every caller
+    divides by a factor it has just computed, so a remainder is an
+    internal fault, not bad input.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -189,7 +194,7 @@ def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     while rem:
         d = max(rem)
         if d < bd:
-            raise ValueError("inexact polynomial division (remainder)")
+            raise ArithmeticError("inexact polynomial division (remainder)")
         q = rem[d] / blead
         quot[d - bd] = q
         for e, c in bitems:
@@ -202,7 +207,7 @@ def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     out: dict[int, int] = {}
     for e, c in quot.items():
         if c.denominator != 1:
-            raise ValueError("inexact polynomial division (non-integer quotient)")
+            raise ArithmeticError("inexact polynomial division (non-integer quotient)")
         out[e] = c.numerator
     return IntPoly(out)
 
@@ -217,36 +222,61 @@ def primitive_part(p: IntPoly) -> IntPoly:
     return IntPoly({e: v // c for e, v in p.coeffs.items()})
 
 
+def _dense(c: dict[int, int], low: int) -> list[int]:
+    """Coefficients of c / x^low, highest exponent first, content removed."""
+    u = [c.get(e, 0) for e in range(max(c), low - 1, -1)]
+    k = gcd(*u)
+    return u if k == 1 else [v // k for v in u]
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[x] (leading coefficient positive); gcd(0,0) = 0."""
-    fa = {e: Fraction(c) for e, c in a.coeffs.items()}
-    fb = {e: Fraction(c) for e, c in b.coeffs.items()}
+    """Primitive gcd in Z[x] (leading coefficient positive); gcd(0,0) = 0.
 
-    def frem(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        dv = max(v)
-        lv = v[dv]
-        u = dict(u)
-        while u and max(u) >= dv:
-            du = max(u)
-            q = u[du] / lv
-            for e, c in v.items():
-                e2 = e + du - dv
-                w = u.get(e2, Fraction(0)) - q * c
-                if w:
-                    u[e2] = w
-                else:
-                    u.pop(e2, None)
-        return u
-
-    while fb:
-        fa, fb = fb, frem(fa, fb)
-    if not fa:
-        return ZERO
-    lcm_den = 1
-    for c in fa.values():
-        lcm_den = lcm_den * c.denominator // gcd(lcm_den, c.denominator)
-    ints = IntPoly({e: int(c * lcm_den) for e, c in fa.items()})
-    return primitive_part(ints)
+    gcd(a, 0) is primitive_part(a), and a nonzero constant argument gives
+    ONE.  The power of x is split off first: x^min(low(a), low(b)) times
+    the gcd of what is left, which x does not divide.  That gcd is a
+    primitive PRS over Z[x] (Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, ch. 7): integer pseudo-remainders, each divided by
+    its content, until one vanishes, or is a constant, when the gcd is 1.
+    Each pseudo-division step scales by lc(v)/g and the eliminated term by
+    u[0]/g, with g their gcd; the content step absorbs any scalar, so the
+    remainders stay primitive and no Fraction is formed.
+    """
+    ca, cb = a._c, b._c
+    if not ca or not cb:
+        return primitive_part(a if ca else b)
+    da, db = max(ca), max(cb)
+    if da == 0 or db == 0:
+        return ONE
+    la, lb = min(ca), min(cb)
+    low = min(la, lb)
+    u, v = _dense(ca, la), _dense(cb, lb)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        lv, tail = v[0], v[1:]
+        n = len(tail)
+        while len(u) > n:
+            q = u[0]
+            if q:
+                k = gcd(lv, q)
+                s, t = lv // k, q // k
+                head = [s * x - t * y for x, y in zip(u[1 : n + 1], tail)]
+                u = head + [s * x for x in u[n + 1 :]] if s != 1 else head + u[n + 1 :]
+            else:
+                u = u[1:]
+        while u and not u[0]:
+            u = u[1:]
+        if not u:
+            break
+        k = gcd(*u)
+        u, v = v, (u if k == 1 else [x // k for x in u])
+    if len(v) == 1:
+        return IntPoly({low: 1})
+    if v[0] < 0:
+        v = [-x for x in v]
+    top = low + len(v) - 1
+    return IntPoly({top - i: x for i, x in enumerate(v) if x})
 
 
 class RatFn:
@@ -256,6 +286,11 @@ class RatFn:
     primitive (no common integer factor), den leading coefficient positive.
     On every value this package produces the denominator ends up with
     content 1 (its constant term is a unit).
+
+    Every value is built reduced: num and den are divided by their
+    poly_gcd (an integer primitive PRS) when it is not a constant, then by
+    their common integer content.  Arithmetic forms the unreduced
+    num/den from the operands and reduces it the same way.
     """
 
     __slots__ = ("num", "den")

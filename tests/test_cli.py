@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bsol import polyrat
 from bsol.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -83,6 +84,14 @@ class TestHLimit:
         code, rep = run_json(capsys, "hlimit", "--necklace", "W")
         assert code == 2
         assert rep["status"] == "non-closing"
+
+    def test_wrong_gcd_is_not_a_usage_error(self, capsys, monkeypatch):
+        # a "gcd" that divides nothing makes RatFn's exact division fail;
+        # that is an internal fault and must not print as bad input
+        monkeypatch.setattr(polyrat, "poly_gcd", lambda a, b: polyrat.parse_poly("x + 7"))
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            run(["hlimit", "--necklace", "BBWW"])
+        assert "usage error" not in capsys.readouterr().err
 
 
 class TestUFuse:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,31 @@ coeff_dicts = st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5)
 polys = coeff_dicts.map(IntPoly)
 laurent_dicts = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=5)
 laurents = laurent_dicts.map(LaurentPoly)
+# higher degrees and larger coefficients, for longer remainder sequences
+wide_polys = st.dictionaries(st.integers(0, 9), st.integers(-10**6, 10**6), max_size=8).map(IntPoly)
+
+
+def fraction_euclid_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The reference gcd: Euclid over Fractions, then the primitive part."""
+    fa = {e: Fraction(c) for e, c in a.coeffs.items()}
+    fb = {e: Fraction(c) for e, c in b.coeffs.items()}
+    while fb:
+        dv = max(fb)
+        r = dict(fa)
+        while r and max(r) >= dv:
+            du = max(r)
+            q = r[du] / fb[dv]
+            for e, c in fb.items():
+                w = r.get(e + du - dv, Fraction(0)) - q * c
+                if w:
+                    r[e + du - dv] = w
+                else:
+                    r.pop(e + du - dv, None)
+        fa, fb = fb, r
+    if not fa:
+        return ZERO
+    scale = lcm(*(c.denominator for c in fa.values()))
+    return primitive_part(IntPoly({e: int(c * scale) for e, c in fa.items()}))
 
 
 class TestPolyBasics:
@@ -103,11 +129,11 @@ class TestDivisionAndGcd:
         assert poly_divexact(a, b) == parse_poly("x + 1")
 
     def test_divexact_rejects_remainder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError):
             poly_divexact(parse_poly("x^2 + 1"), parse_poly("x - 1"))
 
     def test_divexact_rejects_fractional(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError):
             poly_divexact(parse_poly("x"), parse_poly("2x"))
         assert poly_divexact(parse_poly("2x"), parse_poly("2")) == parse_poly("x")
 
@@ -121,21 +147,57 @@ class TestDivisionAndGcd:
         assert poly_gcd(a, b) == parse_poly("x - 1")
         assert poly_gcd(a, ZERO) == parse_poly("x^2 - 1")
         assert poly_gcd(ZERO, ZERO) == ZERO
+        assert poly_gcd(parse_poly("2x^3 + 4x^2"), parse_poly("6x^2")) == parse_poly("x^2")
+        # content is not part of the gcd: 2x + 2 and 4x + 4 share x + 1
+        assert poly_gcd(parse_poly("2x + 2"), parse_poly("4x + 4")) == parse_poly("x + 1")
+
+    def test_gcd_needs_several_remainders(self):
+        # the Knuth example, coprime, whose remainders grow without the content step
+        a = parse_poly("x^8 + x^6 - 3x^4 - 3x^3 + 8x^2 + 2x - 5")
+        b = parse_poly("3x^6 + 5x^4 - 4x^2 - 9x + 21")
+        assert poly_gcd(a, b) == ONE
+        g = parse_poly("3x^2 - 2x + 7")
+        assert poly_gcd(g * a, g * b) == g
 
     @given(polys, polys, polys)
     def test_gcd_divides_products(self, a, b, g):
-        # g*a and g*b share at least primitive_part(g) as a factor
-        if g.is_zero():
-            return
+        # primitive_part(g) divides gcd(g*a, g*b), which divides both
+        d = poly_gcd(g * a, g * b)
+        if not g.is_zero():
+            poly_divexact(d, primitive_part(g))
+        if not d.is_zero():
+            poly_divexact(g * a, d)
+            poly_divexact(g * b, d)
+
+    @given(polys, polys, polys)
+    def test_gcd_cofactors_coprime(self, a, b, g):
         d = poly_gcd(g * a, g * b)
         if d.is_zero():
             return
-        assert poly_divexact(d, poly_gcd(d, primitive_part(g))) is not None
-        # and the gcd must divide both inputs exactly
-        if not (g * a).is_zero():
-            poly_divexact(g * a, d)
-        if not (g * b).is_zero():
-            poly_divexact(g * b, d)
+        assert poly_gcd(poly_divexact(g * a, d), poly_divexact(g * b, d)) == ONE
+
+    @given(polys, polys, polys)
+    def test_gcd_primitive_and_symmetric(self, a, b, g):
+        d = poly_gcd(g * a, g * b)
+        assert d == poly_gcd(g * b, g * a)
+        if not d.is_zero():
+            assert d.content() == 1
+            assert d.leading > 0
+
+    @given(polys, st.integers(-9, 9).filter(bool))
+    def test_gcd_zero_and_constant(self, a, c):
+        assert poly_gcd(a, ZERO) == primitive_part(a)
+        assert poly_gcd(ZERO, a) == primitive_part(a)
+        assert poly_gcd(IntPoly.const(c), a) == ONE
+        assert poly_gcd(a, IntPoly.const(c)) == ONE
+
+    @given(polys, polys, polys)
+    def test_gcd_matches_fraction_euclid(self, a, b, g):
+        assert poly_gcd(g * a, g * b) == fraction_euclid_gcd(g * a, g * b)
+
+    @given(wide_polys, wide_polys, wide_polys)
+    def test_gcd_matches_fraction_euclid_wide(self, a, b, g):
+        assert poly_gcd(g * a, g * b) == fraction_euclid_gcd(g * a, g * b)
 
 
 class TestRatFn:
