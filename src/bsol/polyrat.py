@@ -226,7 +226,7 @@ def _dense(c: dict[int, int], low: int) -> list[int]:
     """Coefficients of c / x^low, highest exponent first, content removed."""
     u = [c.get(e, 0) for e in range(max(c), low - 1, -1)]
     k = gcd(*u)
-    return u if k == 1 else [v // k for v in u]
+    return [x // k for x in u]
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -238,18 +238,16 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     primitive PRS over Z[x] (Geddes, Czapor and Labahn, Algorithms for
     Computer Algebra, ch. 7): integer pseudo-remainders, each divided by
     its content, until one vanishes, or is a constant, when the gcd is 1.
-    Each pseudo-division step scales by lc(v)/g and the eliminated term by
-    u[0]/g, with g their gcd; the content step absorbs any scalar, so the
-    remainders stay primitive and no Fraction is formed.
+    Each pseudo-division step multiplies u by lc(v)/k and subtracts
+    u[0]/k times the shifted v, with k = gcd(lc(v), u[0]); the content
+    step absorbs these scalars, so no Fraction is formed.
     """
     ca, cb = a._c, b._c
     if not ca or not cb:
         return primitive_part(a if ca else b)
-    da, db = max(ca), max(cb)
-    if da == 0 or db == 0:
+    if max(ca) == 0 or max(cb) == 0:
         return ONE
     la, lb = min(ca), min(cb)
-    low = min(la, lb)
     u, v = _dense(ca, la), _dense(cb, lb)
     if len(u) < len(v):
         u, v = v, u
@@ -257,20 +255,16 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         lv, tail = v[0], v[1:]
         n = len(tail)
         while len(u) > n:
-            q = u[0]
-            if q:
-                k = gcd(lv, q)
-                s, t = lv // k, q // k
-                head = [s * x - t * y for x, y in zip(u[1 : n + 1], tail)]
-                u = head + [s * x for x in u[n + 1 :]] if s != 1 else head + u[n + 1 :]
-            else:
-                u = u[1:]
+            k = gcd(lv, u[0])
+            s, t = lv // k, u[0] // k
+            u = [s * x - t * y for x, y in zip(u[1 : n + 1], tail)] + [s * x for x in u[n + 1 :]]
         while u and not u[0]:
             u = u[1:]
         if not u:
             break
         k = gcd(*u)
-        u, v = v, (u if k == 1 else [x // k for x in u])
+        u, v = v, [x // k for x in u]
+    low = min(la, lb)
     if len(v) == 1:
         return IntPoly({low: 1})
     if v[0] < 0:
