@@ -1,7 +1,9 @@
 """Command line surface: one JSON report per invocation.
 
 Exit codes: 0 for ok (capped results included, they are explicit), 2 when
-a verification mismatches or a forest fails to close, 1 for usage errors.
+a verification mismatches or a forest fails to close, 1 for usage errors,
+3 for internal faults (an arithmetic check inside bsol failed; the message
+goes to stderr as "internal error: ...").
 Reports are deterministic for fixed flags; --timing adds wall time and is
 the only nondeterministic field.
 """
@@ -116,17 +118,14 @@ def _cmd_hseries(args) -> dict:
 
 def _cmd_hlimit(args) -> dict:
     word = _require_primitive(args.necklace)
-    report = {"command": "hlimit", "necklace": word}
-    try:
-        h = limits.h_limit(word, args.depth_cap)
-    except limits.NonClosingError as e:
-        report["status"] = "non-closing"
-        report["detail"] = str(e)
-        return report
-    report["h"] = ratfn_to_json(h)
-    report["series"] = [str(c) for c in series_coeffs(h, 7)]
-    report["status"] = "ok"
-    return report
+    h = limits.h_limit(word, args.depth_cap)
+    return {
+        "command": "hlimit",
+        "necklace": word,
+        "h": ratfn_to_json(h),
+        "series": [str(c) for c in series_coeffs(h, 7)],
+        "status": "ok",
+    }
 
 
 def _cmd_ufuse(args) -> dict:
@@ -327,7 +326,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="bs", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, necklace=False, power=False, states=False, out=True):
+    def common(sp, necklace=False, power=False, states=False):
         if necklace:
             sp.add_argument("--necklace", required=True, help="necklace word over B/W")
         if power:
@@ -337,9 +336,8 @@ def _build_parser() -> _Parser:
                 "--max-states", type=int, default=None,
                 help="state cap for the census (env BS_MAX_STATES overrides the default)",
             )
-        if out:
-            sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-            sp.add_argument("--timing", action="store_true", help="include wall time in the report")
+        sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+        sp.add_argument("--timing", action="store_true", help="include wall time in the report")
 
     sp = sub.add_parser("orbit", help="orbit size of necklace^power")
     common(sp, necklace=True, power=True, states=True)
@@ -425,6 +423,16 @@ def run(argv: list[str]) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except ArithmeticError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    except limits.NonClosingError as e:
+        report = {
+            "command": args.subcommand,
+            "necklace": e.word,
+            "status": "non-closing",
+            "detail": str(e),
+        }
     except orbit.OrbitCapped as e:
         report = {
             "command": args.subcommand,
@@ -435,8 +443,6 @@ def run(argv: list[str]) -> int:
             "status": "capped",
             "detail": str(e),
         }
-        _emit(report, args, started)
-        return 0
     _emit(report, args, started)
     return _status_exit(report["status"])
 

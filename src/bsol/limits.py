@@ -10,10 +10,12 @@ H(x) = (1 - x) * sum_i g_i(x).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from . import murep
 from .fuse import detect_fuse, u_poly, v_norm
-from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move, recurrent_element
+from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move
 from .necklaces import canonical, check_word, distinct_rotations, rotate_right
 from .polyrat import ONE, RatFn, IntPoly, LaurentPoly, X, ZERO
 
@@ -27,6 +29,17 @@ def family_words(word: str) -> list[str]:
     """
     w = check_word(word)
     return [w] + distinct_rotations(w)[:0:-1]
+
+
+def family_roots(word: str) -> tuple[list[str], list[InfSeq]]:
+    """family_words(word) and the recurrent board of each, in that order.
+
+    One pass of murep.recurrent_elements yields the boards of every
+    rotation, so the family's cycle is walked once, not once per rotation.
+    """
+    words = family_words(word)
+    boards = murep.recurrent_elements(words[0])
+    return words, [boards[w] for w in words]
 
 
 def default_depth_cap(n: int) -> int:
@@ -44,32 +57,6 @@ class NonClosingError(RuntimeError):
         super().__init__(
             f"forest of {word} does not close: root {root + 1}, branch R[{moves}]"
         )
-
-
-@dataclass(frozen=True)
-class DegenerateTerm:
-    """One collapsed subtree: contributes
-    x^level * u_poly(fuse_k) * extra * g_target.
-
-    fuse_k = 0 means the node itself belongs to unknown `target` (0-based:
-    first the family's rotations, then any auxiliary classes); otherwise
-    the node opens with a fuse_k-fuse whose remainder belongs to it.
-    `extra`, when nonempty, holds the coefficient items of an additional
-    polynomial factor picked up by head reductions on the way to the
-    match (burnt fuses and wall heads stripped from the front of the
-    board).
-    """
-
-    level: int
-    fuse_k: int
-    target: int
-    extra: tuple[tuple[int, int], ...] = ()
-
-    def weight(self) -> IntPoly:
-        w = X**self.level * u_poly(self.fuse_k)
-        if self.extra:
-            w = w * IntPoly(dict(self.extra))
-        return w
 
 
 def saturate(s: InfSeq) -> InfSeq:
@@ -146,13 +133,6 @@ class _Restart(Exception):
     pass
 
 
-def _items(p: IntPoly) -> tuple[tuple[int, int], ...]:
-    """Coefficient items for DegenerateTerm.extra; () for the constant 1."""
-    if p == ONE:
-        return ()
-    return tuple(sorted(p.coeffs.items()))
-
-
 class _Expander:
     """Shared state for expanding one family.
 
@@ -174,23 +154,26 @@ class _Expander:
             raise ValueError(f"depth_cap must be positive, got {depth_cap}")
         self.word = word
         self.depth_cap = depth_cap
-        self.words = family_words(word)
-        self.roots = [recurrent_element(w) for w in self.words]
+        self.words, self.roots = family_roots(word)
         self.unknowns: list[InfSeq] = list(self.roots)
         self.key_of: dict[InfSeq, int] = {
             saturate(r): i for i, r in enumerate(self.roots)
         }
 
-    def expand(self, i: int) -> tuple[IntPoly, list[DegenerateTerm]]:
+    def expand(self, i: int) -> tuple[IntPoly, dict[int, IntPoly]]:
         while True:
             try:
                 return self._expand_once(i)
             except _Restart:
                 continue
 
-    def _expand_once(self, i: int) -> tuple[IntPoly, list[DegenerateTerm]]:
+    def _expand_once(self, i: int) -> tuple[IntPoly, dict[int, IntPoly]]:
+        """(constant, row): row maps each matched unknown to its summed weight."""
         constant = ZERO
-        terms: list[DegenerateTerm] = []
+        row: dict[int, IntPoly] = {}
+
+        def add(j: int, weight: IntPoly) -> None:
+            row[j] = row.get(j, ZERO) + weight
 
         def visit(
             s: InfSeq,
@@ -201,20 +184,21 @@ class _Expander:
         ) -> None:
             nonlocal constant
             # head reductions: each pass either matches a known class and
-            # emits a term, or strips a factorable head and keeps going on
-            # the shortened board, with the factor folded into the weight
+            # adds to its row entry, or strips a factorable head and keeps
+            # going on the shortened board, with the factor folded into the
+            # weight
             key = saturate(s)
             while level > 0:
                 j = self.key_of.get(key)
                 if j is not None:
-                    terms.append(DegenerateTerm(level, 0, j, _items(w)))
+                    add(j, w * X**level)
                     return
                 info = detect_fuse(s)
                 if info.kind == "fuse":
                     rem = drop_head(s, info.k)
                     j = self.key_of.get(saturate(rem))
                     if j is not None:
-                        terms.append(DegenerateTerm(level, info.k, j, _items(w)))
+                        add(j, w * X**level * u_poly(info.k))
                         return
                     w = w * u_poly(info.k)
                     s = rem
@@ -238,29 +222,7 @@ class _Expander:
                 visit(inf_move(s, j), level + 1, w, branch + (j,), path | {key})
 
         visit(self.unknowns[i], 0, ONE, (), frozenset())
-        return constant, terms
-
-
-def expand_degenerate_tree(
-    word: str, i: int, depth_cap: int | None = None
-) -> tuple[IntPoly, list[DegenerateTerm]]:
-    """Expand the reverse-move tree of root i of the family of `word`.
-
-    Nodes are matched against the family's recurrent boards, bars
-    included: either the node is such a board, or it opens with a fuse
-    whose remainder (dropping the fuse positions, keeping later bars) is
-    one.  Matches become DegenerateTerms; unmatched fuse or wall heads
-    factor out of the subtree sum and the expansion continues on the
-    shortened board, the factor recorded in the term's `extra` (or
-    multiplying the constant contribution).  Everything else adds the
-    accumulated weight times x^level to the constant and is expanded
-    further, down to depth_cap.  Term targets past the rotation count
-    refer to promoted auxiliary classes.
-
-    Returns (constant, terms).
-    """
-    ex = _Expander(word, depth_cap)
-    return ex.expand(i)
+        return constant, row
 
 
 @dataclass
@@ -288,25 +250,28 @@ class LinearSystem:
 
 
 def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
+    """Expand the reverse-move tree of every unknown of the family of `word`.
+
+    Nodes are matched against the unknowns' boards, bars included: either
+    the node is such a board, or it opens with a fuse whose remainder
+    (dropping the fuse positions, keeping later bars) is one.  A match adds
+    the accumulated weight times x^level, times u_k for a k-fuse, to M[i][j].
+    Unmatched fuse or wall heads factor out of the subtree sum and the
+    expansion continues on the shortened board with the factor folded into
+    the weight.  Every other node adds its weight times x^level to A[i] and
+    is expanded further, down to depth_cap.  Unknowns past the rotation
+    count are promoted auxiliary classes.
+    """
     ex = _Expander(word, depth_cap)
-    rows: list[tuple[IntPoly, list[DegenerateTerm]]] = []
-    i = 0
-    while i < len(ex.unknowns):
-        row = ex.expand(i)
-        # a restart inside a later row never invalidates earlier ones: an
-        # already expanded occurrence of the promoted class is merely left
-        # uncollapsed, which is still a true equation
-        rows.append(row)
-        i += 1
+    rows: list[tuple[IntPoly, dict[int, IntPoly]]] = []
+    # a restart inside a later row never invalidates earlier ones: an
+    # already expanded occurrence of the promoted class is merely left
+    # uncollapsed, which is still a true equation
+    while len(rows) < len(ex.unknowns):
+        rows.append(ex.expand(len(rows)))
     n = len(ex.unknowns)
-    A: list[IntPoly] = []
-    M: list[list[IntPoly]] = []
-    for constant, terms in rows:
-        row_poly = [ZERO for _ in range(n)]
-        for t in terms:
-            row_poly[t.target] = row_poly[t.target] + t.weight()
-        A.append(constant)
-        M.append(row_poly)
+    A = [constant for constant, _ in rows]
+    M = [[row.get(j, ZERO) for j in range(n)] for _, row in rows]
     return LinearSystem(ex.words, ex.unknowns[len(ex.roots):], A, M)
 
 
@@ -429,6 +394,7 @@ def anchored_self_coeff(word: str, depth_cap: int | None = None) -> tuple[IntPol
     raise ArithmeticError(f"no anchor makes the {word} system triangular")
 
 
+@functools.cache
 def f_poly(n: int) -> LaurentPoly:
     """Denominator coefficient for the one-black family of size n+1.
 
@@ -437,37 +403,22 @@ def f_poly(n: int) -> LaurentPoly:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    return _f_cache(n)
-
-
-_F: dict[int, LaurentPoly] = {}
-
-
-def _f_cache(n: int) -> LaurentPoly:
-    if n in _F:
-        return _F[n]
     if n == 2:
-        out = v_norm(1).shift(3)
-    elif n == 3:
-        out = (v_norm(1) + v_norm(2)).shift(4)
-    elif n % 2 == 0:
-        out = LaurentPoly()
+        return v_norm(1).shift(3)
+    if n == 3:
+        return (v_norm(1) + v_norm(2)).shift(4)
+    out = LaurentPoly()
+    if n % 2 == 0:
         for i in range((n - 4) // 2 + 1):
-            out = out + v_norm(i).shift(2 * i + 1) * _f_cache(n - (2 * i + 1))
-        out = out + v_norm((n - 4) // 2).shift(n - 2) * _f_cache(2)
-        out = out + v_norm(n // 2).shift(n + 1)
-    else:
-        out = LaurentPoly()
-        for i in range((n - 3) // 2 + 1):
-            out = out + v_norm(i).shift(2 * i + 1) * _f_cache(n - (2 * i + 1))
-        out = out + v_norm((n + 1) // 2).shift(n + 1)
-    _F[n] = out
-    return out
+            out = out + v_norm(i).shift(2 * i + 1) * f_poly(n - (2 * i + 1))
+        out = out + v_norm((n - 4) // 2).shift(n - 2) * f_poly(2)
+        return out + v_norm(n // 2).shift(n + 1)
+    for i in range((n - 3) // 2 + 1):
+        out = out + v_norm(i).shift(2 * i + 1) * f_poly(n - (2 * i + 1))
+    return out + v_norm((n + 1) // 2).shift(n + 1)
 
 
-_H: dict[int, LaurentPoly] = {}
-
-
+@functools.cache
 def h_poly(n: int) -> LaurentPoly:
     """Coefficient h_n with g_2 = B + h_n g_1 in the W B^(n+1) system.
 
@@ -476,14 +427,11 @@ def h_poly(n: int) -> LaurentPoly:
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    if n not in _H:
-        word = "B" * (n + 1) + "W"
-        sys = assemble_system(word)
-        red = reduce_system(sys, 0)
-        if red is None:
-            raise ArithmeticError(f"{word} system not triangular from its head")
-        _H[n] = red[1][1].to_laurent()
-    return _H[n]
+    word = "B" * (n + 1) + "W"
+    red = reduce_system(assemble_system(word), 0)
+    if red is None:
+        raise ArithmeticError(f"{word} system not triangular from its head")
+    return red[1][1].to_laurent()
 
 
 def p_poly(n: int) -> LaurentPoly:
@@ -542,8 +490,8 @@ def verify_tree_isomorphism(word1: str, word2: str, depth: int) -> bool:
             same_tree(inf_move(s1, j), inf_move(s2, j), d - 1) for j in s1.bars()
         )
 
-    roots1 = [recurrent_element(w) for w in family_words(w1)]
-    roots2 = [recurrent_element(w) for w in family_words(w2)]
+    roots1 = family_roots(w1)[1]
+    roots2 = family_roots(w2)[1]
     if len(roots1) != len(roots2):
         return False
     return all(same_tree(r1, r2, depth) for r1, r2 in zip(roots1, roots2))

@@ -89,9 +89,21 @@ class TestHLimit:
         # a "gcd" that divides nothing makes RatFn's exact division fail;
         # that is an internal fault and must not print as bad input
         monkeypatch.setattr(polyrat, "poly_gcd", lambda a, b: polyrat.parse_poly("x + 7"))
-        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
-            run(["hlimit", "--necklace", "BBWW"])
-        assert "usage error" not in capsys.readouterr().err
+        assert run(["hlimit", "--necklace", "BBWW"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: inexact polynomial division (remainder)\n"
+
+    def test_verify_non_closing_exit_two(self, capsys):
+        # a depth cap too small for a dual pair is a report, not a traceback
+        code, rep = run_json(capsys, "verify", "conj11", "--depth-cap", "2")
+        assert code == 2
+        assert rep == {
+            "command": "verify",
+            "necklace": "BWWW",
+            "status": "non-closing",
+            "detail": "forest of BWWW does not close: root 3, branch R[3, 1]",
+        }
 
 
 class TestUFuse:

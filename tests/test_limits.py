@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from bsol.fuse import u_poly, v_norm
 from bsol.golden import h_table
 from bsol.limits import (
-    DegenerateTerm,
     NonClosingError,
     _head_factor,
     _wall_head,
     anchored_self_coeff,
     assemble_system,
     default_depth_cap,
-    expand_degenerate_tree,
     f_poly,
+    family_roots,
     family_words,
     h_limit,
     h_poly,
@@ -26,6 +25,7 @@ from bsol.limits import (
     verify_tree_isomorphism,
 )
 from bsol.murep import drop_head, inf_move, inf_seq, recurrent_element
+from bsol.necklaces import cycle_length, distinct_rotations, necklace_representatives
 from bsol.polyrat import ONE, IntPoly, RatFn, X, parse_poly, series_coeffs
 
 B = True
@@ -54,6 +54,31 @@ class TestFamilyWords:
 
     def test_nonprimitive_collapses(self):
         assert family_words("BWBW") == ["BWBW", "WBWB"]
+
+
+class TestFamilyRoots:
+    def test_boards_match_each_rotation(self):
+        # one pass around the cycle gives each rotation its own board
+        for m in range(1, 9):
+            for rep in necklace_representatives(m):
+                if cycle_length(rep) != m:
+                    continue
+                for word in distinct_rotations(rep):
+                    words, boards = family_roots(word)
+                    assert words == family_words(word)
+                    assert boards == [recurrent_element(w) for w in words]
+
+    def test_one_cycle_pass_per_family(self, monkeypatch):
+        from bsol import murep
+
+        calls = []
+        original = murep.recurrent_elements
+        monkeypatch.setattr(
+            murep, "recurrent_elements", lambda w: calls.append(w) or original(w)
+        )
+        assemble_system("WBBWW")
+        verify_tree_isomorphism("BWWW", "BBBW", 1)
+        assert calls == ["WBBWW", "BWWW", "BBBW"]
 
 
 class TestWallHead:
@@ -134,26 +159,12 @@ class TestHeadFactor:
 
 
 class TestExpand:
-    def test_two_bar_root(self):
-        # the two-bar recurrent board: one plain match, one 1-fuse match
-        assert recurrent_element("BWW") == inf_seq(((2, B), (1, B)), (0, 2, 1))
-        const, terms = expand_degenerate_tree("BWW", 0)
-        assert const == ONE
-        assert terms == [DegenerateTerm(1, 0, 1), DegenerateTerm(1, 1, 2)]
-
-    def test_single_move_root(self):
-        # one playable move, straight to the next cycle element
-        const, terms = expand_degenerate_tree("BWW", 1)
-        assert const == ONE
-        assert terms == [DegenerateTerm(1, 0, 2)]
-
     def test_depth_cap_default(self):
         assert default_depth_cap(3) == 20
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_nonpositive_depth_cap_rejected(self, cap):
         for call in (
-            lambda: expand_degenerate_tree("BWW", 0, cap),
             lambda: assemble_system("BWW", cap),
             lambda: h_limit("BWW", cap),
         ):
