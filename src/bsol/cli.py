@@ -17,31 +17,21 @@ import time
 
 from . import golden, limits, orbit
 from .fuse import u_poly, v_norm
-from .necklaces import brandt_mismatches, check_word, cycle_length, necklace_representatives
+from .necklaces import brandt_mismatches, necklace_representatives, primitive_word
 from .polyrat import poly_to_json, ratfn_to_json, series_coeffs
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; the contract reserves 2 for mismatches
+    # argparse exits 2 on bad flags, but 2 means a mismatch here; run reports
+    # the ValueError as a usage error
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
-
-
-def _require_primitive(word: str) -> str:
-    check_word(word)
-    if cycle_length(word) != len(word):
-        raise _UsageError(f"necklace {word} is not primitive")
-    return word
+        raise ValueError(message)
 
 
 def _cases(first: int, last: int, flag: str) -> range:
     # a range flag must select at least one case; an empty report says nothing
     if last < first:
-        raise _UsageError(f"{flag} must be at least {first}, got {last}")
+        raise ValueError(f"{flag} must be at least {first}, got {last}")
     return range(first, last + 1)
 
 
@@ -69,11 +59,10 @@ def _status_exit(status: str) -> int:
 
 
 def _cmd_orbit(args) -> dict:
-    word = _require_primitive(args.necklace)
-    series = orbit.d_series(word, args.power, args.max_states)
+    series = orbit.d_series(args.necklace, args.power, args.max_states)
     return {
         "command": "orbit",
-        "necklace": word,
+        "necklace": args.necklace,
         "power": args.power,
         "size": str(series(1)),
         "depth": series.degree,
@@ -83,12 +72,11 @@ def _cmd_orbit(args) -> dict:
 
 
 def _cmd_dseries(args) -> dict:
-    word = _require_primitive(args.necklace)
-    series = orbit.d_series(word, args.power, args.max_states)
+    series = orbit.d_series(args.necklace, args.power, args.max_states)
     coeffs = [str(series.coeff(e)) for e in range(series.degree + 1)]
     return {
         "command": "dseries",
-        "necklace": word,
+        "necklace": args.necklace,
         "power": args.power,
         "d_series": coeffs,
         "size": str(sum(int(c) for c in coeffs)),
@@ -98,12 +86,11 @@ def _cmd_dseries(args) -> dict:
 
 
 def _cmd_hseries(args) -> dict:
-    word = _require_primitive(args.necklace)
-    res = orbit.stabilized_h_series(word, args.coeffs, args.max_k, args.max_states)
+    res = orbit.stabilized_h_series(args.necklace, args.coeffs, args.max_k, args.max_states)
     status = "ok" if res.stabilized else "capped"
     report = {
         "command": "hseries",
-        "necklace": word,
+        "necklace": args.necklace,
         "coeffs": args.coeffs,
         "max_power": args.max_k,
         "coefficients": [str(c) for c in res.coeffs],
@@ -117,7 +104,7 @@ def _cmd_hseries(args) -> dict:
 
 
 def _cmd_hlimit(args) -> dict:
-    word = _require_primitive(args.necklace)
+    word = primitive_word(args.necklace)
     h = limits.h_limit(word, args.depth_cap)
     return {
         "command": "hlimit",
@@ -143,10 +130,7 @@ def _cmd_ufuse(args) -> dict:
 
 
 def _cmd_cratio(args) -> dict:
-    word = _require_primitive(args.necklace)
-    if len(word) < 3:
-        raise _UsageError("cratio needs a necklace of size >= 3")
-    probe = orbit.c_ratio_probe(word, args.max_k, args.max_states)
+    probe = orbit.c_ratio_probe(args.necklace, args.max_k, args.max_states)
     rows = []
     for k in range(1, args.max_k + 1):
         if k <= len(probe["sizes"]):
@@ -155,7 +139,7 @@ def _cmd_cratio(args) -> dict:
             rows.append({"k": k, "size": None, "note": "skipped: capped"})
     return {
         "command": "cratio",
-        "necklace": word,
+        "necklace": args.necklace,
         "max_power": args.max_k,
         "rows": rows,
         "ratio": None if probe["ratio"] is None else str(probe["ratio"]),
@@ -248,12 +232,11 @@ def _verify_conj64(args) -> dict:
 
 
 def _verify_lemma216(args) -> dict:
-    word = _require_primitive(args.necklace)
-    holds = orbit.forest_identity_check(word, args.power, args.coeffs, args.max_states)
+    holds = orbit.forest_identity_check(args.necklace, args.power, args.coeffs, args.max_states)
     return {
         "command": "verify",
         "check": "lemma216",
-        "necklace": word,
+        "necklace": args.necklace,
         "power": args.power,
         "coeffs": args.coeffs,
         "holds": holds,
@@ -334,7 +317,7 @@ def _build_parser() -> _Parser:
         if states:
             sp.add_argument(
                 "--max-states", type=int, default=None,
-                help="state cap for the census (env BS_MAX_STATES overrides the default)",
+                help="state cap for the census (default 10^7)",
             )
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
         sp.add_argument("--timing", action="store_true", help="include wall time in the report")
@@ -417,9 +400,6 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.fn(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

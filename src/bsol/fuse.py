@@ -11,6 +11,7 @@ compositions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -135,33 +136,13 @@ def _fuse_board(k: int, tail: InfSeq) -> InfSeq:
     return inf_seq(prefix, tail.period)
 
 
-def u_tree_oracle(k: int, tail: InfSeq | None = None) -> IntPoly:
-    """Census of play sequences inside a fuse, by exhaustive play.
-
-    Builds a board whose first k positions form a fuse, then counts every
-    sequence of reverse moves at barred positions <= k, bucketed by length.
-    The result must not depend on the tail; pass one to check that.
-    """
-    from .murep import recurrent_element
-
-    if tail is None:
-        tail = recurrent_element("BWW")
-    census: dict[int, int] = {}
-
-    def walk(s: InfSeq, depth: int) -> None:
-        census[depth] = census.get(depth, 0) + 1
-        if depth > k:
-            raise AssertionError("fuse survived too many moves")
-        for j in s.bars():
-            if j <= k:
-                walk(inf_move(s, j), depth + 1)
-
-    walk(_fuse_board(k, tail), 0)
-    return IntPoly(census)
-
-
 def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:
-    """Every complete-or-partial play sequence inside a length-k fuse."""
+    """Every complete-or-partial play sequence inside a length-k fuse.
+
+    Builds a board whose first k positions form a fuse and plays every
+    sequence of reverse moves at barred positions <= k.  A sequence longer
+    than k means the fuse did not burn down, an ArithmeticError.
+    """
     from .murep import recurrent_element
 
     if tail is None:
@@ -169,6 +150,8 @@ def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def walk(s: InfSeq, plays: tuple[int, ...]) -> None:
+        if len(plays) > k:
+            raise ArithmeticError("fuse survived too many moves")
         out.append(plays)
         for j in s.bars():
             if j <= k:
@@ -176,6 +159,15 @@ def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:
 
     walk(_fuse_board(k, tail), ())
     return out
+
+
+def u_tree_oracle(k: int, tail: InfSeq | None = None) -> IntPoly:
+    """Census of play sequences inside a fuse, by exhaustive play.
+
+    Counts the sequences of fuse_plays by length.  The result must not
+    depend on the tail; pass one to check that.
+    """
+    return IntPoly(Counter(len(plays) for plays in fuse_plays(k, tail)))
 
 
 # --- play sequences <-> weak compositions --------------------------------------

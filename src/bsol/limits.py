@@ -320,19 +320,13 @@ def h_limit(word: str, depth_cap: int | None = None) -> RatFn:
     for g in gs[: sys.n_roots]:
         total = total + g
     h = (ONE - X) * total
-    h0 = series_value_at_zero(h)
-    if h0 != sys.n_roots:
-        raise ArithmeticError(f"H(0) = {h0} for {word}, but the cycle has {sys.n_roots} states")
+    # H(0) counts the cycle's states; den(0) = 0 fails too, as num and den are coprime
+    h0, d0 = h.num.coeff(0), h.den.coeff(0)
+    if h0 != sys.n_roots * d0:
+        raise ArithmeticError(
+            f"H(0) = {h0}/{d0} for {word}, but the cycle has {sys.n_roots} states"
+        )
     return h
-
-
-def series_value_at_zero(f: RatFn) -> int:
-    from fractions import Fraction
-
-    v = Fraction(f.num.coeff(0), f.den.coeff(0))
-    if v.denominator != 1:
-        raise ArithmeticError(f"series value at zero is {v}, not an integer")
-    return int(v)
 
 
 # --- anchored reduction: the f, h, p coefficient extraction ----------------------

@@ -133,7 +133,7 @@ class InfSeq:
         for i in count(1):
             if self.value_at(i) != 0:
                 return i
-        raise AssertionError("unreachable, period has positive sum")
+        raise ArithmeticError("unreachable, period has positive sum")
 
     def values_upto(self, m: int) -> tuple[int, ...]:
         return tuple(self.value_at(i) for i in range(1, m + 1))
@@ -302,15 +302,15 @@ def recurrent_elements(word: str) -> dict[str, InfSeq]:
         out[rot] = cur
         bars = cur.bars()
         if not bars or bars[0] != cur.first_nonzero():
-            raise AssertionError(f"cycle move of {cur} is not its first bar")
+            raise ArithmeticError(f"cycle move of {cur} is not its first bar")
         nxt = inf_move(cur, bars[0])
         if cur.values_upto(len(word)) != tail_from_word(rot):
-            raise AssertionError(f"values of {cur} drifted off the {rot} tail")
+            raise ArithmeticError(f"values of {cur} drifted off the {rot} tail")
         cur = nxt
     if cur != start:
-        raise AssertionError(f"cycle of {word} did not close")
+        raise ArithmeticError(f"cycle of {word} did not close")
     if len(set(out.values())) != len(rots):
-        raise AssertionError(f"rotations of {word} gave duplicate boards")
+        raise ArithmeticError(f"rotations of {word} gave duplicate boards")
     return out
 
 

@@ -50,6 +50,13 @@ def is_primitive(word: str) -> bool:
     return cycle_length(check_word(word)) == len(word)
 
 
+def primitive_word(word: str) -> str:
+    """The word itself when it is a primitive necklace word; ValueError otherwise."""
+    if not is_primitive(word):
+        raise ValueError(f"necklace {word} is not primitive")
+    return word
+
+
 def dual(word: str) -> str:
     """Canonical form of the reversed word with B and W swapped."""
     flipped = "".join("W" if ch == "B" else "B" for ch in check_word(word))

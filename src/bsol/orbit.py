@@ -21,11 +21,10 @@ apart from the walk.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _census_py
-from .necklaces import check_word, cycle_length, cycle_partitions
+from .necklaces import cycle_partitions, primitive_word
 from .partitions import predecessors
 from .polyrat import IntPoly
 
@@ -42,25 +41,12 @@ def kernel_name() -> str:
 
 
 def _budget(max_states: int | None) -> int:
-    # the one check on a state budget, given or taken from the environment
-    name = "max_states"
+    # the one check on a state budget: None means the default
     if max_states is None:
-        raw = os.environ.get("BS_MAX_STATES")
-        if raw is None:
-            return DEFAULT_MAX_STATES
-        name = "BS_MAX_STATES"
-        try:
-            max_states = int(raw)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        return DEFAULT_MAX_STATES
     if max_states <= 0:
-        raise ValueError(f"{name} must be positive, got {max_states}")
+        raise ValueError(f"max_states must be positive, got {max_states}")
     return max_states
-
-
-def max_states_default() -> int:
-    """State budget for censuses: BS_MAX_STATES env override or 10^7."""
-    return _budget(None)
 
 
 class OrbitCapped(RuntimeError):
@@ -81,15 +67,8 @@ class OrbitCapped(RuntimeError):
         )
 
 
-def _primitive_word(word: str) -> str:
-    w = check_word(word)
-    if cycle_length(w) != len(w):
-        raise ValueError(f"{w!r} is not a primitive necklace word")
-    return w
-
-
 def _orbit_args(word: str, power: int, max_states: int | None) -> tuple[str, int]:
-    word = _primitive_word(word)
+    word = primitive_word(word)
     if power < 1:
         raise ValueError("power must be positive")
     return word, _budget(max_states)
@@ -150,7 +129,7 @@ def stabilized_h_series(
     policy, not mathematics, and a capped result says so rather than
     guessing.
     """
-    word = _primitive_word(word)
+    word = primitive_word(word)
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
     if max_power < 1:
@@ -188,7 +167,7 @@ def c_ratio_probe(
     progression with an integer ratio, and is evidence, not a theorem.
     Powers abandoned at the state budget are listed under "skipped".
     """
-    word = _primitive_word(word)
+    word = primitive_word(word)
     if len(word) < 3:
         raise ValueError("the ratio probe needs a necklace of length at least 3")
     if max_power < 1:
@@ -224,9 +203,9 @@ def forest_identity_check(
     ever held; the level sums come from the census walk to level m, which
     shares no code with predecessors.
     """
+    word, max_states = _orbit_args(word, power, max_states)
     if m < 0:
         raise ValueError("coefficient count must be nonnegative")
-    word, max_states = _orbit_args(word, power, max_states)
     sizes = _level_sizes(word, power, max_states, m)
     paths = dict.fromkeys(cycle_partitions(word * power), 1)
     for j in range(m + 1):

@@ -346,12 +346,6 @@ class RatFn:
             return NotImplemented
         return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
     def __mul__(self, other):
         other = _as_ratfn(other)
         if other is None:
@@ -367,10 +361,6 @@ class RatFn:
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfn(other)
-        return other / self
 
     def __repr__(self) -> str:
         return f"RatFn({self.num!r}, {self.den!r})"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsol import polyrat
+from bsol import murep, polyrat
 from bsol.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -94,6 +94,15 @@ class TestHLimit:
         assert captured.out == ""
         assert captured.err == "internal error: inexact polynomial division (remainder)\n"
 
+    def test_murep_fault_is_internal(self, capsys, monkeypatch):
+        # a rotation that does not rotate breaks the recurrent-board checks;
+        # they are internal faults too, also under python -O
+        monkeypatch.setattr(murep, "rotate_left", lambda w, t=1: w)
+        assert run(["hlimit", "--necklace", "BBW"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: values of [2* | 0 1 2] drifted off the BBW tail\n"
+
     def test_verify_non_closing_exit_two(self, capsys):
         # a depth cap too small for a dual pair is a report, not a traceback
         code, rep = run_json(capsys, "verify", "conj11", "--depth-cap", "2")
@@ -151,6 +160,14 @@ class TestVerify:
         assert rep["status"] == "ok"
         assert rep["checked"] >= 20
 
+    def test_conj64(self, capsys):
+        code, rep = run_json(capsys, "verify", "conj64")
+        assert code == 0
+        assert rep["status"] == "ok"
+        assert len(rep["results"]) == 28
+        assert all(r["equal_denominator"] for r in rep["results"])
+        assert not [r for r in rep["results"] if r.get("note") == "skipped: capped"]
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -158,8 +175,25 @@ class TestUsageErrors:
         assert "usage error" in capsys.readouterr().err
 
     def test_nonprimitive_necklace(self, capsys):
-        assert run(["orbit", "--necklace", "BWBW"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        # the library's one primitivity check, reached through every handler
+        for argv in (
+            ["orbit", "--necklace", "BWBW"],
+            ["dseries", "--necklace", "BWBW"],
+            ["hseries", "--necklace", "BWBW"],
+            ["hlimit", "--necklace", "BWBW"],
+            ["cratio", "--necklace", "BWBW"],
+            ["verify", "lemma216", "--necklace", "BWBW"],
+        ):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "usage error: necklace BWBW is not primitive\n"
+
+    def test_cratio_needs_three_letters(self, capsys):
+        assert run(["cratio", "--necklace", "BW"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: the ratio probe needs a necklace of length at least 3" in captured.err
 
     def test_missing_subcommand(self, capsys):
         assert run([]) == 1
@@ -177,14 +211,6 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "usage error: max_states must be positive" in captured.err
-
-    def test_non_integer_env_budget(self, capsys, monkeypatch):
-        # int() used to name no variable: "invalid literal for int() ..."
-        monkeypatch.setenv("BS_MAX_STATES", "abc")
-        assert run(["dseries", "--necklace", "BWW"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "usage error: BS_MAX_STATES must be an integer, got 'abc'" in captured.err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_nonpositive_depth_cap(self, capsys, cap):

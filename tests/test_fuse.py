@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from bsol import fuse
 from bsol.fuse import (
     FuseInfo,
     composition_of_play,
@@ -127,6 +128,14 @@ class TestTreeOracle:
     def test_tail_independent(self, word):
         for k in range(1, 6):
             assert u_tree_oracle(k, tail=recurrent_element(word)) == u_poly(k)
+
+    def test_fuse_that_never_burns_is_a_fault(self, monkeypatch):
+        # a move that leaves the board alone keeps the fuse alive forever
+        monkeypatch.setattr(fuse, "inf_move", lambda s, j: s)
+        with pytest.raises(ArithmeticError, match="fuse survived too many moves"):
+            fuse_plays(2)
+        with pytest.raises(ArithmeticError, match="fuse survived too many moves"):
+            u_tree_oracle(2)
 
 
 class TestBijection:

@@ -19,7 +19,6 @@ from bsol.limits import (
     p_poly,
     reduce_system,
     saturate,
-    series_value_at_zero,
     solve_system,
     verify_same_denominator,
     verify_tree_isomorphism,
@@ -270,18 +269,16 @@ class TestHLimit:
         # a solve that drifts must not pass silently, also under python -O
         from bsol import limits
 
-        def drifted(sys):
-            gs = solve_system(sys)
-            return [gs[0] + ONE] + gs[1:]
+        # an integral drift, and one that makes H(0) a proper fraction
+        for drift in (ONE, RatFn(ONE, IntPoly.const(2))):
 
-        monkeypatch.setattr(limits, "solve_system", drifted)
-        with pytest.raises(ArithmeticError, match="H\\(0\\)"):
-            h_limit("BWW")
+            def drifted(sys, drift=drift):
+                gs = solve_system(sys)
+                return [gs[0] + drift] + gs[1:]
 
-    def test_value_at_zero_must_be_integral(self):
-        assert series_value_at_zero(RatFn(IntPoly({0: 6}), IntPoly({0: 2, 1: 1}))) == 3
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            series_value_at_zero(RatFn(IntPoly({0: 1}), IntPoly({0: 2, 1: 1})))
+            monkeypatch.setattr(limits, "solve_system", drifted)
+            with pytest.raises(ArithmeticError, match="H\\(0\\)"):
+                h_limit("BWW")
 
 
 class TestAnchored:

@@ -11,6 +11,7 @@ from bsol.necklaces import (
     dual,
     is_primitive,
     necklace_representatives,
+    primitive_word,
     rotate_left,
     rotate_right,
     weight,
@@ -114,6 +115,13 @@ class TestPrimitivity:
     @given(words, st.integers(2, 4))
     def test_powers_never_primitive(self, word, k):
         assert not is_primitive(word * k)
+
+    def test_primitive_word_raises(self):
+        assert primitive_word("BWW") == "BWW"
+        with pytest.raises(ValueError, match="necklace BWBW is not primitive"):
+            primitive_word("BWBW")
+        with pytest.raises(ValueError, match="nonempty string over B/W"):
+            primitive_word("BXW")
 
 
 class TestDual:

@@ -14,7 +14,6 @@ from bsol.orbit import (
     d_series,
     forest_identity_check,
     kernel_name,
-    max_states_default,
     orbit_size,
     stabilized_h_series,
 )
@@ -213,7 +212,7 @@ def case_id(case):
 class TestKernels:
     def test_a_kernel_is_loaded(self):
         assert kernel_name() == "py"
-        assert max_states_default() >= 10**5
+        assert orbit.DEFAULT_MAX_STATES >= 10**5
 
     @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
     def test_python_kernel_agrees(self, word, power):
@@ -439,14 +438,6 @@ class TestStateBudget:
         ):
             with pytest.raises(ValueError, match="max_states must be positive"):
                 call()
-
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_nonpositive_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("BS_MAX_STATES", raw)
-        with pytest.raises(ValueError, match="BS_MAX_STATES must be positive"):
-            d_series("BWW")
-        with pytest.raises(ValueError, match="BS_MAX_STATES must be positive"):
-            stabilized_h_series("BWW", 4)
 
 
 class TestStabilized:

@@ -21,6 +21,20 @@ def test_no_assert_statements():
     assert not found, f"assert statements in bsol: {found}"
 
 
+def test_no_assertion_error_raises():
+    # an internal fault is an ArithmeticError, which bs reports with exit 3;
+    # an AssertionError would end it with a traceback and the usage-error code
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise AssertionError in bsol: {found}"
+
+
 def test_every_function_has_a_caller():
     # a def whose name appears nowhere else is code that nothing runs
     root = PACKAGE.parent.parent
