@@ -64,7 +64,7 @@ def _cmd_orbit(args) -> dict:
         "command": "orbit",
         "necklace": args.necklace,
         "power": args.power,
-        "size": str(series(1)),
+        "size": str(sum(series.coeffs.values())),
         "depth": series.degree,
         "kernel": orbit.kernel_name(),
         "status": "ok",
@@ -221,7 +221,7 @@ def _verify_conj64(args) -> dict:
             )
         except limits.NonClosingError:
             results.append(
-                {"size": size, "c": str(c), "necklaces": words, "note": "skipped: capped"}
+                {"size": size, "c": str(c), "necklaces": words, "note": "skipped: non-closing"}
             )
     return {
         "command": "verify",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .murep import InfSeq, inf_move, inf_seq
+from .murep import InfSeq, inf_move, inf_seq, recurrent_element
 from .polyrat import IntPoly, LaurentPoly
 
 # --- detection ----------------------------------------------------------------
@@ -143,8 +143,6 @@ def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:
     sequence of reverse moves at barred positions <= k.  A sequence longer
     than k means the fuse did not burn down, an ArithmeticError.
     """
-    from .murep import recurrent_element
-
     if tail is None:
         tail = recurrent_element("BWW")
     out: list[tuple[int, ...]] = []

@@ -36,7 +36,7 @@ class HEntry:
     den: IntPoly
 
     def ratfn(self) -> RatFn:
-        return RatFn((ONE - X) * self.num) / RatFn(self.den)
+        return RatFn((ONE - X) * self.num, self.den)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def h_series_forms() -> dict[str, RatFn]:
     """The two families without a closing forest, as plain num/den."""
     data = _load("appendix_h.json")
     return {
-        r["necklace"]: RatFn(_poly(r["num"])) / RatFn(_poly(r["den"]))
+        r["necklace"]: RatFn(_poly(r["num"]), _poly(r["den"]))
         for r in data["series_forms"]
     }
 

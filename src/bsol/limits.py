@@ -195,13 +195,8 @@ class _Expander:
                     return
                 info = detect_fuse(s)
                 if info.kind == "fuse":
-                    rem = drop_head(s, info.k)
-                    j = self.key_of.get(saturate(rem))
-                    if j is not None:
-                        add(j, w * X**level * u_poly(info.k))
-                        return
                     w = w * u_poly(info.k)
-                    s = rem
+                    s = drop_head(s, info.k)
                 else:
                     t = _wall_head(s)
                     if t is None:
@@ -303,7 +298,7 @@ def solve_system(sys: LinearSystem) -> list[RatFn]:
                 B[r][c] = poly_divexact(B[r][c] * B[k][k] - B[r][k] * B[k][c], prev)
             B[r][k] = ZERO
         prev = B[k][k]
-    gs: list[RatFn] = [RatFn(0)] * n
+    gs: list[RatFn] = [RatFn(ZERO)] * n
     for i in range(n - 1, -1, -1):
         acc: RatFn = RatFn(B[i][n])
         for j in range(i + 1, n):
@@ -316,7 +311,7 @@ def h_limit(word: str, depth_cap: int | None = None) -> RatFn:
     """Closed form of the limit series of orbit sizes for the necklace family."""
     sys = assemble_system(word, depth_cap)
     gs = solve_system(sys)
-    total = RatFn(0)
+    total = RatFn(ZERO)
     for g in gs[: sys.n_roots]:
         total = total + g
     h = (ONE - X) * total

@@ -4,19 +4,18 @@ Coefficients are arbitrary-precision ints stored as {exponent: coefficient}
 with no zero entries.  IntPoly restricts exponents to >= 0, LaurentPoly
 allows negative exponents.  RatFn keeps a reduced num/den pair of IntPoly
 in a canonical form, so equality is plain structural equality.
+
+Values meet only values of this module: an int is not a constant
+polynomial, and an IntPoly turns into a RatFn only as an arithmetic
+operand of one, never in a comparison.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
-
-Coeffs = Mapping[int, int]
-
-
-def _clean(coeffs: Coeffs) -> dict[int, int]:
-    return {e: c for e, c in coeffs.items() if c != 0}
+from typing import Mapping
 
 
 class _BasePoly:
@@ -24,13 +23,8 @@ class _BasePoly:
 
     _allow_negative = False
 
-    def __init__(self, coeffs: Union[Coeffs, Iterable[tuple[int, int]], None] = None):
-        if coeffs is None:
-            d: dict[int, int] = {}
-        elif isinstance(coeffs, Mapping):
-            d = _clean(coeffs)
-        else:
-            d = _clean(dict(coeffs))
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        d = {} if coeffs is None else {e: c for e, c in coeffs.items() if c != 0}
         for e, c in d.items():
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be int")
@@ -70,44 +64,30 @@ class _BasePoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _BasePoly):
             return self._c == other._c
-        if isinstance(other, int):
-            return self._c == ({} if other == 0 else {0: other})
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((type(self)._allow_negative, frozenset(self._c.items())))
+        # no type in the key: an IntPoly equals the LaurentPoly with its terms
+        return hash(frozenset(self._c.items()))
 
     def _binop(self, other, fn):
-        cls = type(self)
-        if isinstance(other, int):
-            other = cls({0: other})
         if not isinstance(other, _BasePoly):
-            return None
+            return NotImplemented
         out = dict(self._c)
         for e, c in other._c.items():
             out[e] = fn(out.get(e, 0), c)
-        return cls(out)
+        return type(self)(out)
 
     def __add__(self, other):
-        r = self._binop(other, lambda a, b: a + b)
-        return NotImplemented if r is None else r
-
-    __radd__ = __add__
+        return self._binop(other, operator.add)
 
     def __sub__(self, other):
-        r = self._binop(other, lambda a, b: a - b)
-        return NotImplemented if r is None else r
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self._binop(other, operator.sub)
 
     def __neg__(self):
         return type(self)({e: -c for e, c in self._c.items()})
 
     def __mul__(self, other):
-        cls = type(self)
-        if isinstance(other, int):
-            return cls({e: c * other for e, c in self._c.items()})
         if not isinstance(other, _BasePoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -115,9 +95,7 @@ class _BasePoly:
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return cls(out)
-
-    __rmul__ = __mul__
+        return type(self)(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -131,10 +109,6 @@ class _BasePoly:
             n >>= 1
         return result
 
-    def __call__(self, x):
-        """Evaluate exactly; x may be int or Fraction."""
-        return sum((c * x**e for e, c in self._c.items()), type(x)(0) if self._c else 0)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._c!r})"
 
@@ -146,10 +120,6 @@ class IntPoly(_BasePoly):
     """Polynomial in x with integer coefficients, exponents >= 0."""
 
     _allow_negative = False
-
-    @staticmethod
-    def const(c: int) -> "IntPoly":
-        return IntPoly({0: c})
 
     def to_laurent(self) -> "LaurentPoly":
         return LaurentPoly(self._c)
@@ -290,10 +260,6 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly = ONE):
-        if isinstance(num, int):
-            num = IntPoly.const(num)
-        if isinstance(den, int):
-            den = IntPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -325,8 +291,6 @@ class RatFn:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatFn):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (IntPoly, int)):
-            return self == RatFn(other if isinstance(other, IntPoly) else IntPoly.const(other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -376,8 +340,6 @@ def _as_ratfn(v) -> RatFn | None:
         return v
     if isinstance(v, IntPoly):
         return RatFn(v)
-    if isinstance(v, int):
-        return RatFn(IntPoly.const(v))
     return None
 
 
@@ -435,7 +397,7 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-def _parse_terms(text: str, allow_negative: bool) -> dict[int, int]:
+def _parse_terms(text: str) -> dict[int, int]:
     s = text.replace("−", "-")
     i, n = 0, len(s)
     coeffs: dict[int, int] = {}
@@ -486,7 +448,7 @@ def _parse_terms(text: str, allow_negative: bool) -> dict[int, int]:
             if not have_coeff:
                 raise PolyParseError(text, i, "expected a coefficient or 'x'")
             e = 0
-        if e < 0 and not allow_negative:
+        if e < 0:
             raise PolyParseError(text, i, f"negative exponent {e} not allowed here")
         coeffs[e] = coeffs.get(e, 0) + sign * c
         i = skip_ws(i)
@@ -494,11 +456,7 @@ def _parse_terms(text: str, allow_negative: bool) -> dict[int, int]:
 
 
 def parse_poly(text: str) -> IntPoly:
-    return IntPoly(_parse_terms(text, allow_negative=False))
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    return LaurentPoly(_parse_terms(text, allow_negative=True))
+    return IntPoly(_parse_terms(text))
 
 
 # --- JSON form ---------------------------------------------------------------
@@ -508,13 +466,6 @@ def poly_to_json(p: _BasePoly) -> dict:
     return {"coeffs": {str(e): str(c) for e, c in sorted(p.coeffs.items(), reverse=True)}}
 
 
-def poly_from_json(obj: dict) -> IntPoly:
-    return IntPoly({int(e): int(c) for e, c in obj["coeffs"].items()})
-
-
 def ratfn_to_json(f: RatFn) -> dict:
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
-
-def ratfn_from_json(obj: dict) -> RatFn:
-    return RatFn(poly_from_json(obj["num"]), poly_from_json(obj["den"]))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsol import murep, polyrat
+from bsol import limits, murep, polyrat
 from bsol.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -166,7 +166,25 @@ class TestVerify:
         assert rep["status"] == "ok"
         assert len(rep["results"]) == 28
         assert all(r["equal_denominator"] for r in rep["results"])
-        assert not [r for r in rep["results"] if r.get("note") == "skipped: capped"]
+        assert not [r for r in rep["results"] if "note" in r]
+
+    def test_conj64_non_closing_group(self, capsys, monkeypatch):
+        # a family whose forest does not close skips its group, under the
+        # label every other command gives a non-closing system
+        h_limit = limits.h_limit
+
+        def closing_except_bbw(word, depth_cap=None):
+            if word == "BBW":
+                raise limits.NonClosingError(word, 0, (1,))
+            return h_limit(word, depth_cap)
+
+        monkeypatch.setattr(limits, "h_limit", closing_except_bbw)
+        code, rep = run_json(capsys, "verify", "conj64")
+        assert code == 0
+        assert len(rep["results"]) == 28
+        assert [r for r in rep["results"] if "note" in r] == [
+            {"size": 3, "c": "5", "necklaces": ["BWW", "BBW"], "note": "skipped: non-closing"}
+        ]
 
 
 class TestUsageErrors:

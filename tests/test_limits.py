@@ -127,7 +127,7 @@ class TestHeadFactor:
         assert t == 2
         phi = _head_factor(s, t)
         assert phi.coeff(0) == 1
-        assert phi(1) == 1 + 3 * u_poly(2)(1)
+        assert sum(phi.coeffs.values()) == 1 + 3 * sum(u_poly(2).coeffs.values())
 
     @given(
         head=st.lists(
@@ -270,7 +270,7 @@ class TestHLimit:
         from bsol import limits
 
         # an integral drift, and one that makes H(0) a proper fraction
-        for drift in (ONE, RatFn(ONE, IntPoly.const(2))):
+        for drift in (ONE, RatFn(ONE, IntPoly({0: 2}))):
 
             def drifted(sys, drift=drift):
                 gs = solve_system(sys)

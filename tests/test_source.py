@@ -35,6 +35,22 @@ def test_no_assertion_error_raises():
     assert not found, f"raise AssertionError in bsol: {found}"
 
 
+def test_no_floats():
+    # bsol is exact: no float literal and no float(...) conversion anywhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"floats in bsol: {found}"
+
+
 def test_every_function_has_a_caller():
     # a def whose name appears nowhere else is code that nothing runs
     root = PACKAGE.parent.parent
