@@ -2,10 +2,11 @@
 
 Runs limits.h_limit on every primitive necklace of size 3..TOP_SIZE (B, W
 and BW, the shorter ones, have no closing system) and prints the family
-count and the best-of-N seconds for the whole sweep.  It then counts the
-polyrat.poly_gcd calls of one more sweep, the reduction RatFn makes of
-every value it builds, and the share of them that found a non-constant
-gcd.
+count and the best-of-N seconds for the whole sweep, then the best-of-N
+seconds of limits.assemble_system alone over the same families (the
+tree expansion, without the solve).  It then counts the polyrat.poly_gcd
+calls of one more sweep, the reduction RatFn makes of every value it
+builds, and the share of them that found a non-constant gcd.
 
 Every H must be right: a family of the appendix table (golden.h_table(),
 matched by canonical rotation) must give its tabulated H, and every
@@ -36,6 +37,13 @@ def sweep(words) -> tuple[float, list]:
     t0 = time.perf_counter()
     results = [limits.h_limit(w) for w in words]
     return time.perf_counter() - t0, results
+
+
+def assembly(words) -> float:
+    t0 = time.perf_counter()
+    for w in words:
+        limits.assemble_system(w)
+    return time.perf_counter() - t0
 
 
 def gcd_calls(words) -> tuple[int, int]:
@@ -83,6 +91,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     print(f"{len(words):>8} {compared:>9} {best:14.3f} {1000 * best / len(words):10.2f}")
+    assemble_best = min(assembly(words) for _ in range(args.repeat))
+    print(f"assemble_system: best of {args.repeat} {assemble_best:.3f} s")
     calls, nontrivial = gcd_calls(words)
     print(f"poly_gcd: {calls} calls, {nontrivial} ({nontrivial / calls:.1%}) non-constant")
 

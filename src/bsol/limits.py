@@ -129,95 +129,46 @@ def _head_factor(s: InfSeq, t: int) -> IntPoly:
     return phi
 
 
-class _Restart(Exception):
-    pass
+def _expand_row(
+    word: str, i: int, roots: list[InfSeq], key_of: dict[InfSeq, int], depth_cap: int
+) -> tuple[IntPoly, list[IntPoly]]:
+    """(A[i], M[i]): the reverse-move tree above roots[i], collapsed.
 
-
-class _Expander:
-    """Shared state for expanding one family.
-
-    Unknowns start as the recurrent boards of the rotations.  Nodes are
-    first head-reduced: a leading fuse factors out as u_k (the fuse burns
-    independently of whatever follows it), and a wall-headed board factors
-    out per _head_factor; both strictly shorten the board.  If the reduced
-    board still matches nothing and repeats the saturation class of one of
-    its own ancestors, the class is promoted to a fresh unknown and the
-    row is restarted; the promoted class later matches in one step
-    wherever it appears.
+    Nodes are first head-reduced: a leading fuse factors out as u_k (the
+    fuse burns independently of whatever follows it), and a wall-headed
+    board factors out per _head_factor; both strictly shorten the board.
     """
+    constant = ZERO
+    row = [ZERO] * len(roots)
 
-    def __init__(self, word: str, depth_cap: int | None):
-        # the one check on a depth cap; None means the default
-        if depth_cap is None:
-            depth_cap = default_depth_cap(len(word))
-        elif depth_cap <= 0:
-            raise ValueError(f"depth_cap must be positive, got {depth_cap}")
-        self.word = word
-        self.depth_cap = depth_cap
-        self.words, self.roots = family_roots(word)
-        self.unknowns: list[InfSeq] = list(self.roots)
-        self.key_of: dict[InfSeq, int] = {
-            saturate(r): i for i, r in enumerate(self.roots)
-        }
+    def visit(s: InfSeq, level: int, w: IntPoly, branch: tuple[int, ...]) -> None:
+        nonlocal constant
+        # head reductions: each pass either matches a root's class and adds
+        # to its row entry, or strips a factorable head and keeps going on
+        # the shortened board, with the factor folded into the weight
+        while level > 0:
+            j = key_of.get(saturate(s))
+            if j is not None:
+                row[j] = row[j] + w * X**level
+                return
+            info = detect_fuse(s)
+            if info.kind == "fuse":
+                w = w * u_poly(info.k)
+                s = drop_head(s, info.k)
+            else:
+                t = _wall_head(s)
+                if t is None:
+                    break
+                w = w * _head_factor(s, t)
+                s = drop_head(s, t + 1)
+        constant = constant + w * X**level
+        if level >= depth_cap:
+            raise NonClosingError(word, i, branch)
+        for j in s.bars():
+            visit(inf_move(s, j), level + 1, w, branch + (j,))
 
-    def expand(self, i: int) -> tuple[IntPoly, dict[int, IntPoly]]:
-        while True:
-            try:
-                return self._expand_once(i)
-            except _Restart:
-                continue
-
-    def _expand_once(self, i: int) -> tuple[IntPoly, dict[int, IntPoly]]:
-        """(constant, row): row maps each matched unknown to its summed weight."""
-        constant = ZERO
-        row: dict[int, IntPoly] = {}
-
-        def add(j: int, weight: IntPoly) -> None:
-            row[j] = row.get(j, ZERO) + weight
-
-        def visit(
-            s: InfSeq,
-            level: int,
-            w: IntPoly,
-            branch: tuple[int, ...],
-            path: frozenset,
-        ) -> None:
-            nonlocal constant
-            # head reductions: each pass either matches a known class and
-            # adds to its row entry, or strips a factorable head and keeps
-            # going on the shortened board, with the factor folded into the
-            # weight
-            key = saturate(s)
-            while level > 0:
-                j = self.key_of.get(key)
-                if j is not None:
-                    add(j, w * X**level)
-                    return
-                info = detect_fuse(s)
-                if info.kind == "fuse":
-                    w = w * u_poly(info.k)
-                    s = drop_head(s, info.k)
-                else:
-                    t = _wall_head(s)
-                    if t is None:
-                        break
-                    w = w * _head_factor(s, t)
-                    s = drop_head(s, t + 1)
-                key = saturate(s)
-            if level > 0 and key in path:
-                if len(self.unknowns) >= 64 * len(self.roots):
-                    raise NonClosingError(self.word, i, branch)
-                self.key_of[key] = len(self.unknowns)
-                self.unknowns.append(s)
-                raise _Restart
-            constant = constant + w * X**level
-            if level >= self.depth_cap:
-                raise NonClosingError(self.word, i, branch)
-            for j in s.bars():
-                visit(inf_move(s, j), level + 1, w, branch + (j,), path | {key})
-
-        visit(self.unknowns[i], 0, ONE, (), frozenset())
-        return constant, row
+    visit(roots[i], 0, ONE, ())
+    return constant, row
 
 
 @dataclass
@@ -225,9 +176,8 @@ class LinearSystem:
     """g_i = A[i] + sum_j M[i][j] g_j over Z[x].
 
     Entries have coefficients >= 0 and M entries are divisible by x.  The
-    first len(words) unknowns are the rotations' boards; aux lists the
-    representative boards of any promoted saturation classes after them.
-    Only the rotation unknowns enter the limit series.
+    unknowns are the rotations' boards, in family_words order.  aux is
+    always empty; it stays for the trace counters that read it.
     """
 
     words: list[str]
@@ -245,29 +195,24 @@ class LinearSystem:
 
 
 def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
-    """Expand the reverse-move tree of every unknown of the family of `word`.
+    """Expand the reverse-move tree of every rotation of the family of `word`.
 
-    Nodes are matched against the unknowns' boards, bars included: either
-    the node is such a board, or it opens with a fuse whose remainder
-    (dropping the fuse positions, keeping later bars) is one.  A match adds
-    the accumulated weight times x^level, times u_k for a k-fuse, to M[i][j].
-    Unmatched fuse or wall heads factor out of the subtree sum and the
-    expansion continues on the shortened board with the factor folded into
-    the weight.  Every other node adds its weight times x^level to A[i] and
-    is expanded further, down to depth_cap.  Unknowns past the rotation
-    count are promoted auxiliary classes.
+    Nodes are matched against the rotations' boards by saturation class,
+    bars included.  A match adds the accumulated weight times x^level to
+    M[i][j].  Unmatched fuse or wall heads factor out of the subtree sum
+    and the expansion continues on the shortened board with the factor
+    folded into the weight.  Every other node adds its weight times
+    x^level to A[i] and is expanded further, down to depth_cap.
     """
-    ex = _Expander(word, depth_cap)
-    rows: list[tuple[IntPoly, dict[int, IntPoly]]] = []
-    # a restart inside a later row never invalidates earlier ones: an
-    # already expanded occurrence of the promoted class is merely left
-    # uncollapsed, which is still a true equation
-    while len(rows) < len(ex.unknowns):
-        rows.append(ex.expand(len(rows)))
-    n = len(ex.unknowns)
-    A = [constant for constant, _ in rows]
-    M = [[row.get(j, ZERO) for j in range(n)] for _, row in rows]
-    return LinearSystem(ex.words, ex.unknowns[len(ex.roots):], A, M)
+    # the one check on a depth cap; None means the default
+    if depth_cap is None:
+        depth_cap = default_depth_cap(len(word))
+    elif depth_cap <= 0:
+        raise ValueError(f"depth_cap must be positive, got {depth_cap}")
+    words, roots = family_roots(word)
+    key_of = {saturate(r): i for i, r in enumerate(roots)}
+    rows = [_expand_row(word, i, roots, key_of, depth_cap) for i in range(len(roots))]
+    return LinearSystem(words, [], [a for a, _ in rows], [m for _, m in rows])
 
 
 # --- exact solve ----------------------------------------------------------------
@@ -337,11 +282,8 @@ def reduce_system(
     plus the anchor itself.  Then every g_r = alpha[r] + beta[r] g_anchor
     with polynomial alpha, beta, and the anchor row collapses to
     g_a = const + self_coeff * g_a.  Returns (alpha, beta, self_coeff,
-    const), or None if not triangular from this anchor.  Only defined for
-    systems without auxiliary classes, where the cyclic row order applies.
+    const), or None if not triangular from this anchor.
     """
-    if sys.aux:
-        return None
     n = sys.n
     order = [(anchor + d) % n for d in range(n)]
     pos = {r: t for t, r in enumerate(order)}

@@ -70,13 +70,17 @@ class _BasePoly:
         # no type in the key: an IntPoly equals the LaurentPoly with its terms
         return hash(frozenset(self._c.items()))
 
+    def _result_type(self, other: "_BasePoly") -> type:
+        # a LaurentPoly operand makes the result a LaurentPoly, in either order
+        return type(other) if other._allow_negative else type(self)
+
     def _binop(self, other, fn):
         if not isinstance(other, _BasePoly):
             return NotImplemented
         out = dict(self._c)
         for e, c in other._c.items():
             out[e] = fn(out.get(e, 0), c)
-        return type(self)(out)
+        return self._result_type(other)(out)
 
     def __add__(self, other):
         return self._binop(other, operator.add)
@@ -95,7 +99,7 @@ class _BasePoly:
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return type(self)(out)
+        return self._result_type(other)(out)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -180,7 +180,9 @@ class TestVerify:
 
         monkeypatch.setattr(limits, "h_limit", closing_except_bbw)
         code, rep = run_json(capsys, "verify", "conj64")
-        assert code == 0
+        # a group that checked nothing keeps the run from reading as passed
+        assert code == 2
+        assert rep["status"] == "non-closing"
         assert len(rep["results"]) == 28
         assert [r for r in rep["results"] if "note" in r] == [
             {"size": 3, "c": "5", "necklaces": ["BWW", "BBW"], "note": "skipped: non-closing"}

@@ -203,6 +203,16 @@ class TestAssemble:
                 for e in row:
                     assert e.coeff(0) == 0
 
+    def test_every_small_family_closes(self):
+        # each row closes on the rotations' own classes, with no extra unknown
+        for m in range(3, 10):
+            for word in necklace_representatives(m):
+                if cycle_length(word) != m:
+                    continue
+                sys = assemble_system(word)
+                assert sys.aux == []
+                assert sys.n == sys.n_roots == m
+
     def test_constants_positive(self):
         for word in ("BWW", "BBWW", "BWWWW"):
             sys = assemble_system(word)
@@ -255,11 +265,17 @@ class TestHLimit:
         with pytest.raises(NonClosingError) as e:
             h_limit("W")
         assert e.value.word == "W"
-        assert e.value.branch
+        assert str(e.value) == (
+            "forest of W does not close: root 1, branch R[2, 3, 4, 5, 6, 7, 1, 1, 1, 1, 1, 1]"
+        )
 
     def test_two_pile_never_closes(self):
-        with pytest.raises(NonClosingError):
+        with pytest.raises(NonClosingError) as e:
             h_limit("BW")
+        assert str(e.value) == (
+            "forest of BW does not close: root 1, "
+            "branch R[3, 4, 5, 6, 7, 8, 9, 10, 1, 1, 1, 1, 1, 1, 1, 1]"
+        )
 
     def test_nonprimitive_rejected_upstream(self):
         with pytest.raises(ValueError):

@@ -133,6 +133,25 @@ class TestPolyRingProperties:
     def test_laurent_mul_commutes(self, a, b):
         assert a * b == b * a
 
+    @given(polys, laurents)
+    def test_mixed_types_give_laurent_in_either_order(self, p, q):
+        # a LaurentPoly operand may bring negative exponents, whichever side it is on
+        lp = LaurentPoly(p.coeffs)
+        for got, want in (
+            (p + q, lp + q),
+            (q + p, q + lp),
+            (p - q, lp - q),
+            (q - p, q - lp),
+            (p * q, lp * q),
+            (q * p, q * lp),
+        ):
+            assert type(got) is LaurentPoly
+            assert got == want
+
+    @given(polys, polys)
+    def test_plain_operands_stay_plain(self, a, b):
+        assert all(type(v) is IntPoly for v in (a + b, a - b, a * b))
+
     @given(polys, st.integers(0, 4))
     def test_pow_matches_repeated_mul(self, a, n):
         expect = ONE
