@@ -45,8 +45,12 @@ def _emit(report: dict, args: argparse.Namespace, started: float) -> None:
         text = json.dumps(report, indent=1) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        # a path that cannot be written is bad input, not a traceback
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {out}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -105,7 +109,7 @@ def _cmd_hseries(args) -> dict:
 
 def _cmd_hlimit(args) -> dict:
     word = primitive_word(args.necklace)
-    h = limits.h_limit(word, args.depth_cap)
+    h = limits.h_limit(word)
     return {
         "command": "hlimit",
         "necklace": word,
@@ -190,7 +194,7 @@ def _verify_conj11(args) -> dict:
     results = []
     ok = True
     for w1, w2 in golden.dual_pairs():
-        rep = limits.verify_same_denominator(w1, w2, args.depth_cap)
+        rep = limits.verify_same_denominator(w1, w2)
         ok = ok and rep["equal_denominator"]
         results.append({"pair": [w1, w2], **rep})
     return {
@@ -341,7 +345,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("hlimit", help="closed form of the limit series")
     common(sp, necklace=True)
-    sp.add_argument("--depth-cap", type=int, default=None, help="expansion depth cap")
     sp.set_defaults(fn=_cmd_hlimit)
 
     sp = sub.add_parser("ufuse", help="fuse level-census polynomials")
@@ -370,7 +373,6 @@ def _build_parser() -> _Parser:
 
     v = vsub.add_parser("conj11", help="dual pairs share a denominator")
     common(v)
-    v.add_argument("--depth-cap", type=int, default=None)
     v.set_defaults(fn=_verify_conj11)
 
     v = vsub.add_parser("conj64", help="equal growth ratio implies equal denominator")
@@ -402,31 +404,32 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.fn(args)
+        try:
+            report = args.fn(args)
+        except limits.NonClosingError as e:
+            report = {
+                "command": args.subcommand,
+                "necklace": e.word,
+                "status": "non-closing",
+                "detail": str(e),
+            }
+        except orbit.OrbitCapped as e:
+            report = {
+                "command": args.subcommand,
+                "necklace": e.word,
+                "power": e.power,
+                "max_states": e.max_states,
+                "level_sizes": [str(c) for c in e.sizes],
+                "status": "capped",
+                "detail": str(e),
+            }
+        _emit(report, args, started)
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except limits.NonClosingError as e:
-        report = {
-            "command": args.subcommand,
-            "necklace": e.word,
-            "status": "non-closing",
-            "detail": str(e),
-        }
-    except orbit.OrbitCapped as e:
-        report = {
-            "command": args.subcommand,
-            "necklace": e.word,
-            "power": e.power,
-            "max_states": e.max_states,
-            "level_sizes": [str(c) for c in e.sizes],
-            "status": "capped",
-            "detail": str(e),
-        }
-    _emit(report, args, started)
     return _status_exit(report["status"])
 
 

@@ -43,6 +43,10 @@ def family_roots(word: str) -> tuple[list[str], list[InfSeq]]:
 
 
 def default_depth_cap(n: int) -> int:
+    """Level at which an expansion branch of a size-n family is non-closing.
+
+    Every closing family of size 3-11 would close with a cap of n - 1.
+    """
     return 4 * n + 8
 
 
@@ -130,7 +134,7 @@ def _head_factor(s: InfSeq, t: int) -> IntPoly:
 
 
 def _expand_row(
-    word: str, i: int, roots: list[InfSeq], key_of: dict[InfSeq, int], depth_cap: int
+    word: str, i: int, roots: list[InfSeq], key_of: dict[InfSeq, int]
 ) -> tuple[IntPoly, list[IntPoly]]:
     """(A[i], M[i]): the reverse-move tree above roots[i], collapsed.
 
@@ -138,6 +142,7 @@ def _expand_row(
     fuse burns independently of whatever follows it), and a wall-headed
     board factors out per _head_factor; both strictly shorten the board.
     """
+    depth_cap = default_depth_cap(len(word))
     constant = ZERO
     row = [ZERO] * len(roots)
 
@@ -194,7 +199,7 @@ class LinearSystem:
         return len(self.A)
 
 
-def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
+def assemble_system(word: str) -> LinearSystem:
     """Expand the reverse-move tree of every rotation of the family of `word`.
 
     Nodes are matched against the rotations' boards by saturation class,
@@ -202,16 +207,11 @@ def assemble_system(word: str, depth_cap: int | None = None) -> LinearSystem:
     M[i][j].  Unmatched fuse or wall heads factor out of the subtree sum
     and the expansion continues on the shortened board with the factor
     folded into the weight.  Every other node adds its weight times
-    x^level to A[i] and is expanded further, down to depth_cap.
+    x^level to A[i] and is expanded further, down to default_depth_cap.
     """
-    # the one check on a depth cap; None means the default
-    if depth_cap is None:
-        depth_cap = default_depth_cap(len(word))
-    elif depth_cap <= 0:
-        raise ValueError(f"depth_cap must be positive, got {depth_cap}")
     words, roots = family_roots(word)
     key_of = {saturate(r): i for i, r in enumerate(roots)}
-    rows = [_expand_row(word, i, roots, key_of, depth_cap) for i in range(len(roots))]
+    rows = [_expand_row(word, i, roots, key_of) for i in range(len(roots))]
     return LinearSystem(words, [], [a for a, _ in rows], [m for _, m in rows])
 
 
@@ -222,7 +222,8 @@ def solve_system(sys: LinearSystem) -> list[RatFn]:
     """Solve (I - M) g = A exactly.
 
     Fraction-free (Bareiss) forward elimination over Z[x], then
-    back-substitution in the rational-function field.
+    back-substitution in the rational-function field, where each IntPoly
+    entry enters as RatFn(entry): RatFn arithmetic takes only RatFn.
     """
     from .polyrat import poly_divexact
 
@@ -247,19 +248,19 @@ def solve_system(sys: LinearSystem) -> list[RatFn]:
     for i in range(n - 1, -1, -1):
         acc: RatFn = RatFn(B[i][n])
         for j in range(i + 1, n):
-            acc = acc - B[i][j] * gs[j]
-        gs[i] = acc / B[i][i]
+            acc = acc - RatFn(B[i][j]) * gs[j]
+        gs[i] = acc / RatFn(B[i][i])
     return gs
 
 
-def h_limit(word: str, depth_cap: int | None = None) -> RatFn:
+def h_limit(word: str) -> RatFn:
     """Closed form of the limit series of orbit sizes for the necklace family."""
-    sys = assemble_system(word, depth_cap)
+    sys = assemble_system(word)
     gs = solve_system(sys)
     total = RatFn(ZERO)
     for g in gs[: sys.n_roots]:
         total = total + g
-    h = (ONE - X) * total
+    h = RatFn(ONE - X) * total
     # H(0) counts the cycle's states; den(0) = 0 fails too, as num and den are coprime
     h0, d0 = h.num.coeff(0), h.den.coeff(0)
     if h0 != sys.n_roots * d0:
@@ -311,13 +312,13 @@ def reduce_system(
     return alpha, beta, self_coeff, const
 
 
-def anchored_self_coeff(word: str, depth_cap: int | None = None) -> tuple[IntPoly, int]:
+def anchored_self_coeff(word: str) -> tuple[IntPoly, int]:
     """Self-coefficient f with g_a = const + f g_a, first anchor that works.
 
     Anchors are tried in rotation order from the word as given.  1 - f is
     the denominator of the solved system up to sign.
     """
-    sys = assemble_system(word, depth_cap)
+    sys = assemble_system(word)
     for a in range(sys.n):
         red = reduce_system(sys, a)
         if red is not None:
@@ -428,10 +429,10 @@ def verify_tree_isomorphism(word1: str, word2: str, depth: int) -> bool:
     return all(same_tree(r1, r2, depth) for r1, r2 in zip(roots1, roots2))
 
 
-def verify_same_denominator(word1: str, word2: str, depth_cap: int | None = None) -> dict:
+def verify_same_denominator(word1: str, word2: str) -> dict:
     """Compare the closed forms of two families; reports, never asserts."""
-    h1 = h_limit(word1, depth_cap)
-    h2 = h_limit(word2, depth_cap)
+    h1 = h_limit(word1)
+    h2 = h_limit(word2)
     return {
         "equal_denominator": h1.den == h2.den,
         "equal_function": h1 == h2,

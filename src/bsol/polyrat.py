@@ -5,9 +5,9 @@ with no zero entries.  IntPoly restricts exponents to >= 0, LaurentPoly
 allows negative exponents.  RatFn keeps a reduced num/den pair of IntPoly
 in a canonical form, so equality is plain structural equality.
 
-Values meet only values of this module: an int is not a constant
-polynomial, and an IntPoly turns into a RatFn only as an arithmetic
-operand of one, never in a comparison.
+Values meet only values of their own kind: an int is not a constant
+polynomial, and a polynomial is not a RatFn, neither as an arithmetic
+operand nor in a comparison; RatFn(p) turns an IntPoly p into one.
 """
 
 from __future__ import annotations
@@ -257,8 +257,9 @@ class RatFn:
 
     Every value is built reduced: num and den are divided by their
     poly_gcd (an integer primitive PRS) when it is not a constant, then by
-    their common integer content.  Arithmetic forms the unreduced
-    num/den from the operands and reduces it the same way.
+    their common integer content.  + - * / take two RatFn and form the
+    unreduced num/den from them, reduced the same way; any other operand
+    gives NotImplemented, so wrap a polynomial p as RatFn(p) first.
     """
 
     __slots__ = ("num", "den")
@@ -301,30 +302,22 @@ class RatFn:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
+        if not isinstance(other, RatFn):
             return NotImplemented
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
+        if not isinstance(other, RatFn):
             return NotImplemented
         return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
+        if not isinstance(other, RatFn):
             return NotImplemented
         return RatFn(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
+        if not isinstance(other, RatFn):
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
@@ -337,14 +330,6 @@ class RatFn:
         if self.is_polynomial():
             return format_poly(self.num)
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
-
-
-def _as_ratfn(v) -> RatFn | None:
-    if isinstance(v, RatFn):
-        return v
-    if isinstance(v, IntPoly):
-        return RatFn(v)
-    return None
 
 
 def series_coeffs(f: RatFn, m: int) -> list[Fraction]:

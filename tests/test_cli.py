@@ -103,9 +103,10 @@ class TestHLimit:
         assert captured.out == ""
         assert captured.err == "internal error: values of [2* | 0 1 2] drifted off the BBW tail\n"
 
-    def test_verify_non_closing_exit_two(self, capsys):
+    def test_verify_non_closing_exit_two(self, capsys, monkeypatch):
         # a depth cap too small for a dual pair is a report, not a traceback
-        code, rep = run_json(capsys, "verify", "conj11", "--depth-cap", "2")
+        monkeypatch.setattr(limits, "default_depth_cap", lambda n: 2)
+        code, rep = run_json(capsys, "verify", "conj11")
         assert code == 2
         assert rep == {
             "command": "verify",
@@ -173,10 +174,10 @@ class TestVerify:
         # label every other command gives a non-closing system
         h_limit = limits.h_limit
 
-        def closing_except_bbw(word, depth_cap=None):
+        def closing_except_bbw(word):
             if word == "BBW":
                 raise limits.NonClosingError(word, 0, (1,))
-            return h_limit(word, depth_cap)
+            return h_limit(word)
 
         monkeypatch.setattr(limits, "h_limit", closing_except_bbw)
         code, rep = run_json(capsys, "verify", "conj64")
@@ -193,6 +194,14 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run(["orbit", "--nope"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_no_depth_cap_flag(self, capsys):
+        # the expansion depth cap is fixed, not an option
+        for argv in (["hlimit", "--necklace", "BBWW"], ["verify", "conj11"]):
+            assert run(argv + ["--depth-cap", "5"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "usage error: unrecognized arguments: --depth-cap 5\n"
 
     def test_nonprimitive_necklace(self, capsys):
         # the library's one primitivity check, reached through every handler
@@ -231,15 +240,6 @@ class TestUsageErrors:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "usage error: max_states must be positive" in captured.err
-
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_nonpositive_depth_cap(self, capsys, cap):
-        # 0 used to fall back to the default cap, -1 to report non-closing
-        for argv in (["hlimit", "--necklace", "BBWW"], ["verify", "conj11"]):
-            assert run(argv + ["--depth-cap", cap]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "usage error: depth_cap must be positive" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -304,6 +304,15 @@ class TestOutFlag:
         code = run(["orbit", "--necklace", "BWW", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["size"] == "5"
+
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path):
+        # it used to end in a FileNotFoundError traceback
+        target = tmp_path / "missing" / "out.json"
+        assert run(["orbit", "--necklace", "BWW", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
 
 
 class TestTablesGolden:

@@ -25,7 +25,7 @@ from bsol.limits import (
 )
 from bsol.murep import drop_head, inf_move, inf_seq, recurrent_element
 from bsol.necklaces import cycle_length, distinct_rotations, necklace_representatives
-from bsol.polyrat import ONE, IntPoly, RatFn, X, parse_poly, series_coeffs
+from bsol.polyrat import ONE, ZERO, IntPoly, RatFn, X, parse_poly, series_coeffs
 
 B = True
 U = False
@@ -161,14 +161,19 @@ class TestExpand:
     def test_depth_cap_default(self):
         assert default_depth_cap(3) == 20
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_nonpositive_depth_cap_rejected(self, cap):
-        for call in (
-            lambda: assemble_system("BWW", cap),
-            lambda: h_limit("BWW", cap),
-        ):
-            with pytest.raises(ValueError, match="depth_cap must be positive"):
-                call()
+    def test_depth_cap_never_binds(self, monkeypatch):
+        # every small family closes by level len(word) - 1, far inside 4n + 8
+        from bsol import limits
+
+        words = [
+            word
+            for m in range(3, 10)
+            for word in necklace_representatives(m)
+            if cycle_length(word) == m
+        ]
+        default = [assemble_system(word) for word in words]
+        monkeypatch.setattr(limits, "default_depth_cap", lambda n: n)
+        assert [assemble_system(word) for word in words] == default
 
 
 class TestAssemble:
@@ -229,23 +234,35 @@ class TestHandDerivedSystems:
         u1, u2 = u_poly(1), u_poly(2)
         c1 = g[2]  # alternative derivation roots the family two steps in
         c2, c3, c4 = g[3], g[0], g[1]
-        assert c1 == RatFn(IntPoly({0: 1, 1: 1, 2: 2, 3: 2})) + X * c2 + (
+        assert c1 == RatFn(IntPoly({0: 1, 1: 1, 2: 2, 3: 2})) + RatFn(X) * c2 + RatFn(
             X**4 + X**3 * u1 + X**2 * u2
         ) * c1
-        assert c2 == RatFn(ONE) + X * c3
-        assert c3 == RatFn(ONE) + X * c4 + X * u1 * c1
-        assert c4 == RatFn(ONE) + X * c1
+        assert c2 == RatFn(ONE) + RatFn(X) * c3
+        assert c3 == RatFn(ONE) + RatFn(X) * c4 + RatFn(X * u1) * c1
+        assert c4 == RatFn(ONE) + RatFn(X) * c1
 
     def test_one_white_four(self):
         g = solve_system(assemble_system("WBBB"))
         u1, u2 = u_poly(1), u_poly(2)
         c1, c2, c3, c4 = g[1], g[2], g[3], g[0]
-        assert c1 == RatFn(IntPoly({0: 1, 1: 1, 2: 1})) + X * c2 + (
+        assert c1 == RatFn(IntPoly({0: 1, 1: 1, 2: 1})) + RatFn(X) * c2 + RatFn(
             X**3 + X**2 * u1 + X * u2
         ) * c4
-        assert c2 == RatFn(ONE) + X * c3 + X * u1 * c4
-        assert c3 == RatFn(ONE) + X * c4
-        assert c4 == RatFn(ONE) + X * c1
+        assert c2 == RatFn(ONE) + RatFn(X) * c3 + RatFn(X * u1) * c4
+        assert c3 == RatFn(ONE) + RatFn(X) * c4
+        assert c4 == RatFn(ONE) + RatFn(X) * c1
+
+    def test_residual_small_families(self):
+        # the solved g satisfy g = A + M g exactly, row by row
+        for m in range(3, 8):
+            for word in necklace_representatives(m):
+                if cycle_length(word) != m:
+                    continue
+                sys = assemble_system(word)
+                g = solve_system(sys)
+                for i in range(sys.n):
+                    rest = sum((RatFn(sys.M[i][j]) * g[j] for j in range(sys.n)), RatFn(ZERO))
+                    assert RatFn(sys.A[i]) == g[i] - rest, (word, i)
 
 
 class TestHLimit:
@@ -286,7 +303,7 @@ class TestHLimit:
         from bsol import limits
 
         # an integral drift, and one that makes H(0) a proper fraction
-        for drift in (ONE, RatFn(ONE, IntPoly({0: 2}))):
+        for drift in (RatFn(ONE), RatFn(ONE, IntPoly({0: 2}))):
 
             def drifted(sys, drift=drift):
                 gs = solve_system(sys)
@@ -325,8 +342,8 @@ class TestAnchored:
         gs = solve_system(sys)
         ga = gs[a]
         for r in range(sys.n):
-            assert gs[r] == RatFn(alpha[r]) + beta[r] * ga
-        assert ga == RatFn(const) + self_coeff * ga
+            assert gs[r] == RatFn(alpha[r]) + RatFn(beta[r]) * ga
+        assert ga == RatFn(const) + RatFn(self_coeff) * ga
 
 
 class TestDenominatorPolynomials:

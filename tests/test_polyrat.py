@@ -197,6 +197,15 @@ class TestDivisionAndGcd:
         g = parse_poly("3x^2 - 2x + 7")
         assert poly_gcd(g * a, g * b) == g
 
+    @given(wide_polys, wide_polys.filter(bool), wide_polys)
+    def test_divexact_wide(self, a, b, r):
+        # the exact quotient comes back, and a nonzero remainder is never dropped
+        assert poly_divexact(a * b, b) == a
+        r = IntPoly({e: c for e, c in r.coeffs.items() if e < b.degree})
+        if not r.is_zero():
+            with pytest.raises(ArithmeticError):
+                poly_divexact(a * b + r, b)
+
     @given(polys, polys, polys)
     def test_gcd_divides_products(self, a, b, g):
         # primitive_part(g) divides gcd(g*a, g*b), which divides both
@@ -267,6 +276,17 @@ class TestRatFn:
         # 2x / (1 - x^2)
         assert f == RatFn(parse_poly("2x"), parse_poly("-x^2 + 1"))
         assert f * (one - x * x) == RatFn(parse_poly("2x"))
+
+    def test_operands_are_ratfn_only(self):
+        # a polynomial takes part only once wrapped as RatFn(p), on either side
+        f, p = RatFn(ONE), parse_poly("x + 1")
+        for op in (
+            lambda: f + p, lambda: p + f, lambda: f - p, lambda: p - f,
+            lambda: f * p, lambda: p * f, lambda: f / p, lambda: p / f,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert f + RatFn(p) == RatFn(parse_poly("x + 2"))
 
     @given(coeff_dicts, coeff_dicts, coeff_dicts)
     def test_field_identities(self, da, db, dc):
