@@ -43,10 +43,7 @@ def family_roots(word: str) -> tuple[list[str], list[InfSeq]]:
 
 
 def default_depth_cap(n: int) -> int:
-    """Level at which an expansion branch of a size-n family is non-closing.
-
-    Every closing family of size 3-11 would close with a cap of n - 1.
-    """
+    """Level at which a branch is non-closing; closing families of size 3-11 need n - 1."""
     return 4 * n + 8
 
 
