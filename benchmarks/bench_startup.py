@@ -1,0 +1,88 @@
+"""Start-up cost of bs: process start, imports and argument parsing.
+
+Runs `python -c pass` and a fixed set of cheap bs commands, each in a
+fresh interpreter, N times, interleaved so that a slow moment of the
+machine falls on every command alike.  For each command it prints the
+median wall milliseconds, the excess over the bare interpreter, and the
+bsol modules the command loaded (read once more, untimed, from a run of
+cli.run that lists sys.modules on stderr).
+
+Every repeat of a command must give the same exit code and the same
+stdout; the script exits non-zero when one does not.
+
+    python3 benchmarks/bench_startup.py [--repeat N]
+"""
+
+import argparse
+import statistics
+import subprocess
+import sys
+import time
+
+COMMANDS = [
+    ["orbit", "--necklace", "BWW", "--power", "3"],
+    ["dseries", "--necklace", "BWW", "--power", "3"],
+    ["hseries", "--necklace", "BWW", "--coeffs", "5"],
+    ["cratio", "--necklace", "BBW", "--max-k", "3"],
+    ["tables"],
+    ["verify", "brandt"],
+    ["hlimit", "--necklace", "BBWW"],
+]
+
+MODULES_PROBE = (
+    "import sys\n"
+    "from bsol import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('bsol.'))), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def timed(argv: list[str]) -> tuple[float, int, str]:
+    """(wall ms, exit code, stdout) of one fresh interpreter."""
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    return (time.perf_counter() - start) * 1e3, proc.returncode, proc.stdout
+
+
+def loaded_modules(command: list[str]) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, *command], capture_output=True, text=True
+    )
+    return proc.stderr.strip().splitlines()[-1].replace("bsol.", "")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--repeat", type=int, default=9, help="runs of each command")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        raise SystemExit("--repeat must be at least 1")
+
+    runs = {"pass": [sys.executable, "-c", "pass"]}
+    runs.update((" ".join(c), [sys.executable, "-m", "bsol.cli", *c]) for c in COMMANDS)
+    ms: dict[str, list[float]] = {name: [] for name in runs}
+    outputs: dict[str, set] = {name: set() for name in runs}
+    for _ in range(args.repeat):
+        for name, argv in runs.items():
+            elapsed, code, stdout = timed(argv)
+            ms[name].append(elapsed)
+            outputs[name].add((code, stdout))
+
+    bare = statistics.median(ms["pass"])
+    header = f"{'command':<36} {'median ms':>9} {'excess':>7}  bsol modules loaded"
+    print(f"{args.repeat} runs each, interleaved, in fresh interpreters")
+    print(header)
+    print("-" * len(header))
+    print(f"{'python -c pass':<36} {bare:9.1f} {0:7.1f}")
+    for command in COMMANDS:
+        name = " ".join(command)
+        median = statistics.median(ms[name])
+        print(f"{name:<36} {median:9.1f} {median - bare:7.1f}  {loaded_modules(command)}")
+    unstable = [name for name, seen in outputs.items() if len(seen) > 1]
+    if unstable:
+        raise SystemExit(f"exit code or stdout varied between repeats: {unstable}")
+
+
+if __name__ == "__main__":
+    main()

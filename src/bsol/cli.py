@@ -6,6 +6,12 @@ a verification mismatches or a forest fails to close, 1 for usage errors,
 goes to stderr as "internal error: ...").
 Reports are deterministic for fixed flags; --timing adds wall time and is
 the only nondeterministic field.
+
+Each command loads only the layers it runs: a handler imports its
+library modules when it is called, and building the parser imports none.
+So the census commands (orbit, dseries, hseries, cratio, verify lemma216)
+never load limits, polyrat or golden, and verify brandt loads only the
+necklace layer.
 """
 
 from __future__ import annotations
@@ -15,10 +21,7 @@ import json
 import sys
 import time
 
-from . import golden, limits, orbit
-from .fuse import u_poly, v_norm
-from .necklaces import brandt_mismatches, necklace_representatives, primitive_word
-from .polyrat import poly_to_json, ratfn_to_json, series_coeffs
+from . import OrbitCapped
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,44 +62,57 @@ def _status_exit(status: str) -> int:
     return 2 if status in ("mismatch", "non-closing") else 0
 
 
+def _non_closing() -> tuple[type[Exception], ...]:
+    # NonClosingError is limits' own class and only limits raises it, so a
+    # run that never loaded limits cannot be unwinding with one
+    limits = sys.modules.get(f"{__package__}.limits")
+    return (limits.NonClosingError,) if limits else ()
+
+
 # --- subcommand handlers ----------------------------------------------------------
 
 
 def _cmd_orbit(args) -> dict:
-    series = orbit.d_series(args.necklace, args.power, args.max_states)
+    from . import orbit
+
+    sizes = orbit.level_sizes(args.necklace, args.power, args.max_states)
     return {
         "command": "orbit",
         "necklace": args.necklace,
         "power": args.power,
-        "size": str(sum(series.coeffs.values())),
-        "depth": series.degree,
+        "size": str(sum(sizes)),
+        "depth": len(sizes) - 1,
         "kernel": orbit.kernel_name(),
         "status": "ok",
     }
 
 
 def _cmd_dseries(args) -> dict:
-    series = orbit.d_series(args.necklace, args.power, args.max_states)
-    coeffs = [str(series.coeff(e)) for e in range(series.degree + 1)]
+    from . import orbit
+
+    sizes = orbit.level_sizes(args.necklace, args.power, args.max_states)
     return {
         "command": "dseries",
         "necklace": args.necklace,
         "power": args.power,
-        "d_series": coeffs,
-        "size": str(sum(int(c) for c in coeffs)),
+        "d_series": [str(c) for c in sizes],
+        "size": str(sum(sizes)),
         "kernel": orbit.kernel_name(),
         "status": "ok",
     }
 
 
 def _cmd_hseries(args) -> dict:
-    res = orbit.stabilized_h_series(args.necklace, args.coeffs, args.max_k, args.max_states)
+    from . import orbit
+
+    max_k = orbit.DEFAULT_MAX_POWER if args.max_k is None else args.max_k
+    res = orbit.stabilized_h_series(args.necklace, args.coeffs, max_k, args.max_states)
     status = "ok" if res.stabilized else "capped"
     report = {
         "command": "hseries",
         "necklace": args.necklace,
         "coeffs": args.coeffs,
-        "max_power": args.max_k,
+        "max_power": max_k,
         "coefficients": [str(c) for c in res.coeffs],
         "power_used": res.power_used,
         "stabilized": res.stabilized,
@@ -108,18 +124,22 @@ def _cmd_hseries(args) -> dict:
 
 
 def _cmd_hlimit(args) -> dict:
-    word = primitive_word(args.necklace)
+    from . import limits, necklaces, polyrat
+
+    word = necklaces.primitive_word(args.necklace)
     h = limits.h_limit(word)
     return {
         "command": "hlimit",
         "necklace": word,
-        "h": ratfn_to_json(h),
-        "series": [str(c) for c in series_coeffs(h, 7)],
+        "h": polyrat.ratfn_to_json(h),
+        "series": [str(c) for c in polyrat.series_coeffs(h, 7)],
         "status": "ok",
     }
 
 
 def _cmd_ufuse(args) -> dict:
+    from . import fuse, polyrat
+
     def laurent_json(p):
         return {"coeffs": {str(e): str(c) for e, c in sorted(p.coeffs.items())}}
 
@@ -127,13 +147,15 @@ def _cmd_ufuse(args) -> dict:
     return {
         "command": "ufuse",
         "max_k": args.max_k,
-        "u": [poly_to_json(u_poly(k)) for k in ks],
-        "v_normalized": [laurent_json(v_norm(k)) for k in ks],
+        "u": [polyrat.poly_to_json(fuse.u_poly(k)) for k in ks],
+        "v_normalized": [laurent_json(fuse.v_norm(k)) for k in ks],
         "status": "ok",
     }
 
 
 def _cmd_cratio(args) -> dict:
+    from . import orbit
+
     probe = orbit.c_ratio_probe(args.necklace, args.max_k, args.max_states)
     rows = []
     for k in range(1, args.max_k + 1):
@@ -152,6 +174,8 @@ def _cmd_cratio(args) -> dict:
 
 
 def _verify_thm12(args) -> dict:
+    from . import limits
+
     results = []
     ok = True
     for k in _cases(1, args.max_k, "--max-k"):
@@ -172,6 +196,8 @@ def _verify_thm12(args) -> dict:
 
 
 def _verify_thm13(args) -> dict:
+    from . import limits
+
     results = []
     ok = True
     for k in _cases(2, args.max_k, "--max-k"):
@@ -191,6 +217,8 @@ def _verify_thm13(args) -> dict:
 
 
 def _verify_conj11(args) -> dict:
+    from . import golden, limits
+
     results = []
     ok = True
     for w1, w2 in golden.dual_pairs():
@@ -207,6 +235,8 @@ def _verify_conj11(args) -> dict:
 
 
 def _verify_conj64(args) -> dict:
+    from . import golden, limits
+
     # rows sharing a conjectural ratio should share a denominator
     by_c: dict[tuple[int, int], list[str]] = {}
     for row in golden.size_rows():
@@ -239,6 +269,8 @@ def _verify_conj64(args) -> dict:
 
 
 def _verify_lemma216(args) -> dict:
+    from . import orbit
+
     holds = orbit.forest_identity_check(args.necklace, args.power, args.coeffs, args.max_states)
     return {
         "command": "verify",
@@ -252,19 +284,23 @@ def _verify_lemma216(args) -> dict:
 
 
 def _verify_brandt(args) -> dict:
+    from . import necklaces
+
     sizes = _cases(1, args.max_size, "--max-size")
-    mismatches = brandt_mismatches(args.max_size)
+    mismatches = necklaces.brandt_mismatches(args.max_size)
     return {
         "command": "verify",
         "check": "brandt",
         "max_size": args.max_size,
-        "checked": sum(len(necklace_representatives(m)) for m in sizes),
+        "checked": sum(len(necklaces.necklace_representatives(m)) for m in sizes),
         "mismatches": [{"necklace": word, "match": False} for word in mismatches],
         "status": "mismatch" if mismatches else "ok",
     }
 
 
 def _cmd_tables(args) -> dict:
+    from . import golden
+
     sizes = _cases(1, args.max_size, "--max-size")
     powers = _cases(1, args.max_power, "--max-power")
     size_rows = []
@@ -340,7 +376,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("hseries", help="stabilized leading census coefficients")
     common(sp, necklace=True, states=True)
     sp.add_argument("--coeffs", type=int, default=5, help="highest series index to stabilize")
-    sp.add_argument("--max-k", type=int, default=orbit.DEFAULT_MAX_POWER, help="power cap")
+    sp.add_argument("--max-k", type=int, default=None, help="power cap (default 8)")
     sp.set_defaults(fn=_cmd_hseries)
 
     sp = sub.add_parser("hlimit", help="closed form of the limit series")
@@ -406,14 +442,14 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         try:
             report = args.fn(args)
-        except limits.NonClosingError as e:
+        except _non_closing() as e:
             report = {
                 "command": args.subcommand,
                 "necklace": e.word,
                 "status": "non-closing",
                 "detail": str(e),
             }
-        except orbit.OrbitCapped as e:
+        except OrbitCapped as e:
             report = {
                 "command": args.subcommand,
                 "necklace": e.word,

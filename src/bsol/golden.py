@@ -12,8 +12,8 @@ size-3 rows that are theorems.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .necklaces import canonical, dual
 from .polyrat import IntPoly, ONE, RatFn, X
@@ -28,8 +28,7 @@ def _poly(coeffs: list[str]) -> IntPoly:
     return IntPoly({e: int(c) for e, c in enumerate(coeffs)})
 
 
-@dataclass(frozen=True)
-class HEntry:
+class HEntry(NamedTuple):
     necklace: str
     size: int
     num: IntPoly
@@ -39,8 +38,7 @@ class HEntry:
         return RatFn((ONE - X) * self.num, self.den)
 
 
-@dataclass(frozen=True)
-class SizeRow:
+class SizeRow(NamedTuple):
     necklace: str
     size: int
     c: int

@@ -2,8 +2,11 @@
 
 The whole orbit of a necklace hangs, via reverse moves, off its cycle of
 recurrent partitions.  Walking that digraph level by level yields the
-level census polynomial, orbit sizes for the geometric-ratio probe, and
-the truncated limit series once the low coefficients stop changing.
+level sizes (level_sizes), and from them the level census polynomial,
+orbit sizes for the geometric-ratio probe, and the truncated limit series
+once the low coefficients stop changing.  Only d_series builds a
+polynomial, so it alone loads polyrat: bs orbit and bs dseries print
+level_sizes and never load the polynomial layer.
 
 Every census is one walk, _census_py.census_levels; see that module for
 why it needs no visited set.  It holds each pile as its birth depth, the
@@ -21,12 +24,14 @@ apart from the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import _census_py
+from . import OrbitCapped, _census_py
 from .necklaces import cycle_partitions, primitive_word
 from .partitions import predecessors
-from .polyrat import IntPoly
+
+if TYPE_CHECKING:
+    from .polyrat import IntPoly
 
 DEFAULT_MAX_STATES = 10**7
 DEFAULT_MAX_POWER = 8
@@ -49,24 +54,6 @@ def _budget(max_states: int | None) -> int:
     return max_states
 
 
-class OrbitCapped(RuntimeError):
-    """A census hit its state budget before exhausting the orbit.
-
-    Carries the completed level sizes so callers can report partial
-    progress; the sizes are correct as far as they go.
-    """
-
-    def __init__(self, word: str, power: int, max_states: int, sizes: list[int]):
-        self.word = word
-        self.power = power
-        self.max_states = max_states
-        self.sizes = sizes
-        super().__init__(
-            f"orbit of {word}^{power} exceeds the {max_states}-state budget "
-            f"({len(sizes)} levels completed)"
-        )
-
-
 def _orbit_args(word: str, power: int, max_states: int | None) -> tuple[str, int]:
     word = primitive_word(word)
     if power < 1:
@@ -83,20 +70,28 @@ def _level_sizes(
     return sizes
 
 
+def level_sizes(word: str, power: int = 1, max_states: int | None = None) -> list[int]:
+    """States at each level of the orbit of word^power, the cycle (level 0) first.
+
+    Every level up to the orbit's depth is nonempty, so the list is as
+    long as the depth plus one.  Raises OrbitCapped past max_states states.
+    """
+    word, max_states = _orbit_args(word, power, max_states)
+    return _level_sizes(word, power, max_states)
+
+
 def d_series(word: str, power: int = 1, max_states: int | None = None) -> IntPoly:
     """Level census polynomial: coefficient of x^i counts level-i states."""
-    word, max_states = _orbit_args(word, power, max_states)
-    sizes = _level_sizes(word, power, max_states)
-    return IntPoly({i: c for i, c in enumerate(sizes) if c})
+    from .polyrat import IntPoly
+
+    return IntPoly({i: c for i, c in enumerate(level_sizes(word, power, max_states)) if c})
 
 
 def orbit_size(word: str, power: int = 1, max_states: int | None = None) -> int:
-    word, max_states = _orbit_args(word, power, max_states)
-    return sum(_level_sizes(word, power, max_states))
+    return sum(level_sizes(word, power, max_states))
 
 
-@dataclass(frozen=True)
-class StabilizedSeries:
+class StabilizedSeries(NamedTuple):
     """Truncated limit series with the power that pinned it down.
 
     coeffs are the low level-census counts once two consecutive powers

@@ -17,6 +17,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def bs(*argv):
+    """bs in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "bsol.cli", *argv], capture_output=True, text=True
+    )
+
+
 class TestOrbit:
     def test_power_two(self, capsys):
         code, rep = run_json(capsys, "orbit", "--necklace", "BWW", "--power", "2")
@@ -338,3 +345,82 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["size"] == "5"
+
+    # each case runs in a fresh interpreter, where a handler imports its layer
+    # for the first time and run() meets the report exceptions cold
+
+    def test_capped_dseries_report(self):
+        proc = bs("dseries", "--necklace", "BWW", "--power", "3", "--max-states", "60")
+        assert proc.returncode == 0
+        rep = json.loads(proc.stdout)
+        assert rep["command"] == "dseries"
+        assert rep["status"] == "capped"
+        assert rep["level_sizes"] == ["3", "1", "2", "3", "5", "7", "11", "16"]
+
+    def test_non_closing_report(self):
+        proc = bs("hlimit", "--necklace", "BW")
+        assert proc.returncode == 2
+        rep = json.loads(proc.stdout)
+        assert (rep["command"], rep["necklace"], rep["status"]) == ("hlimit", "BW", "non-closing")
+
+    def test_zero_budget_is_usage_error(self):
+        proc = bs("orbit", "--necklace", "BWW", "--max-states", "0")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error:")
+
+    def test_hseries_power_cap(self):
+        proc = bs("hseries", "--necklace", "BWW")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["max_power"] == 8
+        proc = bs("hseries", "--necklace", "BWW", "--max-k", "0")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "usage error: max_power must be positive\n"
+
+
+IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+WATCHED = ("bsol.limits", "bsol.murep", "bsol.fuse", "bsol.golden", "bsol.polyrat", "dataclasses")
+
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+
+from bsol import cli
+
+stages = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    stages.append([" ".join(argv), code, loaded()])
+print(json.dumps(stages))
+"""
+
+
+class TestImportSet:
+    def test_commands_load_only_their_layers(self):
+        # one fresh interpreter runs the commands in turn; each stage lists the
+        # watched modules loaded so far
+        commands = [
+            ["orbit", "--necklace", "BWW", "--power", "3"],
+            ["cratio", "--necklace", "BBW", "--max-k", "3"],
+            ["hseries", "--necklace", "BWW", "--coeffs", "3"],
+            ["verify", "brandt"],
+            ["tables"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout)
+        assert [code for _, code, _ in stages] == [0] * 6
+        for name, _, mods in stages[:5]:
+            assert mods == [], name
+        assert stages[5][0] == "tables"
+        assert "bsol.limits" not in stages[5][2]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsol
 from bsol import _census_py, orbit
 from bsol.golden import h_series_forms, size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
@@ -14,6 +15,7 @@ from bsol.orbit import (
     d_series,
     forest_identity_check,
     kernel_name,
+    level_sizes,
     orbit_size,
     stabilized_h_series,
 )
@@ -64,6 +66,49 @@ class TestDSeries:
         assert e.value.word == "BWW"
         assert e.value.power == 3
         assert e.value.max_states == 10
+
+
+LEVEL_CASES = [("BWW", 1), ("BWW", 2), ("BWW", 3), ("BBWW", 2), ("BBBBBW", 2)]
+
+
+@functools.cache
+def full_levels(word, power):
+    return level_sizes(word, power)
+
+
+class TestLevelSizes:
+    @pytest.mark.parametrize("word,power", LEVEL_CASES)
+    def test_matches_d_series_and_orbit_size(self, word, power):
+        sizes = full_levels(word, power)
+        series = d_series(word, power)
+        assert sizes == [series.coeff(e) for e in range(series.degree + 1)]
+        assert all(sizes)  # every level is nonempty, so len - 1 is the depth
+        assert sum(sizes) == orbit_size(word, power)
+
+    @pytest.mark.parametrize("word,power", LEVEL_CASES)
+    def test_rejects_what_d_series_rejects(self, word, power):
+        for kwargs in ({"power": 0}, {"power": power, "max_states": 0}):
+            with pytest.raises(ValueError) as want:
+                d_series(word, **kwargs)
+            with pytest.raises(ValueError) as got:
+                level_sizes(word, **kwargs)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("word,power", LEVEL_CASES)
+    def test_capped_sizes_match_d_series(self, word, power):
+        full = full_levels(word, power)
+        budget = sum(full) // 2
+        with pytest.raises(OrbitCapped) as want:
+            d_series(word, power, budget)
+        with pytest.raises(OrbitCapped) as got:
+            level_sizes(word, power, budget)
+        assert got.value.sizes == want.value.sizes
+        assert got.value.sizes == full[: len(got.value.sizes)]
+        assert (got.value.word, got.value.power, got.value.max_states) == (word, power, budget)
+
+    def test_one_capped_class(self):
+        # bs maps the package's OrbitCapped to a report; orbit must raise that class
+        assert orbit.OrbitCapped is bsol.OrbitCapped
 
 
 def undo(parts, j):
