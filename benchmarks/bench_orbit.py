@@ -5,8 +5,9 @@ is the largest verified power whose tabulated orbit size is at most
 CEILING states, with _census_py.census_levels, which counts leaves, stubs
 (states whose one predecessor is a leaf) and forks (states whose two
 predecessors are a leaf and a stub) without building them.
-It prints the total states, the best-of-N seconds for the whole sweep and
-states per second.
+It prints the total states, the best-of-N seconds for the whole sweep,
+states per second and the process's own peak resident memory after the
+sweep (VmHWM from /proc/self/status, so Linux only).
 
 Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
@@ -46,6 +47,15 @@ def sweep(seeds) -> tuple[float, list]:
     return time.perf_counter() - t0, results
 
 
+def peak_rss_mb() -> float:
+    """VmHWM, this process's own peak resident set, in MB."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise SystemExit("no VmHWM line in /proc/self/status")
+
+
 def built_and_counted(seeds) -> tuple[int, int, int, int]:
     """States the counting walk builds; leaves, stubs and forks it only counts.
 
@@ -74,6 +84,7 @@ def main() -> None:
     print(f"active kernel: {kernel_name()}")
     print(f"{len(cases)} censuses, each capped at {CEILING} states")
     best, results = min(sweep(seeds) for _ in range(args.repeat))
+    peak = peak_rss_mb()
     for (word, power, want), (sizes, capped) in zip(cases, results):
         if (want > CEILING) != capped or (not capped and sum(sizes) != want):
             raise SystemExit(
@@ -83,10 +94,10 @@ def main() -> None:
     states = sum(sum(sizes) for sizes, _ in results)
     capped = sum(capped for _, capped in results)
     best_col = f"best of {args.repeat} (s)"
-    header = f"{'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10}"
+    header = f"{'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10} {'peak MB':>8}"
     print(header)
     print("-" * len(header))
-    print(f"{states:>9} {capped:>6} {best:14.3f} {states / best:10.0f}")
+    print(f"{states:>9} {capped:>6} {best:14.3f} {states / best:10.0f} {peak:8.1f}")
     counts = built_and_counted(seeds)
     total = sum(counts)
     print(f"census_levels counted {total} states:")

@@ -11,6 +11,19 @@ depths never change: undoing the pile born at t (any t up to the state's
 room L + 2 - len(state)) drops it and appends room - t piles born at
 L + 1.  That predecessor's own room is t + 2.
 
+A state is a byte string, one byte per pile: its birth depth plus the
+walk's offset, the largest pile of the cycle, so that no stored birth is
+negative.  The walk compares stored births only, with top = L + offset
+in place of L.  It reads only a state's piles up to its room, a few of
+the many it holds, and a byte string is copied in one block where a
+tuple takes a reference count per pile, at about a quarter of the
+memory.  Bytes and tuples slice, concatenate, repeat and index alike, so
+the walk's code is the same for both.  A byte holds at most _BYTE_MAX:
+once a newborn's stored birth would pass it, the walk turns its live
+level into tuples and goes on with them, and a cycle whose largest pile
+is _BYTE_MAX or more starts on tuples.  _flip turns pile values into
+stored births and back.
+
 Three shapes of the forest are counted, never built.  Nearly half of an
 orbit is leaves, states with no predecessor: their first birth is past
 their room.  Undoing any pile but the first keeps state[0] <= t in front,
@@ -24,23 +37,29 @@ well.  The walk builds only the states it will expand.  It hands on each
 leaf as its parent, and each stub and fork as (parent, j), its pile
 undone; a shape's states are counted at its own level and the next ones:
 a leaf 1, a stub 1 and 1, a fork 1, 2 and 1.
-s -> L + 1 - s is its own inverse; it encodes the seeds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
-Handed = list[tuple[Partition, int]]  # (parent, j): the predecessor of parent from its pile j
-Step = tuple[int, list[Partition], list[Partition], Handed, Handed]
+State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
+Handed = list[tuple[State, int]]  # (parent, j): the predecessor of parent from its pile j
+Step = tuple[int, list[State], list[State], Handed, Handed]
+
+_BYTE_MAX = 255  # the largest stored birth a byte string holds
 
 
-def _flip(level: Iterable[Partition], c: int) -> list[Partition]:
-    # values <-> birth depths at the level where c = L + 1
-    return [tuple([c - x for x in s]) for s in level]
+def _flip(
+    states: Iterable[Sequence[int]], off: int, depth: int, box: type = tuple
+) -> list:
+    # pile values <-> stored births at level depth of a walk with offset off:
+    # value v is stored as off + depth + 1 - v.  Its own inverse
+    c = off + depth + 1
+    return [box([c - x for x in s]) for s in states]
 
 
 def _birth_levels(
@@ -53,8 +72,10 @@ def _birth_levels(
     # into the sizes of the next two levels.  The walk stops after level
     # max_depth
     cycle = list(dict.fromkeys(seeds))
-    on_cycle = set(_flip(cycle, 2))  # the cycle as level-1 births
-    level, parents, stubs, forks = _flip(cycle, 1), [], [], []
+    off = max([v for s in cycle for v in s], default=0)
+    box = bytes if off < _BYTE_MAX else tuple
+    on_cycle = set(_flip(cycle, off, 1, box))  # the cycle as level-1 births
+    level, parents, stubs, forks = _flip(cycle, off, 0, box), [], [], []
     size = total = len(level)
     depth = later = 0
     while size:
@@ -66,67 +87,75 @@ def _birth_levels(
         # counted ahead: states of the next level, and later those of the
         # level after it, that shapes handed on so far put there
         ahead, later = later + len(stubs) + 2 * len(forks), len(forks)
-        nxt: list[Partition] = []
+        nxt: list[State] = []
         parents, stubs, forks = [], [], []
         push, leaf, stub, fork = nxt.append, parents.append, stubs.append, forks.append
-        born = (depth + 1,)
+        top = off + depth  # the level's depth as a stored birth
+        if box is bytes and top >= _BYTE_MAX:
+            # a newborn's stored birth, top + 1, would not fit a byte
+            box = tuple
+            level = [tuple(s) for s in level]
+        born = box((top + 1,))
         left = max_states - total - ahead
         if left < 0:
             yield None
             return
-        for state in level:
-            # a pile born at t <= room can have been stacked last; equal
-            # births give equal predecessors, so only the first is tried.
-            # The predecessor p from pile j has depth + 1 - t piles and
-            # room t + 2, and its first births a, b, c are state's first
-            # three past j, then newborns; for j > 1, b = state[1] <= t.
-            # p is a leaf when a > t + 2, which needs j = 0.  It is a stub
-            # when it is one pile (t = depth) and a < depth, or when
-            # b > t + 2 (a is then its one pile to undo) and b > a + 2 (the
-            # predecessor that leaves starts with b, past its room a + 2);
-            # a < t for j = 1 and a >= t for j = 0.  It is a fork when its
-            # only piles to undo are a < b <= t + 2 (c > t + 2, or it is two
-            # piles), undoing a leaves a leaf (b > a + 2) and undoing b a
-            # stub: one pile (b = depth + 1), or a second birth, c or a
-            # newborn at depth + 2, past its room b + 2 (c > b + 2, or
-            # b < depth when it is two piles).  That needs j = 1 or 2, as
-            # for j = 0, a >= t; for j = 2, b < t, and for j = 1 the stub
-            # test leaves t < depth and b <= t + 2.  No stub or fork at
-            # depth 0, where every level-1 candidate goes through the cycle
-            # check
-            n = len(state)
-            room = depth + 2 - n
-            b = state[2] if n > 2 else depth + 1
-            prev, j = None, 0
-            for t in state:
-                if t > room:
-                    break
-                if t != prev:
-                    prev = t
-                    if j > 1:
-                        if j == 2 and depth and state[0] + 2 < state[1] and (
-                            n == 3 or state[3] > t + 2
-                        ):
-                            fork((state, 2))
+        # counts only grow within a level, so a check every 256 states and
+        # at its end caps at the same level as a check after every state
+        for i in range(0, len(level), 256):
+            for state in level[i : i + 256]:
+                # a pile born at t <= room can have been stacked last; equal
+                # births give equal predecessors, so only the first is tried.
+                # The predecessor p from pile j has top + 1 - t piles and
+                # room t + 2, and its first births a, b, c are state's first
+                # three past j, then newborns; for j > 1, b = state[1] <= t.
+                # p is a leaf when a > t + 2, which needs j = 0.  It is a
+                # stub when it is one pile (t = top) and a < top, or when
+                # b > t + 2 (a is then its one pile to undo) and b > a + 2
+                # (the predecessor that leaves starts with b, past its room
+                # a + 2); a < t for j = 1 and a >= t for j = 0.  It is a fork
+                # when its only piles to undo are a < b <= t + 2 (c > t + 2,
+                # or it is two piles), undoing a leaves a leaf (b > a + 2) and
+                # undoing b a stub: one pile (b = top + 1), or a second birth,
+                # c or a newborn at top + 2, past its room b + 2 (c > b + 2,
+                # or b < top when it is two piles).  That needs j = 1 or 2,
+                # as for j = 0, a >= t; for j = 2, b < t, and for j = 1 the
+                # stub test leaves t < top and b <= t + 2.  No stub or fork
+                # at depth 0, where every level-1 candidate goes through the
+                # cycle check
+                n = len(state)
+                room = top + 2 - n
+                b = state[2] if n > 2 else top + 1
+                prev, j = None, 0
+                for t in state:
+                    if t > room:
+                        break
+                    if t != prev:
+                        prev = t
+                        if j > 1:
+                            if j == 2 and depth and state[0] + 2 < state[1] and (
+                                n == 3 or state[3] > t + 2
+                            ):
+                                fork((state, 2))
+                            else:
+                                push(state[:j] + state[j + 1 :] + born * (room - t))
                         else:
-                            push(state[:j] + state[j + 1 :] + born * (room - t))
-                    else:
-                        a = state[1 - j] if n > 1 else depth + 1
-                        if a > t + 2:
-                            leaf(state)
-                        elif not depth:
-                            push(state[:j] + state[j + 1 :] + born * (room - t))
-                        elif a < depth if t == depth else b > (t if j else a) + 2:
-                            stub((state, j))
-                        elif j and a + 2 < b and (
-                            (state[3] if n > 3 else depth + 1) > b + 2
-                            if t < depth - 1
-                            else b != depth
-                        ):
-                            fork((state, 1))
-                        else:
-                            push(state[:j] + state[j + 1 :] + born * (room - t))
-                j += 1
+                            a = state[1 - j] if n > 1 else top + 1
+                            if a > t + 2:
+                                leaf(state)
+                            elif not depth:
+                                push(state[:j] + state[j + 1 :] + born * (room - t))
+                            elif a < top if t == top else b > (t if j else a) + 2:
+                                stub((state, j))
+                            elif j and a + 2 < b and (
+                                (state[3] if n > 3 else top + 1) > b + 2
+                                if t < top - 1
+                                else b != top
+                            ):
+                                fork((state, 1))
+                            else:
+                                push(state[:j] + state[j + 1 :] + born * (room - t))
+                    j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]

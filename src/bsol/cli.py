@@ -440,18 +440,22 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # a report built here names its command, and a verify report its suite
+        head = {"command": args.subcommand}
+        if args.subcommand == "verify":
+            head["check"] = args.check
         try:
             report = args.fn(args)
         except _non_closing() as e:
             report = {
-                "command": args.subcommand,
+                **head,
                 "necklace": e.word,
                 "status": "non-closing",
                 "detail": str(e),
             }
         except OrbitCapped as e:
             report = {
-                "command": args.subcommand,
+                **head,
                 "necklace": e.word,
                 "power": e.power,
                 "max_states": e.max_states,

@@ -117,6 +117,7 @@ class TestHLimit:
         assert code == 2
         assert rep == {
             "command": "verify",
+            "check": "conj11",
             "necklace": "BWWW",
             "status": "non-closing",
             "detail": "forest of BWWW does not close: root 3, branch R[3, 1]",
@@ -161,6 +162,25 @@ class TestVerify:
         code, rep = run_json(capsys, "verify", "lemma216", "--necklace", "BWW")
         assert code == 0
         assert rep["status"] == "ok"
+
+    def test_capped_lemma216_names_its_check(self, capsys):
+        code, rep = run_json(
+            capsys, "verify", "lemma216", "--necklace", "BWW", "--power", "3", "--max-states", "10"
+        )
+        assert code == 0
+        assert rep["status"] == "capped"
+        assert list(rep)[:2] == ["command", "check"]
+        assert (rep["command"], rep["check"]) == ("verify", "lemma216")
+
+    def test_non_closing_conj11_names_its_check(self, capsys, monkeypatch):
+        def non_closing(word):
+            raise limits.NonClosingError(word, 0, (1,))
+
+        monkeypatch.setattr(limits, "h_limit", non_closing)
+        code, rep = run_json(capsys, "verify", "conj11")
+        assert code == 2
+        assert rep["status"] == "non-closing"
+        assert (rep["command"], rep["check"]) == ("verify", "conj11")
 
     def test_brandt(self, capsys):
         code, rep = run_json(capsys, "verify", "brandt", "--max-size", "5")

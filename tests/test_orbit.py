@@ -1,3 +1,4 @@
+import contextlib
 import functools
 
 import pytest
@@ -121,6 +122,11 @@ def undo(parts, j):
     return reverse_move(parts, last + 1)
 
 
+def offset(seeds):
+    """The walk's offset: the largest pile of its cycle, added to every stored birth."""
+    return max([v for s in seeds for v in s], default=0)
+
+
 def rebuilt_levels(seeds, budget):
     """The census walk's levels in value form, rebuilt from its steps.
 
@@ -134,16 +140,20 @@ def rebuilt_levels(seeds, budget):
     the walk gives it.  Returns (levels, capped); every level returned is
     complete.
     """
-    flip = _census_py._flip
+    off = offset(seeds)
+
+    def flip(states, depth):
+        return _census_py._flip(states, off, depth)
+
     levels, ahead, later = [], [], []  # states below the last levels' shapes
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
         size, level, parents, stubs, forks = step
-        leaves = [undo(s, 0) for s in flip(parents, depth)]
-        stubs = [undo(flip([s], depth)[0], j) for s, j in stubs]
-        forks = [undo(flip([s], depth)[0], j) for s, j in forks]
-        built = flip(level, depth + 1) + leaves + stubs + forks + ahead
+        leaves = [undo(s, 0) for s in flip(parents, depth - 1)]
+        stubs = [undo(flip([s], depth - 1)[0], j) for s, j in stubs]
+        forks = [undo(flip([s], depth - 1)[0], j) for s, j in forks]
+        built = flip(level, depth) + leaves + stubs + forks + ahead
         assert len(built) == size
         levels.append(built)
         fork_stubs = [undo(f, 1) for f in forks]
@@ -248,6 +258,27 @@ def check_kernel(census_levels, seeds, word, power):
     assert census_levels(seeds, total) == (full, False)
     for budget in range(1, total):
         assert census_levels(seeds, budget) == (capped_prefix(full, budget), True)
+    # bounded to a depth, a census caps only while levels 0..depth pass the budget
+    for depth in range(len(full) + 1):
+        fits = sum(full[: depth + 1])
+        assert census_levels(seeds, fits, depth) == (full[: depth + 1], False)
+        if fits > 1:
+            assert census_levels(seeds, fits - 1, depth) == (capped_prefix(full, fits - 1), True)
+
+
+# the walk holds its states as byte strings, as tuples from the start, or as
+# byte strings that it turns into tuples when it expands level 2
+CONTAINERS = ("bytes", "tuples", "switch")
+
+
+@contextlib.contextmanager
+def holding(container, seeds):
+    """Make the walk of seeds hold the container, through its byte limit."""
+    with pytest.MonkeyPatch.context() as mp:
+        if container != "bytes":
+            limit = 0 if container == "tuples" else offset(seeds) + 2
+            mp.setattr(_census_py, "_BYTE_MAX", limit)
+        yield
 
 
 def case_id(case):
@@ -261,12 +292,15 @@ class TestKernels:
 
     @pytest.mark.parametrize("word,power", DIFFERENTIAL_CASES, ids=map(case_id, DIFFERENTIAL_CASES))
     def test_python_kernel_agrees(self, word, power):
-        # the pure walk against the forward-move census, in full and capped
-        # at every budget below the orbit size; the walk must also put every
-        # state at its forward distance, not just count them
+        # the pure walk against the forward-move census, in full, capped at
+        # every budget below the orbit size and bounded to each depth, in
+        # each container; the walk must also put every state at its forward
+        # distance, not just count them
         seeds = cycle_partitions(word * power)
-        check_kernel(_census_py.census_levels, seeds, word, power)
-        assert orbit_levels(word, power) == basin_levels(word, power)
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                check_kernel(_census_py.census_levels, seeds, word, power)
+                assert orbit_levels(word, power) == basin_levels(word, power)
 
     def test_big_board_honors_the_budget(self):
         # a 277-chip board stops at its budget with its whole cycle counted
@@ -293,12 +327,50 @@ class TestBirthDepths:
             preds = [p for s in level for p in predecessors(s) if depth or p not in cycle]
             assert sorted(nxt) == sorted(preds)
 
-    @given(parts=st.lists(st.integers(1, 30), max_size=12), depth=st.integers(0, 40))
-    def test_encoding_round_trips(self, parts, depth):
+    @given(
+        parts=st.lists(st.integers(1, 30), max_size=12),
+        off=st.integers(30, 60),
+        depth=st.integers(0, 40),
+    )
+    def test_encoding_round_trips(self, parts, off, depth):
+        # a pile of value v at level depth is stored as its birth depth,
+        # depth + 1 - v, plus the offset, which is at least the largest
+        # cycle pile, so a stored birth is positive and fits a byte early on
         state = tuple(sorted(parts, reverse=True))
-        (births,) = _census_py._flip([state], depth + 1)
+        (births,) = _census_py._flip([state], off, depth, bytes)
+        assert births == bytes([off + depth + 1 - v for v in state])
         assert list(births) == sorted(births)
-        assert _census_py._flip([births], depth + 1) == [state]
+        assert _census_py._flip([births], off, depth) == [state]
+
+    @pytest.mark.parametrize("word,power", [("W", 3), ("BWW", 2), ("BBBWBWWW", 2)])
+    def test_cycle_is_offset_by_its_largest_pile(self, word, power):
+        seeds = cycle_partitions(word * power)
+        _, level, *_ = next(_census_py._birth_levels(seeds, 10))
+        assert level == _census_py._flip(seeds, offset(seeds), 0, bytes)
+
+    def test_switch_to_tuples(self):
+        # the live level turns into tuples once a newborn's stored birth
+        # would pass the byte limit; the levels before it stay byte strings
+        seeds = cycle_partitions("BWW" * 3)
+        want = {"bytes": [bytes] * 3, "tuples": [tuple] * 3, "switch": [bytes, bytes, tuple]}
+        for container, boxes in want.items():
+            with holding(container, seeds):
+                steps = list(_census_py._birth_levels(seeds, 10**6))
+            expanded = [
+                {type(s) for s in level + parents + [p for p, _ in stubs + forks]}
+                for _, level, parents, stubs, forks in steps[1:4]
+            ]
+            assert expanded == [{box} for box in boxes]
+
+    @pytest.mark.parametrize("m,boxes", [(253, [bytes, bytes, bytes, tuple]), (256, [tuple] * 4)])
+    def test_piles_past_a_byte(self, m, boxes):
+        # the largest cycle pile of B W^(m-1) is m: at 253 the walk turns to
+        # tuples when it expands level 2, at 256 it starts on them
+        seeds = cycle_partitions("B" + "W" * (m - 1))
+        assert offset(seeds) == m
+        steps = list(_census_py._birth_levels(seeds, 5000))
+        assert [type(step[1][0]) for step in steps[:4]] == boxes
+        assert _census_py.census_levels(seeds, 5000) == predecessor_census(seeds, 5000)
 
 
 def predecessor_census(seeds, budget):
@@ -359,7 +431,7 @@ def shapes(seeds, budget):
             return
         for kind, handed in (("stub", step[3]), ("fork", step[4])):
             for parent, j in handed:
-                yield _census_py._flip([parent], depth)[0], j, kind
+                yield _census_py._flip([parent], offset(seeds), depth - 1)[0], j, kind
 
 
 def is_stub(state):
@@ -387,13 +459,17 @@ class TestDepthBound:
             want = (capped_prefix(full, budget), True)
         else:
             want = (full[: depth + 1], False)
-        assert _census_py.census_levels(seeds, budget, depth) == want
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                assert _census_py.census_levels(seeds, budget, depth) == want
 
     def test_stops_after_the_bound(self):
         # no level past the bound is generated, so none is counted
         seeds = cycle_partitions("BWW" * 4)
-        steps = list(_census_py._birth_levels(seeds, 10**6, 3))
-        assert [step[0] for step in steps] == predecessor_census(seeds, 10**6)[0][:4]
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                steps = list(_census_py._birth_levels(seeds, 10**6, 3))
+            assert [step[0] for step in steps] == predecessor_census(seeds, 10**6)[0][:4]
 
 
 class TestStubCounting:
