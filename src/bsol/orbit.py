@@ -15,8 +15,8 @@ pile by one, so birth depths never change and a predecessor is two
 slices and a pad of newborn piles.  A state is a byte string, one byte a
 pile, holding its birth depth plus an offset, the cycle's largest pile,
 so no byte is negative; a walk whose births would pass 255 turns its
-states into tuples and goes on with them.  Leaves, nearly half of every orbit,
-stubs, states whose one predecessor is a leaf, a further quarter, and
+states into tuples and goes on with them.  Leaves, nearly half of every
+orbit, stubs, states whose one predecessor is a leaf, a further quarter, and
 forks, states whose two predecessors are a leaf and a stub, a tenth, are
 told apart before they are built, so the walk only counts them and
 builds about a sixth of the states.  A caller that reads only the first

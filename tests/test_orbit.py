@@ -335,7 +335,7 @@ class TestBirthDepths:
     def test_encoding_round_trips(self, parts, off, depth):
         # a pile of value v at level depth is stored as its birth depth,
         # depth + 1 - v, plus the offset, which is at least the largest
-        # cycle pile, so a stored birth is positive and fits a byte early on
+        # cycle pile, so no stored birth is negative
         state = tuple(sorted(parts, reverse=True))
         (births,) = _census_py._flip([state], off, depth, bytes)
         assert births == bytes([off + depth + 1 - v for v in state])
@@ -466,10 +466,11 @@ class TestDepthBound:
     def test_stops_after_the_bound(self):
         # no level past the bound is generated, so none is counted
         seeds = cycle_partitions("BWW" * 4)
+        want = predecessor_census(seeds, 10**6)[0][:4]
         for container in CONTAINERS:
             with holding(container, seeds):
                 steps = list(_census_py._birth_levels(seeds, 10**6, 3))
-            assert [step[0] for step in steps] == predecessor_census(seeds, 10**6)[0][:4]
+            assert [step[0] for step in steps] == want
 
 
 class TestStubCounting:
