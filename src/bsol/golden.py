@@ -74,14 +74,6 @@ def h_series_forms() -> dict[str, RatFn]:
     }
 
 
-def h_for(word: str) -> RatFn | None:
-    want = canonical(word)
-    for e in h_table():
-        if canonical(e.necklace) == want:
-            return e.ratfn()
-    return None
-
-
 def size_rows() -> list[SizeRow]:
     data = _load("appendix_sizes.json")
     return [

@@ -309,20 +309,6 @@ def reduce_system(
     return alpha, beta, self_coeff, const
 
 
-def anchored_self_coeff(word: str) -> tuple[IntPoly, int]:
-    """Self-coefficient f with g_a = const + f g_a, first anchor that works.
-
-    Anchors are tried in rotation order from the word as given.  1 - f is
-    the denominator of the solved system up to sign.
-    """
-    sys = assemble_system(word)
-    for a in range(sys.n):
-        red = reduce_system(sys, a)
-        if red is not None:
-            return red[2], a
-    raise ArithmeticError(f"no anchor makes the {word} system triangular")
-
-
 @functools.cache
 def f_poly(n: int) -> LaurentPoly:
     """Denominator coefficient for the one-black family of size n+1.

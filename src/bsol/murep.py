@@ -1,12 +1,13 @@
-"""Gap coordinates for the reverse game, on finite boards and in the limit.
+"""Gap coordinates for the reverse game on infinite boards.
 
 A partition turns into its sequence of consecutive differences plus a set
 of bars marking where a reverse move may act.  Written in these
 coordinates the reverse move becomes local: merge two entries, shift the
 rest left, drop one chip marker at a finite depth, and re-derive bars from
-a bounded window.  That locality is what lets the same rule run on
-infinite, eventually periodic sequences, where the board itself has no
-partition anymore.
+a bounded window.  That locality is what lets the rule run on infinite,
+eventually periodic sequences, where the board itself has no partition
+anymore; this module holds those boards and the recurrent ones of each
+necklace.
 """
 
 from __future__ import annotations
@@ -19,75 +20,6 @@ from .necklaces import check_word, distinct_rotations, rotate_left
 # a reverse move can re-expose a bar only while the chips pulled so far
 # stay under this many rows
 BAR_WINDOW = 3
-
-
-# --- finite boards -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BarredSeq:
-    """Difference sequence of a partition plus barred (playable) positions."""
-
-    values: tuple[int, ...]
-    bars: frozenset[int]
-
-    def __post_init__(self):
-        for i in self.bars:
-            if not 1 <= i <= len(self.values) or self.values[i - 1] == 0:
-                raise ValueError(f"bar at {i} is out of range or on a zero entry")
-
-    def __str__(self) -> str:
-        return " ".join(
-            f"{v}*" if i in self.bars else str(v)
-            for i, v in enumerate(self.values, start=1)
-        )
-
-
-def from_partition(parts: tuple[int, ...]) -> BarredSeq:
-    k = len(parts)
-    ext = tuple(parts) + (0,)
-    values = tuple(ext[i] - ext[i + 1] for i in range(k))
-    bars = frozenset(
-        i for i in range(1, k + 1) if values[i - 1] != 0 and parts[i - 1] >= k - 1
-    )
-    return BarredSeq(values, bars)
-
-
-def to_partition(seq: BarredSeq) -> tuple[int, ...]:
-    total = 0
-    out = []
-    for v in reversed(seq.values):
-        total += v
-        out.append(total)
-    out.reverse()
-    return tuple(out)
-
-
-def move(seq: BarredSeq, j: int) -> BarredSeq:
-    """Reverse move at barred position j, all in difference coordinates."""
-    if j not in seq.bars:
-        raise ValueError(f"position {j} of {seq} is not barred")
-    mu = seq.values
-    k = len(mu)
-    v = sum(mu[j - 1 :])  # size of the row being redistributed
-    if j == 1:
-        sigma = list(mu[1:])
-    else:
-        sigma = list(mu[: j - 2]) + [mu[j - 2] + mu[j - 1]] + list(mu[j:])
-    while len(sigma) < v:
-        sigma.append(0)
-    sigma[v - 1] += 1
-    bars = set()
-    for i in range(1, j):
-        if sigma[i - 1] != 0:
-            bars.add(i)
-    acc = 0
-    for i in range(j, len(sigma) + 1):
-        if i <= k:
-            acc += mu[i - 1]
-        if acc < BAR_WINDOW and sigma[i - 1] != 0:
-            bars.add(i)
-    return BarredSeq(tuple(sigma), frozenset(bars))
 
 
 # --- infinite boards ---------------------------------------------------------
@@ -208,11 +140,6 @@ def inf_move(s: InfSeq, j: int, *, force: bool = False) -> InfSeq:
     return inf_seq(tuple(new_prefix), new_per)
 
 
-def inf_moves(s: InfSeq) -> list[tuple[int, InfSeq]]:
-    """(position, result) for every barred position."""
-    return [(j, inf_move(s, j)) for j in s.bars()]
-
-
 def drop_head(s: InfSeq, k: int) -> InfSeq:
     """The board seen from position k+1 onward, reindexed to start at 1."""
     if k < 0:
@@ -234,49 +161,6 @@ def tail_from_word(word: str) -> tuple[int, ...]:
     check_word(word)
     m = len(word)
     return tuple(_PAIR_GAP[(word[i], word[(i + 1) % m])] for i in range(m))
-
-
-def word_from_tail(tail: tuple[int, ...]) -> tuple[str, bool]:
-    """Invert tail_from_word.
-
-    Returns (word, ambiguous).  The all-ones tail is shared by the all-W and
-    all-B words; the all-W one is returned with ambiguous=True.  Raises
-    ValueError when no word fits.
-    """
-    m = len(tail)
-    if m == 0 or any(t not in (0, 1, 2) for t in tail):
-        raise ValueError(f"tail entries must be 0, 1 or 2, got {tail!r}")
-    if all(t == 1 for t in tail):
-        return "W" * m, True
-    letters: list[str | None] = [None] * m
-    i0 = next(i for i, t in enumerate(tail) if t != 1)
-    cur = letters[i0] = "B" if tail[i0] == 2 else "W"
-    for step in range(m):
-        j = (i0 + step) % m
-        t = tail[j]
-        if t == 2 and cur != "B":
-            raise ValueError(f"tail {tail!r} is not realizable (position {j + 1})")
-        if t == 0 and cur != "W":
-            raise ValueError(f"tail {tail!r} is not realizable (position {j + 1})")
-        nxt = {2: "W", 0: "B"}.get(t, cur)
-        jj = (j + 1) % m
-        if letters[jj] is None:
-            letters[jj] = nxt
-        elif letters[jj] != nxt:
-            raise ValueError(f"tail {tail!r} is not realizable (wraparound)")
-        cur = nxt
-    word = "".join(letters)  # type: ignore[arg-type]
-    if tail_from_word(word) != tuple(tail):
-        raise ValueError(f"tail {tail!r} is not realizable")
-    return word, False
-
-
-def is_proper_tail(tail: tuple[int, ...]) -> bool:
-    try:
-        word_from_tail(tail)
-        return True
-    except ValueError:
-        return False
 
 
 def recurrent_elements(word: str) -> dict[str, InfSeq]:

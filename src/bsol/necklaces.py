@@ -63,12 +63,6 @@ def dual(word: str) -> str:
     return canonical(flipped[::-1])
 
 
-def weight(word: str) -> int:
-    """Chips in the partitions of this necklace's cycle."""
-    m = len(check_word(word))
-    return m * (m - 1) // 2 + word.count("B")
-
-
 def word_partition(word: str) -> tuple[int, ...]:
     """The recurrent partition read off one rotation of the word.
 

@@ -3,12 +3,12 @@
 A partition is a tuple of positive ints in weakly decreasing order.  The
 forward move takes one chip from every pile and stacks the removed chips
 into a new pile.  Reverse moves undo it: pick a pile that could have been
-the stacked one, redistribute it one chip per pile from the left.
+the stacked one, redistribute it one chip per pile from the left.  This
+module holds the forward move, the reverse moves and a partition's
+predecessors, the results of every reverse move it allows.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 
 def is_partition(parts: tuple[int, ...]) -> bool:
@@ -66,45 +66,3 @@ def predecessors(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     if not parts:
         return [()]  # the empty board maps only to itself
     return [reverse_move(parts, j) for j in playable_parts(parts)]
-
-
-def level_and_cycle(parts: tuple[int, ...]) -> tuple[int, int]:
-    """(steps until some state repeats for the first time, cycle length)."""
-    seen: dict[tuple[int, ...], int] = {}
-    cur = tuple(parts)
-    step = 0
-    while cur not in seen:
-        seen[cur] = step
-        cur = forward_move(cur)
-        step += 1
-    return seen[cur], step - seen[cur]
-
-
-def trajectory(parts: tuple[int, ...], steps: int) -> list[tuple[int, ...]]:
-    out = [tuple(parts)]
-    for _ in range(steps):
-        out.append(forward_move(out[-1]))
-    return out
-
-
-def all_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, each a weakly decreasing tuple."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])
-
-
-def staircase(k: int) -> tuple[int, ...]:
-    """(k, k-1, ..., 1), the fixed point of the forward move on k(k+1)/2 chips."""
-    return tuple(range(k, 0, -1))

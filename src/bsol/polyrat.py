@@ -138,11 +138,6 @@ class LaurentPoly(_BasePoly):
         """Multiply by x^k."""
         return LaurentPoly({e + k: c for e, c in self._c.items()})
 
-    def to_intpoly(self) -> IntPoly:
-        if self._c and min(self._c) < 0:
-            raise ValueError("negative exponents present, not a plain polynomial")
-        return IntPoly(self._c)
-
 
 ONE = IntPoly({0: 1})
 ZERO = IntPoly()
@@ -353,10 +348,9 @@ def series_coeffs(f: RatFn, m: int) -> list[Fraction]:
 
 # --- text format -------------------------------------------------------------
 #
-# Terms in descending exponent order, " + " / " - " separators, unit
-# coefficients elided on x terms: "6x^4 + 4x^3 + x^2 - 1".  The parser also
-# accepts an optional "*" between coefficient and x, arbitrary term order,
-# repeated terms (summed), and a unicode minus.
+# How str() writes a polynomial: terms in descending exponent order,
+# " + " / " - " separators, unit coefficients elided on x terms:
+# "6x^4 + 4x^3 + x^2 - 1".  Only the tests read it back (tests/oracles.py).
 
 
 def format_poly(p: _BasePoly) -> str:
@@ -378,74 +372,6 @@ def format_poly(p: _BasePoly) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-class PolyParseError(ValueError):
-    def __init__(self, text: str, pos: int, msg: str):
-        super().__init__(f"cannot parse {text!r} at position {pos}: {msg}")
-        self.pos = pos
-
-
-def _parse_terms(text: str) -> dict[int, int]:
-    s = text.replace("−", "-")
-    i, n = 0, len(s)
-    coeffs: dict[int, int] = {}
-
-    def skip_ws(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
-
-    def read_int(i: int, signed: bool) -> tuple[int, int]:
-        j = i
-        if signed and j < n and s[j] in "+-":
-            j += 1
-        k = j
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == j:
-            raise PolyParseError(text, i, "expected an integer")
-        return int(s[i:k]), k
-
-    i = skip_ws(i)
-    if i == n:
-        raise PolyParseError(text, i, "empty input")
-    first = True
-    while i < n:
-        sign = 1
-        i = skip_ws(i)
-        if not first or (i < n and s[i] in "+-"):
-            if i >= n or s[i] not in "+-":
-                raise PolyParseError(text, i, "expected '+' or '-'")
-            sign = -1 if s[i] == "-" else 1
-            i = skip_ws(i + 1)
-        first = False
-        c = 1
-        have_coeff = False
-        if i < n and s[i].isdigit():
-            c, i = read_int(i, signed=False)
-            have_coeff = True
-            i = skip_ws(i)
-            if i < n and s[i] == "*":
-                i = skip_ws(i + 1)
-        if i < n and s[i] == "x":
-            i += 1
-            e = 1
-            if i < n and s[i] == "^":
-                e, i = read_int(i + 1, signed=True)
-        else:
-            if not have_coeff:
-                raise PolyParseError(text, i, "expected a coefficient or 'x'")
-            e = 0
-        if e < 0:
-            raise PolyParseError(text, i, f"negative exponent {e} not allowed here")
-        coeffs[e] = coeffs.get(e, 0) + sign * c
-        i = skip_ws(i)
-    return coeffs
-
-
-def parse_poly(text: str) -> IntPoly:
-    return IntPoly(_parse_terms(text))
 
 
 # --- JSON form ---------------------------------------------------------------

@@ -95,7 +95,7 @@ class TestHLimit:
     def test_wrong_gcd_is_not_a_usage_error(self, capsys, monkeypatch):
         # a "gcd" that divides nothing makes RatFn's exact division fail;
         # that is an internal fault and must not print as bad input
-        monkeypatch.setattr(polyrat, "poly_gcd", lambda a, b: polyrat.parse_poly("x + 7"))
+        monkeypatch.setattr(polyrat, "poly_gcd", lambda a, b: polyrat.IntPoly({1: 1, 0: 7}))
         assert run(["hlimit", "--necklace", "BBWW"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,23 +1,19 @@
 import pytest
 from fractions import Fraction
 
-from bsol import fuse
-from bsol.fuse import (
-    FuseInfo,
+import oracles
+from bsol.fuse import FuseInfo, detect_fuse, u_norm, u_poly, v_norm, weak_comp_count
+from bsol.murep import inf_move, inf_seq, recurrent_element
+from bsol.polyrat import IntPoly, LaurentPoly, RatFn, series_coeffs
+from oracles import (
     composition_of_play,
-    detect_fuse,
     fuse_plays,
+    parse_poly,
     play_of_composition,
-    u_norm,
-    u_poly,
     u_tree_oracle,
-    v_norm,
-    weak_comp_count,
     weak_comp_count_binom,
     weak_compositions,
 )
-from bsol.murep import inf_move, inf_seq, recurrent_element
-from bsol.polyrat import IntPoly, LaurentPoly, RatFn, parse_poly, series_coeffs
 
 B = True
 U = False
@@ -113,9 +109,9 @@ class TestCensusPolynomials:
         assert v_norm(2) == LaurentPoly({0: 4, -1: 3, -2: 1})
 
     def test_v_shifted_combinations(self):
-        x3v1 = v_norm(1).shift(3).to_intpoly()
+        x3v1 = IntPoly(v_norm(1).shift(3).coeffs)
         assert x3v1 == parse_poly("2x^3 + x^2")
-        x4v12 = (v_norm(1) + v_norm(2)).shift(4).to_intpoly()
+        x4v12 = IntPoly((v_norm(1) + v_norm(2)).shift(4).coeffs)
         assert x4v12 == parse_poly("6x^4 + 4x^3 + x^2")
 
 
@@ -131,7 +127,7 @@ class TestTreeOracle:
 
     def test_fuse_that_never_burns_is_a_fault(self, monkeypatch):
         # a move that leaves the board alone keeps the fuse alive forever
-        monkeypatch.setattr(fuse, "inf_move", lambda s, j: s)
+        monkeypatch.setattr(oracles, "inf_move", lambda s, j: s)
         with pytest.raises(ArithmeticError, match="fuse survived too many moves"):
             fuse_plays(2)
         with pytest.raises(ArithmeticError, match="fuse survived too many moves"):

@@ -3,23 +3,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsol.murep import (
-    BarredSeq,
-    InfSeq,
     drop_head,
-    from_partition,
     inf_move,
-    inf_moves,
     inf_seq,
-    is_proper_tail,
-    move,
     recurrent_element,
     recurrent_elements,
     tail_from_word,
+)
+from bsol.necklaces import necklace_representatives, rotate_left, word_partition
+from bsol.partitions import playable_parts, reverse_move
+from oracles import (
+    BarredSeq,
+    all_partitions,
+    from_partition,
+    is_proper_tail,
+    move,
     to_partition,
     word_from_tail,
 )
-from bsol.necklaces import necklace_representatives, rotate_left, word_partition
-from bsol.partitions import all_partitions, playable_parts, reverse_move
 
 
 def bs(values, bars):
@@ -229,7 +230,7 @@ class TestInfMoves:
         assert inf_move(root, 1) == root  # the cycle is a fixed point
         lvl1 = inf_move(root, 2)
         assert lvl1 == inf_seq(((2, True), (1, True), (1, True)), (1,))
-        kids = [t for _, t in inf_moves(lvl1)]
+        kids = [inf_move(lvl1, j) for j in lvl1.bars()]
         assert kids == [
             inf_seq(((1, True),), (1,)),
             inf_seq(((3, True), (1, True), (1, True)), (1,)),

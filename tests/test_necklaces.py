@@ -14,10 +14,10 @@ from bsol.necklaces import (
     primitive_word,
     rotate_left,
     rotate_right,
-    weight,
     word_partition,
 )
-from bsol.partitions import forward_move, is_partition, level_and_cycle
+from bsol.partitions import forward_move, is_partition
+from oracles import level_and_cycle, weight
 
 words = st.text(alphabet="BW", min_size=1, max_size=10)
 
@@ -79,7 +79,7 @@ class TestCycles:
 
     def test_all_cycles_of_n_chips_covered(self):
         # every recurrent partition with up to 12 chips comes from some word
-        from bsol.partitions import all_partitions
+        from oracles import all_partitions
 
         by_weight: dict[int, set[tuple[int, ...]]] = {}
         for m in range(1, 7):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bsol
 from bsol import _census_py, orbit
 from bsol.golden import h_series_forms, size_rows
-from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives, weight
+from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives
 from bsol.orbit import (
     OrbitCapped,
     StabilizedSeries,
@@ -20,8 +20,9 @@ from bsol.orbit import (
     orbit_size,
     stabilized_h_series,
 )
-from bsol.partitions import all_partitions, forward_move, predecessors, reverse_move
-from bsol.polyrat import ONE, IntPoly, parse_poly, series_coeffs
+from bsol.partitions import forward_move, predecessors, reverse_move
+from bsol.polyrat import ONE, IntPoly, series_coeffs
+from oracles import all_partitions, parse_poly, weight
 
 
 class TestDSeries:

@@ -3,16 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsol.partitions import (
-    all_partitions,
     forward_move,
     is_partition,
-    level_and_cycle,
     playable_parts,
     predecessors,
     reverse_move,
-    staircase,
-    trajectory,
 )
+from oracles import all_partitions, level_and_cycle, staircase, trajectory
 
 partitions_20 = st.integers(1, 20).flatmap(
     lambda n: st.sampled_from(sorted(all_partitions(n)))

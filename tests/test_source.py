@@ -2,7 +2,6 @@
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bsol"
@@ -51,26 +50,50 @@ def test_no_floats():
     assert not found, f"floats in bsol: {found}"
 
 
+def _code_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for every name the code uses: a plain name, an
+    attribute, an imported name, or a string constant that is a whole
+    identifier (a getattr target, say).  Comments are not in the tree, and
+    a word inside a docstring or message is not a whole string."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            out.append((node.lineno, node.name.rpartition(".")[2]))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.append((node.lineno, node.value))
+    return out
+
+
 def test_every_function_has_a_caller():
-    # a def whose name appears nowhere else is code that nothing runs
+    # a package def or class is called only when its name is used as code
+    # outside its own body, in the package, perfbench/ or benchmarks/, or
+    # is a pyproject.toml entry point; a use in tests/ or in prose does not
+    # count, so an oracle only the tests run belongs in tests/oracles.py
     root = PACKAGE.parent.parent
-    texts = {
-        path: path.read_text()
-        for pattern in ("src/**/*.py", "tests/**/*.py", "benchmarks/**/*.py", "perfbench/**/*.py")
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for pattern in ("src/bsol/**/*.py", "perfbench/**/*.py", "benchmarks/**/*.py")
         for path in sorted(root.glob(pattern))
     }
-    texts[root / "pyproject.toml"] = (root / "pyproject.toml").read_text()
-    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for line, name in _code_names(tree):
+            uses.setdefault(name, []).append((path, line))
+    scripts = re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text())
     uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = texts[path].splitlines()
-        for node in ast.walk(ast.parse(texts[path], filename=str(path))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("__") and name.endswith("__"):
+            if name.startswith("__") and name.endswith("__") or name in scripts:
                 continue
-            own = re.findall(rf"\b{name}\b", lines[node.lineno - 1])
-            if words[name] <= len(own):
+            body = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and line in body for p, line in uses.get(name, [])):
                 uncalled.append(f"{path.name}:{node.lineno} {name}")
-    assert not uncalled, f"functions with no caller: {uncalled}"
+    assert not uncalled, f"functions and classes with no caller: {uncalled}"
