@@ -3,9 +3,10 @@
 Runs `python -c pass` and a fixed set of cheap bs commands, each in a
 fresh interpreter, N times, interleaved so that a slow moment of the
 machine falls on every command alike.  For each command it prints the
-median wall milliseconds, the excess over the bare interpreter, and the
-bsol modules the command loaded (read once more, untimed, from a run of
-cli.run that lists sys.modules on stderr).
+median wall milliseconds with the first and third quartiles beside it,
+so that the spread between runs shows, the median's excess over the bare
+interpreter, and the bsol modules the command loaded (read once more,
+untimed, from a run of cli.run that lists sys.modules on stderr).
 
 Every repeat of a command must give the same exit code and the same
 stdout; the script exits non-zero when one does not.
@@ -45,6 +46,14 @@ def timed(argv: list[str]) -> tuple[float, int, str]:
     return (time.perf_counter() - start) * 1e3, proc.returncode, proc.stdout
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); a single run is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
 def loaded_modules(command: list[str]) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", MODULES_PROBE, *command], capture_output=True, text=True
@@ -69,16 +78,22 @@ def main() -> None:
             ms[name].append(elapsed)
             outputs[name].add((code, stdout))
 
-    bare = statistics.median(ms["pass"])
-    header = f"{'command':<36} {'median ms':>9} {'excess':>7}  bsol modules loaded"
+    q1, bare, q3 = quartiles(ms["pass"])
+    header = (
+        f"{'command':<36} {'q1':>7} {'median ms':>9} {'q3':>7} {'excess':>7}"
+        "  bsol modules loaded"
+    )
     print(f"{args.repeat} runs each, interleaved, in fresh interpreters")
     print(header)
     print("-" * len(header))
-    print(f"{'python -c pass':<36} {bare:9.1f} {0:7.1f}")
+    print(f"{'python -c pass':<36} {q1:7.1f} {bare:9.1f} {q3:7.1f} {0:7.1f}")
     for command in COMMANDS:
         name = " ".join(command)
-        median = statistics.median(ms[name])
-        print(f"{name:<36} {median:9.1f} {median - bare:7.1f}  {loaded_modules(command)}")
+        q1, median, q3 = quartiles(ms[name])
+        print(
+            f"{name:<36} {q1:7.1f} {median:9.1f} {q3:7.1f} {median - bare:7.1f}"
+            f"  {loaded_modules(command)}"
+        )
     unstable = [name for name, seen in outputs.items() if len(seen) > 1]
     if unstable:
         raise SystemExit(f"exit code or stdout varied between repeats: {unstable}")

@@ -140,15 +140,17 @@ def _cmd_hlimit(args) -> dict:
 def _cmd_ufuse(args) -> dict:
     from . import fuse, polyrat
 
-    def laurent_json(p):
-        return {"coeffs": {str(e): str(c) for e, c in sorted(p.coeffs.items())}}
+    def laurent_json(k):
+        # v_norm(k) is x^k v_k: print the exponents of v_k, ascending
+        terms = sorted(fuse.v_norm(k).coeffs.items())
+        return {"coeffs": {str(e - k): str(c) for e, c in terms}}
 
     ks = _cases(0, args.max_k, "--max-k")
     return {
         "command": "ufuse",
         "max_k": args.max_k,
         "u": [polyrat.poly_to_json(fuse.u_poly(k)) for k in ks],
-        "v_normalized": [laurent_json(fuse.v_norm(k)) for k in ks],
+        "v_normalized": [laurent_json(k) for k in ks],
         "status": "ok",
     }
 

@@ -10,37 +10,20 @@ those counts and the level polynomials built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .murep import InfSeq
-from .polyrat import IntPoly, LaurentPoly
+from .polyrat import IntPoly, X, ZERO
 
 # --- detection ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuseInfo:
-    """Classification of the initial barred run of a board.
-
-    kind is "fuse" (run of 1s and 2s closed off by an entry >= 3, all
-    barred), "prefuse" (the same run shape but the next position is
-    unbarred instead of large), or "none".  k is the run length, 0 when
-    kind is "none".
-    """
-
-    kind: str
-    k: int
-
-
-NO_FUSE = FuseInfo("none", 0)
-
-
-def detect_fuse(s: InfSeq) -> FuseInfo:
-    """Classify the start of the board.
+def detect_fuse(s: InfSeq) -> int:
+    """Length of the fuse the board starts with, 0 when it starts with none.
 
     Two adjacent 1s inside the barred run disqualify the whole board, even
-    if a large entry follows.
+    if a large entry follows, and so does a run that ends at an unbarred
+    position instead of a large entry.
     """
     prev_one = False
     i = 1
@@ -48,12 +31,12 @@ def detect_fuse(s: InfSeq) -> FuseInfo:
     while s.barred_at(i):
         v = s.value_at(i)
         if v >= 3:
-            return FuseInfo("fuse", i)
+            return i
         if v == 1 and prev_one:
-            return NO_FUSE
+            return 0
         prev_one = v == 1
         i += 1
-    return FuseInfo("prefuse", i - 1) if i > 1 else NO_FUSE
+    return 0
 
 
 # --- weak composition counts and the level polynomials ------------------------
@@ -84,14 +67,15 @@ def u_poly(k: int) -> IntPoly:
     return IntPoly({i: weak_comp_count(i, k - i) for i in range(k + 1)})
 
 
-def u_norm(k: int) -> LaurentPoly:
-    """u_poly(k) divided by x^k, the form the limit systems consume."""
-    return u_poly(k).to_laurent().shift(-k)
+def v_norm(k: int) -> IntPoly:
+    """x^k v_k, where v_k = sum_{t <= k} u_poly(t) x^-t is the partial sum of
+    the normalized census polynomials: sum_t u_poly(t) x^(k - t).
 
-
-def v_norm(k: int) -> LaurentPoly:
-    """Partial sums of the normalized census polynomials."""
-    total = LaurentPoly()
+    v_k itself has exponents down to -k, so it carries the factor x^k to
+    stay in Z[x]; the recurrences in limits multiply the powers of x back
+    in, and bs ufuse subtracts k from each exponent when it prints v_k.
+    """
+    total = ZERO
     for t in range(k + 1):
-        total = total + u_norm(t)
+        total = total + u_poly(t) * X ** (k - t)
     return total

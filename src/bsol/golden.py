@@ -65,15 +65,6 @@ def h_table() -> list[HEntry]:
     ]
 
 
-def h_series_forms() -> dict[str, RatFn]:
-    """The two families without a closing forest, as plain num/den."""
-    data = _load("appendix_h.json")
-    return {
-        r["necklace"]: RatFn(_poly(r["num"]), _poly(r["den"]))
-        for r in data["series_forms"]
-    }
-
-
 def size_rows() -> list[SizeRow]:
     data = _load("appendix_sizes.json")
     return [

@@ -17,7 +17,7 @@ from . import murep
 from .fuse import detect_fuse, u_poly, v_norm
 from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move
 from .necklaces import canonical, check_word, distinct_rotations, rotate_right
-from .polyrat import ONE, RatFn, IntPoly, LaurentPoly, X, ZERO
+from .polyrat import ONE, RatFn, IntPoly, X, ZERO
 
 
 def family_words(word: str) -> list[str]:
@@ -153,10 +153,10 @@ def _expand_row(
             if j is not None:
                 row[j] = row[j] + w * X**level
                 return
-            info = detect_fuse(s)
-            if info.kind == "fuse":
-                w = w * u_poly(info.k)
-                s = drop_head(s, info.k)
+            k = detect_fuse(s)
+            if k:
+                w = w * u_poly(k)
+                s = drop_head(s, k)
             else:
                 t = _wall_head(s)
                 if t is None:
@@ -310,31 +310,32 @@ def reduce_system(
 
 
 @functools.cache
-def f_poly(n: int) -> LaurentPoly:
+def f_poly(n: int) -> IntPoly:
     """Denominator coefficient for the one-black family of size n+1.
 
     Satisfies g_1 = A + f_n g_1 in the B W^n system; computed by the
-    even/odd recurrence from the bases f_2, f_3.
+    even/odd recurrence from the bases f_2, f_3.  Each x^s v_i of the
+    recurrence is X**(s - i) * v_norm(i), as v_norm(i) is x^i v_i.
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
     if n == 2:
-        return v_norm(1).shift(3)
+        return X**2 * v_norm(1)
     if n == 3:
-        return (v_norm(1) + v_norm(2)).shift(4)
-    out = LaurentPoly()
+        return X**3 * v_norm(1) + X**2 * v_norm(2)
+    out = ZERO
     if n % 2 == 0:
         for i in range((n - 4) // 2 + 1):
-            out = out + v_norm(i).shift(2 * i + 1) * f_poly(n - (2 * i + 1))
-        out = out + v_norm((n - 4) // 2).shift(n - 2) * f_poly(2)
-        return out + v_norm(n // 2).shift(n + 1)
+            out = out + X ** (i + 1) * v_norm(i) * f_poly(n - (2 * i + 1))
+        out = out + X ** (n // 2) * v_norm((n - 4) // 2) * f_poly(2)
+        return out + X ** (n // 2 + 1) * v_norm(n // 2)
     for i in range((n - 3) // 2 + 1):
-        out = out + v_norm(i).shift(2 * i + 1) * f_poly(n - (2 * i + 1))
-    return out + v_norm((n + 1) // 2).shift(n + 1)
+        out = out + X ** (i + 1) * v_norm(i) * f_poly(n - (2 * i + 1))
+    return out + X ** ((n + 1) // 2) * v_norm((n + 1) // 2)
 
 
 @functools.cache
-def h_poly(n: int) -> LaurentPoly:
+def h_poly(n: int) -> IntPoly:
     """Coefficient h_n with g_2 = B + h_n g_1 in the W B^(n+1) system.
 
     Extracted from the assembled system: anchor at the all-blacks-first
@@ -346,22 +347,26 @@ def h_poly(n: int) -> LaurentPoly:
     red = reduce_system(assemble_system(word), 0)
     if red is None:
         raise ArithmeticError(f"{word} system not triangular from its head")
-    return red[1][1].to_laurent()
+    return red[1][1]
 
 
-def p_poly(n: int) -> LaurentPoly:
+def p_poly(n: int) -> IntPoly:
     """Self-coefficient of the W B^n system: g_1 = A + p_n g_1.
 
-    For n >= 4 it is the stated combination of the h's; the two small
-    cases are the known closed forms.
+    For n >= 4 it is the stated combination of the h's,
+    h_(n+1) / x - x^2 v_1 h_(n-2); the division by x is exact, as every
+    M entry, and so h, is divisible by x.  The two small cases are the
+    known closed forms.
     """
+    from .polyrat import poly_divexact
+
     if n < 2:
         raise ValueError("defined for n >= 2")
     if n == 2:
-        return v_norm(1).shift(3)
+        return X**2 * v_norm(1)
     if n == 3:
-        return (v_norm(1) + v_norm(2)).shift(4)
-    return h_poly(n + 1).shift(-1) - v_norm(1).shift(2) * h_poly(n - 2)
+        return X**3 * v_norm(1) + X**2 * v_norm(2)
+    return poly_divexact(h_poly(n + 1), X) - X * v_norm(1) * h_poly(n - 2)
 
 
 # --- theorem probes --------------------------------------------------------------

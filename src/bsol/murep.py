@@ -2,7 +2,7 @@
 
 A partition turns into its sequence of consecutive differences plus a set
 of bars marking where a reverse move may act.  Written in these
-coordinates the reverse move becomes local: merge two entries, shift the
+coordinates the reverse move becomes local: merge two entries, move the
 rest left, drop one chip marker at a finite depth, and re-derive bars from
 a bounded window.  That locality is what lets the rule run on infinite,
 eventually periodic sequences, where the board itself has no partition
@@ -196,7 +196,3 @@ def recurrent_elements(word: str) -> dict[str, InfSeq]:
     if len(set(out.values())) != len(rots):
         raise ArithmeticError(f"rotations of {word} gave duplicate boards")
     return out
-
-
-def recurrent_element(word: str) -> InfSeq:
-    return recurrent_elements(word)[word]

@@ -1,9 +1,10 @@
 """Exact sparse polynomials and rational functions over the integers.
 
 Coefficients are arbitrary-precision ints stored as {exponent: coefficient}
-with no zero entries.  IntPoly restricts exponents to >= 0, LaurentPoly
-allows negative exponents.  RatFn keeps a reduced num/den pair of IntPoly
-in a canonical form, so equality is plain structural equality.
+with no zero entries, exponents >= 0: IntPoly is the one polynomial type,
+and a Laurent polynomial such as v_k = sum_t u_t x^-t is carried as
+x^k v_k.  RatFn keeps a reduced num/den pair of IntPoly in a canonical
+form, so equality is plain structural equality.
 
 Values meet only values of their own kind: an int is not a constant
 polynomial, and a polynomial is not a RatFn, neither as an arithmetic
@@ -18,18 +19,18 @@ from math import gcd
 from typing import Mapping
 
 
-class _BasePoly:
-    __slots__ = ("_c",)
+class IntPoly:
+    """Polynomial in x with integer coefficients, exponents >= 0."""
 
-    _allow_negative = False
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         d = {} if coeffs is None else {e: c for e, c in coeffs.items() if c != 0}
         for e, c in d.items():
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be int")
-            if e < 0 and not self._allow_negative:
-                raise ValueError(f"negative exponent {e} in a plain polynomial")
+            if e < 0:
+                raise ValueError(f"negative exponent {e} in a polynomial")
         self._c = d
 
     @property
@@ -62,25 +63,20 @@ class _BasePoly:
         return g
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _BasePoly):
+        if isinstance(other, IntPoly):
             return self._c == other._c
         return NotImplemented
 
     def __hash__(self) -> int:
-        # no type in the key: an IntPoly equals the LaurentPoly with its terms
         return hash(frozenset(self._c.items()))
 
-    def _result_type(self, other: "_BasePoly") -> type:
-        # a LaurentPoly operand makes the result a LaurentPoly, in either order
-        return type(other) if other._allow_negative else type(self)
-
     def _binop(self, other, fn):
-        if not isinstance(other, _BasePoly):
+        if not isinstance(other, IntPoly):
             return NotImplemented
         out = dict(self._c)
         for e, c in other._c.items():
             out[e] = fn(out.get(e, 0), c)
-        return self._result_type(other)(out)
+        return IntPoly(out)
 
     def __add__(self, other):
         return self._binop(other, operator.add)
@@ -89,22 +85,22 @@ class _BasePoly:
         return self._binop(other, operator.sub)
 
     def __neg__(self):
-        return type(self)({e: -c for e, c in self._c.items()})
+        return IntPoly({e: -c for e, c in self._c.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, _BasePoly):
+        if not isinstance(other, IntPoly):
             return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return self._result_type(other)(out)
+        return IntPoly(out)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = type(self)({0: 1})
+        result = IntPoly({0: 1})
         base = self
         while n:
             if n & 1:
@@ -114,29 +110,10 @@ class _BasePoly:
         return result
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._c!r})"
+        return f"IntPoly({self._c!r})"
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-class IntPoly(_BasePoly):
-    """Polynomial in x with integer coefficients, exponents >= 0."""
-
-    _allow_negative = False
-
-    def to_laurent(self) -> "LaurentPoly":
-        return LaurentPoly(self._c)
-
-
-class LaurentPoly(_BasePoly):
-    """Polynomial in x and 1/x with integer coefficients."""
-
-    _allow_negative = True
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k."""
-        return LaurentPoly({e + k: c for e, c in self._c.items()})
 
 
 ONE = IntPoly({0: 1})
@@ -353,7 +330,7 @@ def series_coeffs(f: RatFn, m: int) -> list[Fraction]:
 # "6x^4 + 4x^3 + x^2 - 1".  Only the tests read it back (tests/oracles.py).
 
 
-def format_poly(p: _BasePoly) -> str:
+def format_poly(p: IntPoly) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
@@ -377,7 +354,7 @@ def format_poly(p: _BasePoly) -> str:
 # --- JSON form ---------------------------------------------------------------
 
 
-def poly_to_json(p: _BasePoly) -> dict:
+def poly_to_json(p: IntPoly) -> dict:
     return {"coeffs": {str(e): str(c) for e, c in sorted(p.coeffs.items(), reverse=True)}}
 
 

@@ -5,14 +5,14 @@ result the package computes another way, or a small helper the tests
 build inputs with:
 
 - the fuse play census by exhaustive play, the closed form of the weak
-  composition counts, and the bijection between play sequences and
-  weak compositions;
+  composition counts, the bijection between play sequences and weak
+  compositions, and the prefuse scan;
 - the reverse move on finite barred difference sequences, the finite
   form of the infinite-board move;
 - forward trajectories, partition enumeration and the staircase;
 - a necklace's chip count, the first anchor of the anchored reduction,
-  a reference closed form by necklace, and a parser for the polynomial
-  text format.
+  a reference closed form by necklace, the two published series-level
+  forms, and a parser for the polynomial text format.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from bsol import golden
 from bsol.golden import h_table
 from bsol.limits import assemble_system, reduce_system
-from bsol.murep import BAR_WINDOW, InfSeq, inf_move, inf_seq, recurrent_element, tail_from_word
+from bsol.murep import BAR_WINDOW, InfSeq, inf_move, inf_seq, recurrent_elements, tail_from_word
 from bsol.necklaces import canonical, check_word
 from bsol.partitions import forward_move
 from bsol.polyrat import IntPoly, RatFn
@@ -73,7 +74,7 @@ def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:
     than k means the fuse did not burn down, an ArithmeticError.
     """
     if tail is None:
-        tail = recurrent_element("BWW")
+        tail = recurrent_elements("BWW")["BWW"]
     out: list[tuple[int, ...]] = []
 
     def walk(s: InfSeq, plays: tuple[int, ...]) -> None:
@@ -95,6 +96,24 @@ def u_tree_oracle(k: int, tail: InfSeq | None = None) -> IntPoly:
     depend on the tail; pass one to check that.
     """
     return IntPoly(Counter(len(plays) for plays in fuse_plays(k, tail)))
+
+
+def prefuse_length(s: InfSeq) -> int:
+    """Length k of a prefuse the board starts with, 0 when it has none.
+
+    A prefuse has a fuse's barred run of 1s and 2s, no two 1s adjacent,
+    but the run ends at an unbarred position instead of a barred entry
+    >= 3; fuse.detect_fuse gives 0 for it.
+    """
+    prev_one = False
+    i = 1
+    while s.barred_at(i):
+        v = s.value_at(i)
+        if v >= 3 or (v == 1 and prev_one):
+            return 0
+        prev_one = v == 1
+        i += 1
+    return i - 1
 
 
 # --- fuse: play sequences <-> weak compositions ---------------------------------
@@ -345,6 +364,15 @@ def h_for(word: str) -> RatFn | None:
         if canonical(e.necklace) == want:
             return e.ratfn()
     return None
+
+
+def h_series_forms() -> dict[str, RatFn]:
+    """The two families without a closing forest, as plain num/den."""
+    data = golden._load("appendix_h.json")
+    return {
+        r["necklace"]: RatFn(golden._poly(r["num"]), golden._poly(r["den"]))
+        for r in data["series_forms"]
+    }
 
 
 # --- polyrat: the text format, read back ----------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from bsol import limits, murep, polyrat
 from bsol.cli import run
+from oracles import weak_comp_count_binom
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,6 +132,21 @@ class TestUFuse:
         assert rep["u"][1]["coeffs"] == {"0": "1", "1": "1"}
         assert rep["u"][2]["coeffs"] == {"0": "1", "1": "2", "2": "2"}
         assert len(rep["v_normalized"]) == 4
+
+    def test_v_normalized_pinned(self, capsys):
+        # v_k = sum_{t <= k} u_t x^-t, printed with its own exponents -k..0
+        # ascending; its x^-j coefficient sums the x^(t-j) terms of u_j..u_k,
+        # which count the weak compositions of t - j with j zero parts
+        code, rep = run_json(capsys, "ufuse", "--max-k", "8")
+        assert code == 0
+        assert len(rep["v_normalized"]) == 9
+        assert rep["v_normalized"][2]["coeffs"] == {"-2": "1", "-1": "3", "0": "4"}
+        for k, v in enumerate(rep["v_normalized"]):
+            want = [
+                (str(-j), str(sum(weak_comp_count_binom(t - j, j) for t in range(j, k + 1))))
+                for j in range(k, -1, -1)
+            ]
+            assert list(v["coeffs"].items()) == want
 
 
 class TestCRatio:

@@ -2,14 +2,15 @@ import pytest
 from fractions import Fraction
 
 import oracles
-from bsol.fuse import FuseInfo, detect_fuse, u_norm, u_poly, v_norm, weak_comp_count
-from bsol.murep import inf_move, inf_seq, recurrent_element
-from bsol.polyrat import IntPoly, LaurentPoly, RatFn, series_coeffs
+from bsol.fuse import detect_fuse, u_poly, v_norm, weak_comp_count
+from bsol.murep import inf_move, inf_seq, recurrent_elements
+from bsol.polyrat import X, IntPoly, RatFn, series_coeffs
 from oracles import (
     composition_of_play,
     fuse_plays,
     parse_poly,
     play_of_composition,
+    prefuse_length,
     u_tree_oracle,
     weak_comp_count_binom,
     weak_compositions,
@@ -23,33 +24,43 @@ def board(entries, period):
     return inf_seq(tuple(entries), tuple(period))
 
 
+def recurrent(word):
+    return recurrent_elements(word)[word]
+
+
 class TestDetect:
     def test_fuse_closed_by_three(self):
         s = board([(2, B), (1, B), (3, B), (1, B), (2, B)], (1,))
-        assert detect_fuse(s) == FuseInfo("fuse", 3)
+        assert detect_fuse(s) == 3
 
     def test_fuse_other_order(self):
         s = board([(1, B), (2, B), (3, B), (2, B), (2, B)], (1,))
-        assert detect_fuse(s) == FuseInfo("fuse", 3)
+        assert detect_fuse(s) == 3
 
     def test_adjacent_ones_disqualify(self):
         s = board([(1, B), (1, B)], (1,))
-        assert detect_fuse(s) == FuseInfo("none", 0)
+        assert detect_fuse(s) == 0
+        assert prefuse_length(s) == 0
 
     def test_adjacent_ones_before_cap_disqualify(self):
         s = board([(2, B), (1, B), (1, B), (3, B)], (1,))
-        assert detect_fuse(s) == FuseInfo("none", 0)
+        assert detect_fuse(s) == 0
 
     def test_recurrent_board_is_prefuse(self):
         # [2* 1* | 0 2 1] has a barred 2, 1 run and then an unbarred 0
-        assert detect_fuse(recurrent_element("BWW")) == FuseInfo("prefuse", 2)
+        s = recurrent("BWW")
+        assert detect_fuse(s) == 0
+        assert prefuse_length(s) == 2
 
     def test_unbarred_start_is_nothing(self):
-        assert detect_fuse(recurrent_element("WBW")) == FuseInfo("none", 0)
+        s = recurrent("WBW")
+        assert detect_fuse(s) == 0
+        assert prefuse_length(s) == 0
 
     def test_large_entry_must_be_barred(self):
         s = board([(2, B), (1, B)], (3, 1, 1))
-        assert detect_fuse(s) == FuseInfo("prefuse", 2)
+        assert detect_fuse(s) == 0
+        assert prefuse_length(s) == 2
 
 
 class TestWeakCompCounts:
@@ -103,15 +114,21 @@ class TestCensusPolynomials:
         assert sum(u_poly(4).coeffs.values()) == 34
 
     def test_normalized(self):
-        assert u_norm(2) == LaurentPoly({-2: 1, -1: 2, 0: 2})
-        assert v_norm(0) == LaurentPoly({0: 1})
-        assert v_norm(1) == LaurentPoly({0: 2, -1: 1})
-        assert v_norm(2) == LaurentPoly({0: 4, -1: 3, -2: 1})
+        # v_norm(k) is x^k v_k, v_k = sum_{t <= k} u_t x^-t
+        assert v_norm(0) == IntPoly({0: 1})
+        assert v_norm(1) == IntPoly({1: 2, 0: 1})
+        assert v_norm(2) == IntPoly({2: 4, 1: 3, 0: 1})
+        for k in range(9):
+            # x v_k - v_(k+1) = -u_(k+1) x^-(k+1), so x (x^k v_k) + u_(k+1) = x^(k+1) v_(k+1)
+            assert X * v_norm(k) + u_poly(k + 1) == v_norm(k + 1)
+            # the top term sums the leading terms of u_0..u_k, 1 + 1 + 2 + ... + 2^(k-1)
+            assert v_norm(k).degree == k and v_norm(k).coeff(k) == 2**k
 
     def test_v_shifted_combinations(self):
-        x3v1 = IntPoly(v_norm(1).shift(3).coeffs)
+        # x^3 v_1 and x^4 (v_1 + v_2), the f_2 and f_3 of theorem 1.3
+        x3v1 = X**2 * v_norm(1)
         assert x3v1 == parse_poly("2x^3 + x^2")
-        x4v12 = IntPoly((v_norm(1) + v_norm(2)).shift(4).coeffs)
+        x4v12 = X**3 * v_norm(1) + X**2 * v_norm(2)
         assert x4v12 == parse_poly("6x^4 + 4x^3 + x^2")
 
 
@@ -123,7 +140,7 @@ class TestTreeOracle:
     @pytest.mark.parametrize("word", ["W", "BBW", "BWWW"])
     def test_tail_independent(self, word):
         for k in range(1, 6):
-            assert u_tree_oracle(k, tail=recurrent_element(word)) == u_poly(k)
+            assert u_tree_oracle(k, tail=recurrent(word)) == u_poly(k)
 
     def test_fuse_that_never_burns_is_a_fault(self, monkeypatch):
         # a move that leaves the board alone keeps the fuse alive forever
@@ -183,9 +200,9 @@ class TestPrefuseBurn:
     def test_play_on_prefuse_leaves_fuse(self, word):
         # playing position i of a prefuse of length k >= i >= 2 merges two
         # entries into something >= 3 and leaves an (i - 1)-fuse
-        for s in (recurrent_element(w) for w in [word]):
-            info = detect_fuse(s)
-            if info.kind != "prefuse":
+        for s in (recurrent(w) for w in [word]):
+            k = prefuse_length(s)
+            if not k:
                 pytest.skip(f"{word} gives no prefuse")
-            for i in range(2, info.k + 1):
-                assert detect_fuse(inf_move(s, i)) == FuseInfo("fuse", i - 1)
+            for i in range(2, k + 1):
+                assert detect_fuse(inf_move(s, i)) == i - 1

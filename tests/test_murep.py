@@ -6,7 +6,6 @@ from bsol.murep import (
     drop_head,
     inf_move,
     inf_seq,
-    recurrent_element,
     recurrent_elements,
     tail_from_word,
 )
@@ -158,7 +157,7 @@ class TestTails:
 
 
 def elem(word):
-    return recurrent_element(word)
+    return recurrent_elements(word)[word]
 
 
 class TestRecurrentElements:

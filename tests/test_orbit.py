@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bsol
 from bsol import _census_py, orbit
-from bsol.golden import h_series_forms, size_rows
+from bsol.golden import size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives
 from bsol.orbit import (
     OrbitCapped,
@@ -22,7 +22,7 @@ from bsol.orbit import (
 )
 from bsol.partitions import forward_move, predecessors, reverse_move
 from bsol.polyrat import ONE, IntPoly, series_coeffs
-from oracles import all_partitions, parse_poly, weight
+from oracles import all_partitions, h_series_forms, parse_poly, weight
 
 
 class TestDSeries:

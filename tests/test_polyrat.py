@@ -10,7 +10,6 @@ from bsol.polyrat import (
     ONE,
     ZERO,
     IntPoly,
-    LaurentPoly,
     RatFn,
     format_poly,
     poly_divexact,
@@ -25,8 +24,6 @@ from oracles import PolyParseError, parse_poly
 # small random polynomials for property tests
 coeff_dicts = st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5)
 polys = coeff_dicts.map(IntPoly)
-laurent_dicts = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=5)
-laurents = laurent_dicts.map(LaurentPoly)
 # higher degrees and larger coefficients, for longer remainder sequences
 wide_polys = st.dictionaries(st.integers(0, 9), st.integers(-10**6, 10**6), max_size=8).map(IntPoly)
 
@@ -68,7 +65,6 @@ class TestPolyBasics:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             IntPoly({-1: 1})
-        LaurentPoly({-1: 1})  # fine
 
     def test_no_int_coercion(self):
         # an int is not a constant polynomial, in arithmetic or in comparisons
@@ -80,24 +76,19 @@ class TestPolyBasics:
         assert ZERO != 0
         assert RatFn(p) != p
 
-    def test_laurent_shift(self):
-        p = LaurentPoly({1: 2, 0: 1})
-        assert p.shift(-1) == LaurentPoly({0: 2, -1: 1})
-        assert p.shift(-1).shift(1) == p
-
     def test_to_intpoly_guard(self):
-        # a LaurentPoly becomes an IntPoly through the constructor, which
-        # rejects a negative exponent
-        with pytest.raises(ValueError):
-            IntPoly(LaurentPoly({-1: 1}).coeffs)
-        assert IntPoly(LaurentPoly({2: 3}).coeffs) == IntPoly({2: 3})
+        # a coefficient dict goes back through the constructor, which
+        # rejects a negative exponent among the others
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            IntPoly({2: 3, -1: 1, 0: 4})
+        p = IntPoly({2: 3, 0: 4})
+        assert IntPoly(p.coeffs) == p
 
 
 # tiny values, so that equal ones of different types come up often
 tiny_dicts = st.dictionaries(st.integers(0, 1), st.integers(-1, 1), max_size=2)
 tiny_values = st.one_of(
     tiny_dicts.map(IntPoly),
-    tiny_dicts.map(LaurentPoly),
     tiny_dicts.map(lambda d: RatFn(IntPoly(d))),
     st.integers(-1, 1),
 )
@@ -108,13 +99,6 @@ class TestHash:
     def test_equal_values_hash_equal(self, a, b):
         if a == b:
             assert hash(a) == hash(b)
-
-    @given(coeff_dicts)
-    def test_intpoly_and_laurent_with_same_terms(self, d):
-        p, q = IntPoly(d), LaurentPoly(d)
-        assert p == q
-        assert hash(p) == hash(q)
-        assert len({p, q}) == 1
 
 
 class TestPolyRingProperties:
@@ -129,25 +113,6 @@ class TestPolyRingProperties:
     @given(polys)
     def test_neg_cancels(self, a):
         assert (a + (-a)).is_zero()
-
-    @given(laurents, laurents)
-    def test_laurent_mul_commutes(self, a, b):
-        assert a * b == b * a
-
-    @given(polys, laurents)
-    def test_mixed_types_give_laurent_in_either_order(self, p, q):
-        # a LaurentPoly operand may bring negative exponents, whichever side it is on
-        lp = LaurentPoly(p.coeffs)
-        for got, want in (
-            (p + q, lp + q),
-            (q + p, q + lp),
-            (p - q, lp - q),
-            (q - p, q - lp),
-            (p * q, lp * q),
-            (q * p, q * lp),
-        ):
-            assert type(got) is LaurentPoly
-            assert got == want
 
     @given(polys, polys)
     def test_plain_operands_stay_plain(self, a, b):
@@ -342,9 +307,6 @@ class TestFormatParse:
         assert format_poly(ZERO) == "0"
         assert format_poly(IntPoly({1: -1})) == "-x"
         assert format_poly(IntPoly({0: 5})) == "5"
-        assert format_poly(LaurentPoly({-2: 3, 0: 4})) == "4 + 3x^-2"
-        assert format_poly(LaurentPoly({-1: -1, 1: 2})) == "2x - x^-1"
-        assert format_poly(LaurentPoly({-3: -5, -1: 1})) == "x^-1 - 5x^-3"
 
     def test_parse_variants(self):
         assert parse_poly("2*x^3") == IntPoly({3: 2})
@@ -366,8 +328,8 @@ class TestFormatParse:
     def test_json_pinned(self):
         # exponents and coefficients as strings, highest exponent first
         assert json.dumps(poly_to_json(ZERO)) == '{"coeffs": {}}'
-        assert json.dumps(poly_to_json(LaurentPoly({-1: 2, 3: -1}))) == (
-            '{"coeffs": {"3": "-1", "-1": "2"}}'
+        assert json.dumps(poly_to_json(IntPoly({1: 2, 3: -1}))) == (
+            '{"coeffs": {"3": "-1", "1": "2"}}'
         )
         f = RatFn(parse_poly("-x^2 + 2x - 1"), parse_poly("x^2 - 3x + 1"))
         assert json.dumps(ratfn_to_json(f)) == (

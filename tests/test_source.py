@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -50,50 +51,87 @@ def test_no_floats():
     assert not found, f"floats in bsol: {found}"
 
 
-def _code_names(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, name) for every name the code uses: a plain name, an
-    attribute, an imported name, or a string constant that is a whole
-    identifier (a getattr target, say).  Comments are not in the tree, and
-    a word inside a docstring or message is not a whole string."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute):
-            out.append((node.lineno, node.attr))
-        elif isinstance(node, ast.alias):
-            out.append((node.lineno, node.name.rpartition(".")[2]))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                out.append((node.lineno, node.value))
-    return out
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name the code of this node uses: a plain name or an attribute.
+    An import does not run what it binds, and a string is not a call, a
+    trace target's getattr name included; comments are not in the tree."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def _own_uses(node: ast.AST, uses: dict, owner=None) -> list[tuple[ast.AST, ast.AST]]:
+    """Fill uses[owner] with the names the code of owner uses outside its
+    nested defs and classes, which are units of their own, and return
+    (unit, owner) for each of those; owner None is a module's top level."""
+    units = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(child, DEFS):
+            units.append((child, owner))
+            units += _own_uses(child, uses, child)
+        else:
+            uses.setdefault(owner, set()).update(_names(child))
+            units += _own_uses(child, uses, owner)
+    return units
+
+
+def _called_by_base(module: str, cls: ast.ClassDef, name: str) -> bool:
+    """Does a base class from outside the package define this method?
+    Then the base class calls it (argparse calls ArgumentParser.error)."""
+    bases = getattr(importlib.import_module(module), cls.name).__mro__[1:]
+    return any(not b.__module__.startswith("bsol") and hasattr(b, name) for b in bases)
 
 
 def test_every_function_has_a_caller():
-    # a package def or class is called only when its name is used as code
-    # outside its own body, in the package, perfbench/ or benchmarks/, or
-    # is a pyproject.toml entry point; a use in tests/ or in prose does not
-    # count, so an oracle only the tests run belongs in tests/oracles.py
+    # a package def or class is called when code that runs can reach it:
+    # the roots are the pyproject.toml entry points, the package's
+    # module-level code and all code in perfbench/ and benchmarks/, and a
+    # reached def reaches every name its own code uses.  A dunder method is
+    # reached with its class, and so is an override that a base class from
+    # outside the package calls.  Uses in tests/, in prose, in trace-target
+    # strings and a def's calls to itself do not count, so an oracle only
+    # the tests run belongs in tests/oracles.py
     root = PACKAGE.parent.parent
-    trees = {
-        path: ast.parse(path.read_text(), filename=str(path))
-        for pattern in ("src/bsol/**/*.py", "perfbench/**/*.py", "benchmarks/**/*.py")
-        for path in sorted(root.glob(pattern))
-    }
-    uses: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in trees.items():
-        for line, name in _code_names(tree):
-            uses.setdefault(name, []).append((path, line))
-    scripts = re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text())
-    uncalled = []
+    reached = set(re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
+    for pattern in ("perfbench/**/*.py", "benchmarks/**/*.py"):
+        for path in sorted(root.glob(pattern)):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                reached |= _names(node)
+    uses: dict = {}
+    units = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(trees[path]):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        module = f"bsol.{path.stem}".removesuffix(".__init__")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = _own_uses(tree, uses)
+        reached |= uses.pop(None, set())
+        units += [(path.name, module, unit, owner) for unit, owner in found]
+    live: set[ast.AST] = set()
+    grew = True
+    while grew:
+        grew = False
+        for _, module, unit, owner in units:
+            if unit in live:
                 continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__") or name in scripts:
-                continue
-            body = range(node.lineno, node.end_lineno + 1)
-            if all(p == path and line in body for p, line in uses.get(name, [])):
-                uncalled.append(f"{path.name}:{node.lineno} {name}")
-    assert not uncalled, f"functions and classes with no caller: {uncalled}"
+            name = unit.name
+            with_class = owner in live and isinstance(owner, ast.ClassDef) and (
+                name.startswith("__") and name.endswith("__")
+                or _called_by_base(module, owner, name)
+            )
+            if name in reached or with_class:
+                live.add(unit)
+                reached |= uses.get(unit, set())
+                grew = True
+    # a def inside one that nothing reaches is reported through its owner
+    uncalled = [
+        f"{file}:{unit.lineno} {unit.name}"
+        for file, _, unit, owner in units
+        if unit not in live and not (owner is not None and owner not in live)
+    ]
+    assert not uncalled, f"functions and classes that nothing running reaches: {uncalled}"
