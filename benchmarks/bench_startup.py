@@ -8,8 +8,9 @@ so that the spread between runs shows, the median's excess over the bare
 interpreter, and the bsol modules the command loaded (read once more,
 untimed, from a run of cli.run that lists sys.modules on stderr).
 
-Every repeat of a command must give the same exit code and the same
-stdout; the script exits non-zero when one does not.
+Every run, the module probe included, must exit 0, and every repeat of a
+command must give the same stdout; the script exits non-zero when one
+does not, naming the command and the last line it wrote to stderr.
 
     python3 benchmarks/bench_startup.py [--repeat N]
 """
@@ -39,11 +40,21 @@ MODULES_PROBE = (
 )
 
 
-def timed(argv: list[str]) -> tuple[float, int, str]:
-    """(wall ms, exit code, stdout) of one fresh interpreter."""
+def succeeded(name: str, proc: subprocess.CompletedProcess) -> subprocess.CompletedProcess:
+    """proc, or exit naming the command and its last stderr line when it
+    failed: a failed run's time measures nothing."""
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines() or ["(no stderr)"]
+        raise SystemExit(f"{name} exited {proc.returncode}: {lines[-1]}")
+    return proc
+
+
+def timed(name: str, argv: list[str]) -> tuple[float, str]:
+    """(wall ms, stdout) of one fresh interpreter."""
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True)
-    return (time.perf_counter() - start) * 1e3, proc.returncode, proc.stdout
+    elapsed = (time.perf_counter() - start) * 1e3
+    return elapsed, succeeded(name, proc).stdout
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -58,6 +69,7 @@ def loaded_modules(command: list[str]) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", MODULES_PROBE, *command], capture_output=True, text=True
     )
+    proc = succeeded(f"module probe of {' '.join(command)}", proc)
     return proc.stderr.strip().splitlines()[-1].replace("bsol.", "")
 
 
@@ -74,9 +86,9 @@ def main() -> None:
     outputs: dict[str, set] = {name: set() for name in runs}
     for _ in range(args.repeat):
         for name, argv in runs.items():
-            elapsed, code, stdout = timed(argv)
+            elapsed, stdout = timed(name, argv)
             ms[name].append(elapsed)
-            outputs[name].add((code, stdout))
+            outputs[name].add(stdout)
 
     q1, bare, q3 = quartiles(ms["pass"])
     header = (
@@ -96,7 +108,7 @@ def main() -> None:
         )
     unstable = [name for name, seen in outputs.items() if len(seen) > 1]
     if unstable:
-        raise SystemExit(f"exit code or stdout varied between repeats: {unstable}")
+        raise SystemExit(f"stdout varied between repeats: {unstable}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exact engine for Bulgarian solitaire orbits and their rational limits.
 
-OrbitCapped lives here, not in orbit, so that the command line can map it
-to a report without importing the census layer.
+Its two library errors, OrbitCapped and NonClosingError, live here so that
+the command line can report them without importing the layers that raise them.
 """
 
 __version__ = "0.1.0"
@@ -22,4 +22,17 @@ class OrbitCapped(RuntimeError):
         super().__init__(
             f"orbit of {word}^{power} exceeds the {max_states}-state budget "
             f"({len(sizes)} levels completed)"
+        )
+
+
+class NonClosingError(RuntimeError):
+    """A branch of the degenerate expansion never reached a recurrent board."""
+
+    def __init__(self, word: str, root: int, branch: tuple[int, ...]):
+        self.word = word
+        self.root = root
+        self.branch = branch
+        moves = ", ".join(str(j) for j in branch)
+        super().__init__(
+            f"forest of {word} does not close: root {root + 1}, branch R[{moves}]"
         )

@@ -7,6 +7,9 @@ goes to stderr as "internal error: ...").
 Reports are deterministic for fixed flags; --timing adds wall time and is
 the only nondeterministic field.
 
+run owns each report's head: it opens every report with "command", and a
+verify report with "check" next; handlers return only the fields after.
+
 Each command loads only the layers it runs: a handler imports its
 library modules when it is called, and building the parser imports none.
 So the census commands (orbit, dseries, hseries, cratio, verify lemma216)
@@ -21,7 +24,7 @@ import json
 import sys
 import time
 
-from . import OrbitCapped
+from . import NonClosingError, OrbitCapped
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,13 +65,6 @@ def _status_exit(status: str) -> int:
     return 2 if status in ("mismatch", "non-closing") else 0
 
 
-def _non_closing() -> tuple[type[Exception], ...]:
-    # NonClosingError is limits' own class and only limits raises it, so a
-    # run that never loaded limits cannot be unwinding with one
-    limits = sys.modules.get(f"{__package__}.limits")
-    return (limits.NonClosingError,) if limits else ()
-
-
 # --- subcommand handlers ----------------------------------------------------------
 
 
@@ -77,7 +73,6 @@ def _cmd_orbit(args) -> dict:
 
     sizes = orbit.level_sizes(args.necklace, args.power, args.max_states)
     return {
-        "command": "orbit",
         "necklace": args.necklace,
         "power": args.power,
         "size": str(sum(sizes)),
@@ -92,7 +87,6 @@ def _cmd_dseries(args) -> dict:
 
     sizes = orbit.level_sizes(args.necklace, args.power, args.max_states)
     return {
-        "command": "dseries",
         "necklace": args.necklace,
         "power": args.power,
         "d_series": [str(c) for c in sizes],
@@ -109,7 +103,6 @@ def _cmd_hseries(args) -> dict:
     res = orbit.stabilized_h_series(args.necklace, args.coeffs, max_k, args.max_states)
     status = "ok" if res.stabilized else "capped"
     report = {
-        "command": "hseries",
         "necklace": args.necklace,
         "coeffs": args.coeffs,
         "max_power": max_k,
@@ -129,7 +122,6 @@ def _cmd_hlimit(args) -> dict:
     word = necklaces.primitive_word(args.necklace)
     h = limits.h_limit(word)
     return {
-        "command": "hlimit",
         "necklace": word,
         "h": polyrat.ratfn_to_json(h),
         "series": [str(c) for c in polyrat.series_coeffs(h, 7)],
@@ -147,7 +139,6 @@ def _cmd_ufuse(args) -> dict:
 
     ks = _cases(0, args.max_k, "--max-k")
     return {
-        "command": "ufuse",
         "max_k": args.max_k,
         "u": [polyrat.poly_to_json(fuse.u_poly(k)) for k in ks],
         "v_normalized": [laurent_json(k) for k in ks],
@@ -166,7 +157,6 @@ def _cmd_cratio(args) -> dict:
         else:
             rows.append({"k": k, "size": None, "note": "skipped: capped"})
     return {
-        "command": "cratio",
         "necklace": args.necklace,
         "max_power": args.max_k,
         "rows": rows,
@@ -189,8 +179,6 @@ def _verify_thm12(args) -> dict:
             {"k": k, "pair": [w1, w2], "isomorphic": iso, "equal_h": equal_h}
         )
     return {
-        "command": "verify",
-        "check": "thm12",
         "depth": args.depth,
         "results": results,
         "status": "ok" if ok else "mismatch",
@@ -210,8 +198,6 @@ def _verify_thm13(args) -> dict:
             {"k": k, "equal": equal, "degree": f.degree, "degree_ok": degree_ok}
         )
     return {
-        "command": "verify",
-        "check": "thm13",
         "max_k": args.max_k,
         "results": results,
         "status": "ok" if ok else "mismatch",
@@ -228,8 +214,6 @@ def _verify_conj11(args) -> dict:
         ok = ok and rep["equal_denominator"]
         results.append({"pair": [w1, w2], **rep})
     return {
-        "command": "verify",
-        "check": "conj11",
         "pairs": len(results),
         "results": results,
         "status": "ok" if ok else "mismatch",
@@ -256,15 +240,13 @@ def _verify_conj64(args) -> dict:
             results.append(
                 {"size": size, "c": str(c), "necklaces": words, "equal_denominator": equal}
             )
-        except limits.NonClosingError:
+        except NonClosingError:
             skipped = True
             results.append(
                 {"size": size, "c": str(c), "necklaces": words, "note": "skipped: non-closing"}
             )
     # a skipped group checked nothing, so the run cannot read as passed
     return {
-        "command": "verify",
-        "check": "conj64",
         "results": results,
         "status": "mismatch" if not ok else "non-closing" if skipped else "ok",
     }
@@ -275,8 +257,6 @@ def _verify_lemma216(args) -> dict:
 
     holds = orbit.forest_identity_check(args.necklace, args.power, args.coeffs, args.max_states)
     return {
-        "command": "verify",
-        "check": "lemma216",
         "necklace": args.necklace,
         "power": args.power,
         "coeffs": args.coeffs,
@@ -291,8 +271,6 @@ def _verify_brandt(args) -> dict:
     sizes = _cases(1, args.max_size, "--max-size")
     mismatches = necklaces.brandt_mismatches(args.max_size)
     return {
-        "command": "verify",
-        "check": "brandt",
         "max_size": args.max_size,
         "checked": sum(len(necklaces.necklace_representatives(m)) for m in sizes),
         "mismatches": [{"necklace": word, "match": False} for word in mismatches],
@@ -337,7 +315,6 @@ def _cmd_tables(args) -> dict:
             }
         )
     return {
-        "command": "tables",
         "max_size": args.max_size,
         "max_power": args.max_power,
         "size_rows": size_rows,
@@ -442,13 +419,12 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # a report built here names its command, and a verify report its suite
         head = {"command": args.subcommand}
         if args.subcommand == "verify":
             head["check"] = args.check
         try:
-            report = args.fn(args)
-        except _non_closing() as e:
+            report = {**head, **args.fn(args)}
+        except NonClosingError as e:
             report = {
                 **head,
                 "necklace": e.word,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import murep
+from . import NonClosingError, murep
 from .fuse import detect_fuse, u_poly, v_norm
 from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move
 from .necklaces import canonical, check_word, distinct_rotations, rotate_right
@@ -45,30 +45,6 @@ def family_roots(word: str) -> tuple[list[str], list[InfSeq]]:
 def default_depth_cap(n: int) -> int:
     """Level at which a branch is non-closing; closing families of size 3-11 need n - 1."""
     return 4 * n + 8
-
-
-class NonClosingError(RuntimeError):
-    """A branch of the degenerate expansion never reached a recurrent board."""
-
-    def __init__(self, word: str, root: int, branch: tuple[int, ...]):
-        self.word = word
-        self.root = root
-        self.branch = branch
-        moves = ", ".join(str(j) for j in branch)
-        super().__init__(
-            f"forest of {word} does not close: root {root + 1}, branch R[{moves}]"
-        )
-
-
-def saturate(s: InfSeq) -> InfSeq:
-    """Values >= 3 capped at 3.
-
-    Any merge involving such an entry stays >= 3 and any bar window
-    containing one saturates, so boards with equal saturations generate
-    isomorphic trees.  Periods only ever hold 0, 1, 2, and capping cannot
-    enable prefix trimming, so the capped board is already canonical.
-    """
-    return InfSeq(tuple((min(v, 3), b) for v, b in s.prefix), s.period)
 
 
 def _wall_head(s: InfSeq) -> int | None:
@@ -135,7 +111,8 @@ def _expand_row(
 ) -> tuple[IntPoly, list[IntPoly]]:
     """(A[i], M[i]): the reverse-move tree above roots[i], collapsed.
 
-    Nodes are first head-reduced: a leading fuse factors out as u_k (the
+    A node equal to a root's board, bars included, is a match.  Other
+    nodes are first head-reduced: a leading fuse factors out as u_k (the
     fuse burns independently of whatever follows it), and a wall-headed
     board factors out per _head_factor; both strictly shorten the board.
     """
@@ -145,11 +122,11 @@ def _expand_row(
 
     def visit(s: InfSeq, level: int, w: IntPoly, branch: tuple[int, ...]) -> None:
         nonlocal constant
-        # head reductions: each pass either matches a root's class and adds
-        # to its row entry, or strips a factorable head and keeps going on
+        # head reductions: each pass either matches a root and adds to its
+        # row entry, or strips a factorable head and keeps going on
         # the shortened board, with the factor folded into the weight
         while level > 0:
-            j = key_of.get(saturate(s))
+            j = key_of.get(s)
             if j is not None:
                 row[j] = row[j] + w * X**level
                 return
@@ -199,15 +176,16 @@ class LinearSystem:
 def assemble_system(word: str) -> LinearSystem:
     """Expand the reverse-move tree of every rotation of the family of `word`.
 
-    Nodes are matched against the rotations' boards by saturation class,
-    bars included.  A match adds the accumulated weight times x^level to
-    M[i][j].  Unmatched fuse or wall heads factor out of the subtree sum
-    and the expansion continues on the shortened board with the factor
-    folded into the weight.  Every other node adds its weight times
-    x^level to A[i] and is expanded further, down to default_depth_cap.
+    Nodes are matched exactly, bars included, against the rotations' boards,
+    which hold only the values 0, 1 and 2.  A match adds the accumulated
+    weight times x^level to M[i][j].  Unmatched fuse or wall heads factor
+    out of the subtree sum and the expansion continues on the shortened
+    board with the factor folded into the weight.  Every other node adds
+    its weight times x^level to A[i] and is expanded further, down to
+    default_depth_cap.
     """
     words, roots = family_roots(word)
-    key_of = {saturate(r): i for i, r in enumerate(roots)}
+    key_of = {r: i for i, r in enumerate(roots)}
     rows = [_expand_row(word, i, roots, key_of) for i in range(len(roots))]
     return LinearSystem(words, [], [a for a, _ in rows], [m for _, m in rows])
 
@@ -221,6 +199,10 @@ def solve_system(sys: LinearSystem) -> list[RatFn]:
     Fraction-free (Bareiss) forward elimination over Z[x], then
     back-substitution in the rational-function field, where each IntPoly
     entry enters as RatFn(entry): RatFn arithmetic takes only RatFn.
+
+    No pivoting is needed: every M entry is divisible by x, so each pivot,
+    a leading principal minor of I - M, is 1 at x = 0; one that is not
+    raises ArithmeticError.
     """
     from .polyrat import poly_divexact
 
@@ -231,11 +213,9 @@ def solve_system(sys: LinearSystem) -> list[RatFn]:
     ]
     prev = ONE
     for k in range(n):
-        pivot = next((r for r in range(k, n) if not B[r][k].is_zero()), None)
-        if pivot is None:
-            raise ArithmeticError("singular limit system")
-        if pivot != k:
-            B[k], B[pivot] = B[pivot], B[k]
+        lead = B[k][k].coeff(0)
+        if lead != 1:
+            raise ArithmeticError(f"pivot {k + 1} of the {sys.words[0]} system is {lead} at x = 0")
         for r in range(k + 1, n):
             for c in range(k + 1, n + 1):
                 B[r][c] = poly_divexact(B[r][c] * B[k][k] - B[r][k] * B[k][c], prev)

@@ -1,9 +1,20 @@
-"""The benchmark scripts load: every name they import from bsol still exists."""
+"""The benchmark scripts: every name they import from bsol still exists,
+and bench_startup stops on a failed command."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
+import pytest
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_benchmark_imports():
@@ -12,7 +23,15 @@ def test_every_benchmark_imports():
     paths = sorted(BENCHMARKS.glob("bench_*.py"))
     assert paths, f"no benchmarks found under {BENCHMARKS}"
     for path in paths:
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert callable(module.main), f"{path.name} has no main"
+        assert callable(load(path).main), f"{path.name} has no main"
+
+
+def test_startup_stops_on_a_failed_command():
+    # a command that fails at once would otherwise read as a fast start
+    startup = load(BENCHMARKS / "bench_startup.py")
+    ok = subprocess.CompletedProcess(["bs"], 0, "{}", "")
+    assert startup.succeeded("tables", ok) is ok
+    failed = subprocess.CompletedProcess(["bs"], 1, "", "Traceback\nModuleNotFoundError: bsol\n")
+    with pytest.raises(SystemExit) as e:
+        startup.succeeded("tables", failed)
+    assert e.value.code == "tables exited 1: ModuleNotFoundError: bsol"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsol import limits, murep, polyrat
+from bsol import cli, golden, limits, murep, polyrat
 from bsol.cli import run
 from oracles import weak_comp_count_binom
 
@@ -110,6 +110,16 @@ class TestHLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: values of [2* | 0 1 2] drifted off the BBW tail\n"
+
+    def test_pivot_fault_is_internal(self, capsys, monkeypatch):
+        # a system whose M is not divisible by x breaks the no-pivoting rule;
+        # the solve reports it as an internal fault
+        system = limits.LinearSystem(["BWW"], [], [polyrat.ONE], [[polyrat.ONE + polyrat.X]])
+        monkeypatch.setattr(limits, "assemble_system", lambda word: system)
+        assert run(["hlimit", "--necklace", "BWW"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: pivot 1 of the BWW system is 0 at x = 0\n"
 
     def test_verify_non_closing_exit_two(self, capsys, monkeypatch):
         # a depth cap too small for a dual pair is a report, not a traceback
@@ -231,6 +241,43 @@ class TestVerify:
         assert [r for r in rep["results"] if "note" in r] == [
             {"size": 3, "c": "5", "necklaces": ["BWW", "BBW"], "note": "skipped: non-closing"}
         ]
+
+
+# one cheap invocation of each handler
+HANDLER_ARGV = [
+    ["orbit", "--necklace", "BWW"],
+    ["dseries", "--necklace", "BWW"],
+    ["hseries", "--necklace", "BWW", "--coeffs", "2"],
+    ["hlimit", "--necklace", "BWW"],
+    ["ufuse", "--max-k", "1"],
+    ["cratio", "--necklace", "BBW", "--max-k", "2"],
+    ["tables", "--max-size", "3", "--max-power", "1"],
+    ["verify", "thm12", "--max-k", "1", "--depth", "2"],
+    ["verify", "thm13", "--max-k", "3"],
+    ["verify", "conj11"],
+    ["verify", "conj64"],
+    ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "2"],
+    ["verify", "brandt", "--max-size", "3"],
+]
+
+
+class TestReportHead:
+    def test_every_handler_listed(self):
+        handlers = {f for n, f in vars(cli).items() if n.startswith(("_cmd_", "_verify_"))}
+        parser = cli._build_parser()
+        assert {parser.parse_args(argv).fn for argv in HANDLER_ARGV} == handlers
+
+    @pytest.mark.parametrize("argv", HANDLER_ARGV, ids=" ".join)
+    def test_report_opens_with_its_command(self, capsys, monkeypatch, argv):
+        # run writes the head; the two golden-driven suites get one small entry
+        monkeypatch.setattr(golden, "dual_pairs", lambda: [("BWW", "BBW")])
+        rows = golden.size_rows()[:1]
+        monkeypatch.setattr(golden, "size_rows", lambda: rows)
+        code, rep = run_json(capsys, *argv)
+        assert code == 0
+        assert rep["status"] == "ok"
+        head = argv[:2] if argv[0] == "verify" else argv[:1]
+        assert list(rep.items())[: len(head)] == list(zip(["command", "check"], head))
 
 
 class TestUsageErrors:

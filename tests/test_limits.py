@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bsol.fuse import u_poly
 from bsol.golden import h_table
 from bsol.limits import (
+    LinearSystem,
     NonClosingError,
     _head_factor,
     _wall_head,
@@ -17,7 +18,6 @@ from bsol.limits import (
     h_poly,
     p_poly,
     reduce_system,
-    saturate,
     solve_system,
     verify_same_denominator,
     verify_tree_isomorphism,
@@ -384,21 +384,38 @@ class TestDenominatorPolynomials:
             h_poly(0)
 
 
-class TestSaturate:
-    def test_caps_values(self):
-        s = inf_seq(((7, B), (2, B), (0, U)), (1,))
-        assert saturate(s) == inf_seq(((3, B), (2, B), (0, U)), (1,))
+class TestExactSolve:
+    def test_recurrent_boards_hold_only_gaps_up_to_two(self):
+        # assemble_system matches nodes against the roots exactly; that
+        # equals matching on values capped at 3 only while this holds
+        checked = 0
+        for m in range(1, 13):
+            for word in necklace_representatives(m):
+                if cycle_length(word) != m:
+                    continue
+                checked += 1
+                for w, board in recurrent_elements(word).items():
+                    values = [v for v, _ in board.prefix] + list(board.period)
+                    assert max(values) <= 2, (word, w, board)
+        assert checked == 747
 
-    def test_idempotent(self):
-        s = inf_seq(((5, B), (3, B)), (2, 1, 0))
-        assert saturate(saturate(s)) == saturate(s)
-
-    def test_saturated_boards_play_alike(self):
-        s = inf_seq(((4, B), (1, B), (0, U)), (2, 1))
-        t = saturate(s)
-        assert s.bars() == t.bars()
-        for j in s.bars():
-            assert saturate(inf_move(s, j)) == saturate(inf_move(t, j))
+    @pytest.mark.parametrize(
+        "m, pivot, lead",
+        [
+            ([[ONE + X]], 1, 0),
+            ([[IntPoly({0: 2, 1: 1})]], 1, -1),
+            ([[X, ZERO], [ZERO, ONE]], 2, 0),
+        ],
+        ids=["1+x", "2+x", "second-pivot"],
+    )
+    def test_constant_term_in_m_is_a_fault(self, m, pivot, lead):
+        # M divisible by x makes every pivot 1 at x = 0; a system where that
+        # fails is an internal fault, however solvable it may be
+        sys = LinearSystem(["BWW"] * len(m), [], [ONE] * len(m), m)
+        message = f"pivot {pivot} of the BWW system is {lead} at x = 0"
+        with pytest.raises(ArithmeticError) as e:
+            solve_system(sys)
+        assert str(e.value) == message
 
 
 class TestTreeIsomorphism:
