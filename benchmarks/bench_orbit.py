@@ -4,7 +4,7 @@ Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
 CEILING states, with _census_py.census_levels, which counts leaves, stubs
 (states whose one predecessor is a leaf) and forks (states whose two
-predecessors are a leaf and a stub) without building them.
+predecessors are a leaf and a stub) as plain ints, without building them.
 It prints the total states, the best-of-N seconds for the whole sweep,
 states per second and the process's own peak resident memory after the
 sweep (VmHWM from /proc/self/status, so Linux only).
@@ -66,11 +66,11 @@ def built_and_counted(seeds) -> tuple[int, int, int, int]:
     for s in seeds:
         for step in _census_py._birth_levels(s, CEILING):
             if step is not None:
-                _, level, parents, held, forked = step
+                _, level, leaf, stub, fork = step
                 built += len(level)
-                leaves += len(parents) + len(held) + 2 * len(forked)
-                stubs += len(held) + len(forked)
-                forks += len(forked)
+                leaves += leaf + stub + 2 * fork
+                stubs += stub + fork
+                forks += fork
     return built, leaves, stubs, forks
 
 

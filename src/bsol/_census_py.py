@@ -33,10 +33,10 @@ stubs, states whose one predecessor is a leaf, and a tenth is forks,
 states whose two predecessors are a leaf and a stub.  A predecessor's
 first three births are state's first three past the undone pile, then
 newborns, so whether it is a stub or a fork is read off state[0..3] as
-well.  The walk builds only the states it will expand.  It hands on each
-leaf as its parent, and each stub and fork as (parent, j), its pile
-undone; a shape's states are counted at its own level and the next ones:
-a leaf 1, a stub 1 and 1, a fork 1, 2 and 1.
+well.  The walk builds only the states it will expand, and counts the
+leaves, stubs and forks of each level as plain ints; a shape's states
+are counted at its own level and the next ones: a leaf 1, a stub 1 and
+1, a fork 1, 2 and 1.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
-Handed = list[tuple[State, int]]  # (parent, j): the predecessor of parent from its pile j
-Step = tuple[int, list[State], list[State], Handed, Handed]
+Step = tuple[int, list[State], int, int, int]
 
 _BYTE_MAX = 255  # the largest stored birth a byte string holds
 
@@ -65,31 +64,30 @@ def _flip(
 def _birth_levels(
     seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
 ) -> Iterator[Step | None]:
-    # each level as (its size, the states to expand, the parents of its
-    # leaves, its stubs and its forks as (parent, j)), the parents one
-    # level up; None when the budget runs out.  A stub's leaf and a fork's
-    # leaf, stub and the stub's leaf lie further down, so they are carried
-    # into the sizes of the next two levels.  The walk stops after level
-    # max_depth
+    # each level as (its size, the states to expand, and how many of its
+    # states are leaves, stubs and forks); None when the budget runs out.
+    # A stub's leaf and a fork's leaf, stub and the stub's leaf lie further
+    # down, so they are carried into the sizes of the next two levels.
+    # The walk stops after level max_depth
     cycle = list(dict.fromkeys(seeds))
     off = max([v for s in cycle for v in s], default=0)
     box = bytes if off < _BYTE_MAX else tuple
     on_cycle = set(_flip(cycle, off, 1, box))  # the cycle as level-1 births
-    level, parents, stubs, forks = _flip(cycle, off, 0, box), [], [], []
+    level = _flip(cycle, off, 0, box)
     size = total = len(level)
-    depth = later = 0
+    depth = later = leaf = stub = fork = 0
     while size:
-        yield size, level, parents, stubs, forks
+        yield size, level, leaf, stub, fork
         if depth == max_depth:
             if total > max_states:  # only the cycle is not checked below
                 yield None
             return
         # counted ahead: states of the next level, and later those of the
-        # level after it, that shapes handed on so far put there
-        ahead, later = later + len(stubs) + 2 * len(forks), len(forks)
+        # level after it, that shapes counted so far put there
+        ahead, later = later + stub + 2 * fork, fork
         nxt: list[State] = []
-        parents, stubs, forks = [], [], []
-        push, leaf, stub, fork = nxt.append, parents.append, stubs.append, forks.append
+        push = nxt.append
+        leaf = stub = fork = 0
         top = off + depth  # the level's depth as a stored birth
         if box is bytes and top >= _BYTE_MAX:
             # a newborn's stored birth, top + 1, would not fit a byte
@@ -136,33 +134,33 @@ def _birth_levels(
                             if j == 2 and depth and state[0] + 2 < state[1] and (
                                 n == 3 or state[3] > t + 2
                             ):
-                                fork((state, 2))
+                                fork += 1
                             else:
                                 push(state[:j] + state[j + 1 :] + born * (room - t))
                         else:
                             a = state[1 - j] if n > 1 else top + 1
                             if a > t + 2:
-                                leaf(state)
+                                leaf += 1
                             elif not depth:
                                 push(state[:j] + state[j + 1 :] + born * (room - t))
                             elif a < top if t == top else b > (t if j else a) + 2:
-                                stub((state, j))
+                                stub += 1
                             elif j and a + 2 < b and (
                                 (state[3] if n > 3 else top + 1) > b + 2
                                 if t < top - 1
                                 else b != top
                             ):
-                                fork((state, 1))
+                                fork += 1
                             else:
                                 push(state[:j] + state[j + 1 :] + born * (room - t))
                     j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]
-            if len(nxt) + len(parents) + len(stubs) + len(forks) > left:
+            if len(nxt) + leaf + stub + fork > left:
                 yield None
                 return
-        size = ahead + len(nxt) + len(parents) + len(stubs) + len(forks)
+        size = ahead + len(nxt) + leaf + stub + fork
         total, level, depth = total + size, nxt, depth + 1
 
 

@@ -328,7 +328,15 @@ def _cmd_tables(args) -> dict:
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="bs", description=__doc__)
+    # the user's help; the module docstring holds the developer notes
+    p = _Parser(
+        prog="bs",
+        description="Exact Bulgarian solitaire: orbit censuses, limit series and the"
+        " checks they rest on, for cycles named by B/W necklace words.  Each command"
+        " prints one JSON report.  Exit codes: 0 ok (capped results included),"
+        " 1 usage error, 2 verification mismatch or non-closing forest,"
+        " 3 internal error.",
+    )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, necklace=False, power=False, states=False):

@@ -18,9 +18,9 @@ so no byte is negative; a walk whose births would pass 255 turns its
 states into tuples and goes on with them.  Leaves, nearly half of every
 orbit, stubs, states whose one predecessor is a leaf, a further quarter, and
 forks, states whose two predecessors are a leaf and a stub, a tenth, are
-told apart before they are built, so the walk only counts them and
-builds about a sixth of the states.  A caller that reads only the first
-levels bounds the walk's depth.  Nothing here stores an orbit's states:
+told apart before they are built, so the walk only counts them, as
+plain ints, and builds about a sixth of the states.  A caller that
+reads only the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
 the lemma 2.16 check counts its paths with partitions.predecessors,
 apart from the walk.
 """

@@ -10,6 +10,8 @@ build inputs with:
 - the reverse move on finite barred difference sequences, the finite
   form of the infinite-board move;
 - forward trajectories, partition enumeration and the staircase;
+- the census walk's levels, each state classified as a leaf, stub, fork
+  or state to expand by a plain predecessors search;
 - a necklace's chip count, the first anchor of the anchored reduction,
   a reference closed form by necklace, the two published series-level
   forms, and a parser for the polynomial text format.
@@ -17,17 +19,18 @@ build inputs with:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from bsol import golden
 from bsol.golden import h_table
 from bsol.limits import assemble_system, reduce_system
 from bsol.murep import BAR_WINDOW, InfSeq, inf_move, inf_seq, recurrent_elements, tail_from_word
 from bsol.necklaces import canonical, check_word
-from bsol.partitions import forward_move
+from bsol.partitions import forward_move, predecessors
 from bsol.polyrat import IntPoly, RatFn
 
 # --- fuse: weak compositions and play census ------------------------------------
@@ -333,6 +336,70 @@ def all_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def staircase(k: int) -> tuple[int, ...]:
     """(k, k-1, ..., 1), the fixed point of the forward move on k(k+1)/2 chips."""
     return tuple(range(k, 0, -1))
+
+
+Preds = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
+
+
+def is_leaf(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
+    """No predecessor."""
+    return not preds(parts)
+
+
+def is_stub(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
+    """One predecessor, a leaf."""
+    ps = preds(parts)
+    return len(ps) == 1 and is_leaf(ps[0], preds)
+
+
+def is_fork(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
+    """Two predecessors, a leaf and a stub."""
+    ps = preds(parts)
+    return len(ps) == 2 and any(
+        is_leaf(a, preds) and is_stub(b, preds) for a, b in (ps, ps[::-1])
+    )
+
+
+class LevelShapes(NamedTuple):
+    """One orbit level split as the census walk splits it, in value form."""
+
+    expand: list[tuple[int, ...]]
+    leaves: list[tuple[int, ...]]
+    stubs: list[tuple[int, ...]]
+    forks: list[tuple[int, ...]]
+
+
+def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
+    """The levels of the orbit hanging off the cycle seeds, by a predecessors search.
+
+    Each state is classified as the census walk classifies it: from level
+    1 on a state with no predecessor is a leaf, and from level 2 on one
+    whose one predecessor is a leaf is a stub and one whose two are a leaf
+    and a stub is a fork; every other state is one the walk expands.  The
+    states under a stub or fork, which the walk counts with it and never
+    reaches, are leaves and stubs themselves and are classified as such.
+    Levels are made one at a time, so a caller that stops early builds
+    none past it.
+    """
+    # classifying a state reads the predecessors of states up to three levels down
+    preds = functools.cache(predecessors)
+    cycle = set(seeds)
+    level = list(dict.fromkeys(seeds))
+    depth = 0
+    while level:
+        split = LevelShapes([], [], [], [])
+        for state in level:
+            if depth and is_leaf(state, preds):
+                split.leaves.append(state)
+            elif depth > 1 and is_stub(state, preds):
+                split.stubs.append(state)
+            elif depth > 1 and is_fork(state, preds):
+                split.forks.append(state)
+            else:
+                split.expand.append(state)
+        yield split
+        level = [p for s in level for p in preds(s) if p not in cycle]
+        depth += 1
 
 
 # --- necklaces, limits and golden ---------------------------------------------

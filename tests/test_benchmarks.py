@@ -1,11 +1,15 @@
 """The benchmark scripts: every name they import from bsol still exists,
-and bench_startup stops on a failed command."""
+bench_startup stops on a failed command, and bench_orbit's split of a
+census adds up to it."""
 
 import importlib.util
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from bsol import _census_py
+from bsol.necklaces import cycle_partitions
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -35,3 +39,14 @@ def test_startup_stops_on_a_failed_command():
     with pytest.raises(SystemExit) as e:
         startup.succeeded("tables", failed)
     assert e.value.code == "tables exited 1: ModuleNotFoundError: bsol"
+
+
+@pytest.mark.parametrize("word,power", [("BWW", 4), ("BBBBBW", 2)])
+def test_orbit_split_adds_up_to_the_census(word, power):
+    # built, leaves, stubs and forks, each shape weighted by the states it
+    # stands for, must total the census, so the split cannot drift from the walk
+    orbit = load(BENCHMARKS / "bench_orbit.py")
+    seeds = cycle_partitions(word * power)
+    sizes, capped = _census_py.census_levels(seeds, orbit.CEILING)
+    assert not capped
+    assert sum(orbit.built_and_counted([seeds])) == sum(sizes)

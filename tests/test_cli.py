@@ -419,6 +419,19 @@ class TestTablesGolden:
         assert got == (DATA / "tables_s5_p3.tsv").read_text()
 
 
+class TestHelp:
+    def test_help_is_for_users(self, capsys):
+        # bs --help says what bs does and names its exit codes; the module's
+        # developer notes stay out of it
+        with pytest.raises(SystemExit) as e:
+            run(["--help"])
+        assert e.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse rewraps to the terminal
+        for code in ("0 ok", "1 usage error", "2 verification mismatch", "3 internal error"):
+            assert code in text
+        assert "run owns each report's head" not in text
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(

@@ -20,9 +20,17 @@ from bsol.orbit import (
     orbit_size,
     stabilized_h_series,
 )
-from bsol.partitions import forward_move, predecessors, reverse_move
+from bsol.partitions import forward_move, predecessors
 from bsol.polyrat import ONE, IntPoly, series_coeffs
-from oracles import all_partitions, h_series_forms, parse_poly, weight
+from oracles import (
+    all_partitions,
+    h_series_forms,
+    is_fork,
+    is_stub,
+    parse_poly,
+    shaped_levels,
+    weight,
+)
 
 
 class TestDSeries:
@@ -113,92 +121,80 @@ class TestLevelSizes:
         assert orbit.OrbitCapped is bsol.OrbitCapped
 
 
-def undo(parts, j):
-    """The predecessor of a value-form state from its pile j, by reverse_move.
-
-    reverse_move takes the last of a run of equal piles and the walk the
-    first; both give the same predecessor.
-    """
-    last = max(i for i, v in enumerate(parts) if v == parts[j])
-    return reverse_move(parts, last + 1)
-
-
 def offset(seeds):
     """The walk's offset: the largest pile of its cycle, added to every stored birth."""
     return max([v for s in seeds for v in s], default=0)
 
 
-def rebuilt_levels(seeds, budget):
-    """The census walk's levels in value form, rebuilt from its steps.
+def walked(seeds, budget):
+    """The census walk's steps, checked level by level against oracles.shaped_levels.
 
-    _birth_levels hands on each level's size, its states to expand, the
-    parents of its leaves, and its stubs and forks as (parent, j), the
-    parents one level up.  Each is decoded with _flip, and the leaves, the
-    stubs and forks, and the states below them (a stub's leaf one level
-    down; a fork's leaf and stub one level down and the stub's leaf two
-    levels down) are built with reverse_move, so nothing of the walk's own
-    predecessor rule is shared.  Every rebuilt level must have the size
-    the walk gives it.  Returns (levels, capped); every level returned is
-    complete.
+    Each step's states to expand, decoded with _flip, must be the oracle's
+    as a sorted list, and its size the oracle level's.  Its counts, carried
+    down as the walk carries them (a stub's leaf one level down; a fork's
+    leaf and stub one level down and the stub's leaf two levels down),
+    must be the oracle's leaves, stubs and forks at that level.  Returns
+    (levels, capped): the oracle's split of each level the walk completed.
     """
     off = offset(seeds)
-
-    def flip(states, depth):
-        return _census_py._flip(states, off, depth)
-
-    levels, ahead, later = [], [], []  # states below the last levels' shapes
+    oracle = shaped_levels(seeds)
+    levels, counts = [], [(0, 0, 0), (0, 0, 0)]  # the walk's counts, from two levels up
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        size, level, parents, stubs, forks = step
-        leaves = [undo(s, 0) for s in flip(parents, depth - 1)]
-        stubs = [undo(flip([s], depth - 1)[0], j) for s, j in stubs]
-        forks = [undo(flip([s], depth - 1)[0], j) for s, j in forks]
-        built = flip(level, depth) + leaves + stubs + forks + ahead
-        assert len(built) == size
-        levels.append(built)
-        fork_stubs = [undo(f, 1) for f in forks]
-        ahead = later + [undo(s, 0) for s in stubs + forks] + fork_stubs
-        later = [undo(s, 0) for s in fork_stubs]
+        size, level, leaves, stubs, forks = step
+        split = next(oracle)
+        assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
+        (_, _, forks2), (_, stubs1, forks1) = counts[-2:]
+        assert leaves + stubs1 + forks1 + forks2 == len(split.leaves)
+        assert stubs + forks1 == len(split.stubs)
+        assert forks == len(split.forks)
+        assert size == sum(map(len, split))
+        counts.append((leaves, stubs, forks))
+        levels.append(split)
+    assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
 
 
-def orbit_levels(word, power=1):
-    """Each state of the orbit of word^power with its level in the walk."""
-    levels, capped = rebuilt_levels(cycle_partitions(word * power), 10**6)
-    assert not capped
-    return {state: depth for depth, level in enumerate(levels) for state in level}
+def depths(levels):
+    """Each state of levels with its level."""
+    return {s: depth for depth, split in enumerate(levels) for part in split for s in part}
 
 
 class TestBuildOrbit:
-    """The orbit as the census walk builds it, rebuilt from its steps."""
+    """The orbit as the census walk builds and counts it, against a predecessors search."""
 
     @pytest.mark.parametrize("word,power", [("BWW", 1), ("BWW", 2), ("BBW", 1), ("BBWW", 1)])
     def test_census_matches_kernel(self, word, power):
-        levels, _ = rebuilt_levels(cycle_partitions(word * power), 10**6)
-        assert IntPoly({i: len(level) for i, level in enumerate(levels)}) == d_series(word, power)
-        assert sum(map(len, levels)) == orbit_size(word, power)
+        levels, capped = walked(cycle_partitions(word * power), 10**6)
+        assert not capped
+        sizes = [sum(map(len, split)) for split in levels]
+        assert IntPoly(dict(enumerate(sizes))) == d_series(word, power)
+        assert sum(sizes) == orbit_size(word, power)
 
     def test_roots_are_the_cycle(self):
-        at_zero = {s for s, lvl in orbit_levels("BWW").items() if lvl == 0}
-        assert at_zero == set(cycle_partitions("BWW"))
+        levels, _ = walked(cycle_partitions("BWW"), 10**6)
+        assert sorted(levels[0].expand) == sorted(set(cycle_partitions("BWW")))
+        assert levels[0][1:] == ([], [], [])
 
     def test_depth_is_max_level(self):
-        assert max(orbit_levels("BBW").values()) == d_series("BBW").degree
+        levels, _ = walked(cycle_partitions("BBW"), 10**6)
+        assert max(depths(levels).values()) == d_series("BBW").degree
 
     @pytest.mark.parametrize("word", ["BWW", "BBW", "BBWW"])
     def test_forward_move_descends_one_level(self, word):
-        levels = orbit_levels(word)
-        for state, lvl in levels.items():
-            nxt = levels[forward_move(state)]
-            if lvl == 0:
-                assert nxt == 0
-            else:
-                assert nxt == lvl - 1
+        levels, _ = walked(cycle_partitions(word), 10**6)
+        at = depths(levels)
+        for state, lvl in at.items():
+            assert at[forward_move(state)] == max(lvl - 1, 0)
+        # the walk expands only what it built: a built state's image was built
+        for split, above in zip(levels[1:], levels):
+            assert {forward_move(s) for s in split.expand} <= set(above.expand)
 
     def test_all_states_share_the_weight(self):
         n = weight("BWWW" * 2)
-        assert all(sum(s) == n for s in orbit_levels("BWWW", 2))
+        levels, _ = walked(cycle_partitions("BWWW" * 2), 10**6)
+        assert all(sum(s) == n for s in depths(levels))
 
 
 # every primitive necklace of size <= 5 at each small power whose board
@@ -295,13 +291,15 @@ class TestKernels:
     def test_python_kernel_agrees(self, word, power):
         # the pure walk against the forward-move census, in full, capped at
         # every budget below the orbit size and bounded to each depth, in
-        # each container; the walk must also put every state at its forward
-        # distance, not just count them
+        # each container; the states it builds and the shapes it counts
+        # must also be the predecessors search's, level by level, and that
+        # search must put every state at its forward distance
         seeds = cycle_partitions(word * power)
         for container in CONTAINERS:
             with holding(container, seeds):
                 check_kernel(_census_py.census_levels, seeds, word, power)
-                assert orbit_levels(word, power) == basin_levels(word, power)
+                levels, capped = walked(seeds, 10**6)
+            assert not capped and depths(levels) == basin_levels(word, power)
 
     def test_big_board_honors_the_budget(self):
         # a 277-chip board stops at its budget with its whole cycle counted
@@ -320,13 +318,18 @@ class TestBirthDepths:
     def test_each_level_is_the_predecessors_of_the_last(self, word, power):
         seeds = cycle_partitions(word * power)
         cycle = set(seeds)
-        levels, capped = rebuilt_levels(seeds, 2000)
+        splits, capped = walked(seeds, 2000)
+        levels = [[s for part in split for s in part] for split in splits]
         if not capped:
             levels.append([])  # the walk ends where no state has a predecessor
         assert sorted(levels[0]) == sorted(cycle)
         for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
             preds = [p for s in level for p in predecessors(s) if depth or p not in cycle]
             assert sorted(nxt) == sorted(preds)
+        # and each state the walk builds is a predecessor of one it built
+        for depth, (split, below) in enumerate(zip(splits, splits[1:])):
+            preds = {p for s in split.expand for p in predecessors(s) if depth or p not in cycle}
+            assert set(below.expand) <= preds
 
     @given(
         parts=st.lists(st.integers(1, 30), max_size=12),
@@ -357,10 +360,8 @@ class TestBirthDepths:
         for container, boxes in want.items():
             with holding(container, seeds):
                 steps = list(_census_py._birth_levels(seeds, 10**6))
-            expanded = [
-                {type(s) for s in level + parents + [p for p, _ in stubs + forks]}
-                for _, level, parents, stubs, forks in steps[1:4]
-            ]
+                walked(seeds, 10**6)  # and each container builds and counts the same
+            expanded = [{type(s) for s in step[1]} for step in steps[1:4]]
             assert expanded == [{box} for box in boxes]
 
     @pytest.mark.parametrize("m,boxes", [(253, [bytes, bytes, bytes, tuple]), (256, [tuple] * 4)])
@@ -425,21 +426,6 @@ class TestLeafCounting:
             assert _census_py.census_levels(seeds, budget) == (capped_prefix(full, budget), True)
 
 
-def shapes(seeds, budget):
-    """(parent, j, kind) for each stub and fork the walk hands on, in value form."""
-    for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
-        if step is None:
-            return
-        for kind, handed in (("stub", step[3]), ("fork", step[4])):
-            for parent, j in handed:
-                yield _census_py._flip([parent], offset(seeds), depth - 1)[0], j, kind
-
-
-def is_stub(state):
-    preds = predecessors(state)
-    return len(preds) == 1 and predecessors(preds[0]) == []
-
-
 class TestDepthBound:
     """census_levels to a depth: the first levels of the full census."""
 
@@ -480,9 +466,12 @@ class TestStubCounting:
     @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
-        for parent, j, kind in shapes(cycle_partitions(word * power), 5000):
-            if kind == "stub":
-                assert is_stub(undo(parent, j))
+        # walked checks that the stubs counted at each level, with those of
+        # the forks counted a level up, are as many as the states there
+        # whose one predecessor is a leaf; from level 2 on the walk builds
+        # none
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        assert not any(is_stub(s) for split in levels[2:] for s in split.expand)
 
     def test_stubs_are_counted_ahead(self):
         # BBW has a level of leaves and stubs only: no state is left to
@@ -499,9 +488,11 @@ class TestStubCounting:
     def test_no_stub_at_level_one(self):
         # BWW's one level-1 state has one predecessor, a leaf, yet it is
         # built: every level-1 candidate goes through the cycle check
-        steps = list(_census_py._birth_levels(cycle_partitions("BWW"), 100))
-        assert [len(level) + len(parents) for _, level, parents, _, _ in steps] == [3, 1, 1]
-        assert len(steps[1][1]) == 1 and steps[1][3] == []
+        seeds = cycle_partitions("BWW")
+        steps = list(_census_py._birth_levels(seeds, 100))
+        assert [len(level) + leaves for _, level, leaves, _, _ in steps] == [3, 1, 1]
+        assert len(steps[1][1]) == 1 and steps[1][3] == 0
+        assert is_stub(_census_py._flip(steps[1][1], offset(seeds), 1)[0])
 
 
 class TestForkCounting:
@@ -510,14 +501,11 @@ class TestForkCounting:
     @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
-        for parent, j, kind in shapes(cycle_partitions(word * power), 5000):
-            if kind == "fork":
-                preds = predecessors(undo(parent, j))
-                assert len(preds) == 2
-                assert sorted([predecessors(p) == [], is_stub(p)] for p in preds) == [
-                    [False, True],
-                    [True, False],
-                ]
+        # walked checks that the forks counted at each level are as many as
+        # the states there whose two predecessors are a leaf and a stub;
+        # from level 2 on the walk builds none
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        assert not any(is_fork(s) for split in levels[2:] for s in split.expand)
 
     @pytest.mark.parametrize("word,depth", [("BWWW", 3), ("BBWW", 4)])
     def test_forks_are_counted_ahead(self, word, depth):
@@ -533,10 +521,11 @@ class TestForkCounting:
             assert _census_py.census_levels(seeds, budget) == want
 
     def test_built_states_are_pinned(self):
-        # BWW^4 (625 states): the walk builds 109 and hands on 106 leaf
-        # parents, 89 stubs and 58 forks; a rule turned off builds more
+        # BWW^4 (625 states): the walk builds 109 and counts 106 leaves,
+        # 89 stubs and 58 forks; a rule turned off builds more
         steps = list(_census_py._birth_levels(cycle_partitions("BWW" * 4), 10**6))
-        counts = [sum(len(step[i]) for step in steps) for i in range(1, 5)]
+        counts = [sum(len(step[1]) for step in steps)]
+        counts += [sum(step[i] for step in steps) for i in range(2, 5)]
         assert counts == [109, 106, 89, 58]
         assert counts[0] + counts[1] + 2 * counts[2] + 4 * counts[3] == 625
 
@@ -544,9 +533,11 @@ class TestForkCounting:
         # BBW's one level-1 state has two predecessors, a leaf and a stub,
         # yet it is built: every level-1 candidate goes through the cycle
         # check
-        steps = list(_census_py._birth_levels(cycle_partitions("BBW"), 100))
+        seeds = cycle_partitions("BBW")
+        steps = list(_census_py._birth_levels(seeds, 100))
         assert [step[0] for step in steps] == [3, 1, 2, 1]
-        assert len(steps[1][1]) == 1 and steps[1][4] == []
+        assert len(steps[1][1]) == 1 and steps[1][4] == 0
+        assert is_fork(_census_py._flip(steps[1][1], offset(seeds), 1)[0])
 
 
 class TestStateBudget:
