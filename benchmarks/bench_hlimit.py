@@ -1,12 +1,14 @@
 """Exact-solve throughput on the primitive necklace families.
 
 Runs limits.h_limit on every primitive necklace of size 3..TOP_SIZE (B, W
-and BW, the shorter ones, have no closing system) and prints the family
-count and the best-of-N seconds for the whole sweep, then the best-of-N
-seconds of limits.assemble_system alone over the same families (the
-tree expansion, without the solve).  It then counts the polyrat.poly_gcd
-calls of one more sweep, the reduction RatFn makes of every value it
-builds, and the share of them that found a non-constant gcd.
+and BW, the shorter ones, have no closing system) N times and prints the
+family count and the median seconds of the whole sweep with the first
+and third quartiles of the N beside it, so that the spread between runs
+shows, then the same three for limits.assemble_system alone over the
+same families (the tree expansion, without the solve).  It then counts
+the polyrat.poly_gcd calls of one more sweep, the reduction RatFn makes
+of every value it builds, and the share of them that found a
+non-constant gcd.
 
 Every H must be right: a family of the appendix table (golden.h_table(),
 matched by canonical rotation) must give its tabulated H, and every
@@ -19,6 +21,8 @@ exits non-zero when one does not.
 import argparse
 import time
 from fractions import Fraction
+
+from spread import quartiles
 
 from bsol import limits, polyrat
 from bsol.golden import h_table
@@ -69,13 +73,16 @@ def gcd_calls(words) -> tuple[int, int]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeat", type=int, default=3, help="best-of runs")
+    ap.add_argument("--repeat", type=int, default=5, help="runs of each sweep")
     args = ap.parse_args()
+    if args.repeat < 1:
+        raise SystemExit("--repeat must be at least 1")
 
     words = families()
     table = {canonical(e.necklace): e.ratfn() for e in h_table()}
     print(f"{len(words)} families of size 3-{TOP_SIZE}")
-    best, results = min(sweep(words) for _ in range(args.repeat))
+    runs = [sweep(words) for _ in range(args.repeat)]
+    results = runs[0][1]
     compared = 0
     for w, h in zip(words, results):
         want = table.get(w)
@@ -86,13 +93,20 @@ def main() -> None:
         h0 = Fraction(h.num.coeff(0), h.den.coeff(0))
         if h0 != len(distinct_rotations(w)):
             raise SystemExit(f"H(0) of {w} is {h0}; it has {len(distinct_rotations(w))} rotations")
-    best_col = f"best of {args.repeat} (s)"
-    header = f"{'families':>8} {'tabulated':>9} {best_col:>14} {'ms/family':>10}"
+    q1, median, q3 = quartiles([seconds for seconds, _ in runs])
+    header = (
+        f"{'families':>8} {'tabulated':>9} {'s q1':>7} {'s median':>8} {'s q3':>7}"
+        f" {'ms/family at median':>19}"
+    )
+    print(f"{args.repeat} runs of each sweep")
     print(header)
     print("-" * len(header))
-    print(f"{len(words):>8} {compared:>9} {best:14.3f} {1000 * best / len(words):10.2f}")
-    assemble_best = min(assembly(words) for _ in range(args.repeat))
-    print(f"assemble_system: best of {args.repeat} {assemble_best:.3f} s")
+    print(
+        f"{len(words):>8} {compared:>9} {q1:7.3f} {median:8.3f} {q3:7.3f}"
+        f" {1000 * median / len(words):19.2f}"
+    )
+    q1, median, q3 = quartiles([assembly(words) for _ in range(args.repeat)])
+    print(f"assemble_system: q1 {q1:.3f} s, median {median:.3f} s, q3 {q3:.3f} s")
     calls, nontrivial = gcd_calls(words)
     print(f"poly_gcd: {calls} calls, {nontrivial} ({nontrivial / calls:.1%}) non-constant")
 

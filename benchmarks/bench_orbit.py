@@ -5,9 +5,11 @@ is the largest verified power whose tabulated orbit size is at most
 CEILING states, with _census_py.census_levels, which counts leaves, stubs
 (states whose one predecessor is a leaf) and forks (states whose two
 predecessors are a leaf and a stub) as plain ints, without building them.
-It prints the total states, the best-of-N seconds for the whole sweep,
-states per second and the process's own peak resident memory after the
-sweep (VmHWM from /proc/self/status, so Linux only).
+It runs the whole sweep N times and prints the total states, the median
+seconds of a sweep with the first and third quartiles of the N beside
+it, so that the spread between runs shows, the same three of the states
+per second, and the process's own peak resident memory after the sweeps
+(VmHWM from /proc/self/status, so Linux only).
 
 Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
@@ -20,6 +22,8 @@ the stubs and the forks it only counted, each with its share.
 
 import argparse
 import time
+
+from spread import quartiles
 
 from bsol import _census_py
 from bsol.golden import size_rows
@@ -76,14 +80,17 @@ def built_and_counted(seeds) -> tuple[int, int, int, int]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeat", type=int, default=3, help="best-of runs")
+    ap.add_argument("--repeat", type=int, default=5, help="runs of the sweep")
     args = ap.parse_args()
+    if args.repeat < 1:
+        raise SystemExit("--repeat must be at least 1")
 
     cases = census_cases()
     seeds = [cycle_partitions(word * power) for word, power, _ in cases]
     print(f"active kernel: {kernel_name()}")
     print(f"{len(cases)} censuses, each capped at {CEILING} states")
-    best, results = min(sweep(seeds) for _ in range(args.repeat))
+    runs = [sweep(seeds) for _ in range(args.repeat)]
+    results = runs[0][1]
     peak = peak_rss_mb()
     for (word, power, want), (sizes, capped) in zip(cases, results):
         if (want > CEILING) != capped or (not capped and sum(sizes) != want):
@@ -93,11 +100,18 @@ def main() -> None:
             )
     states = sum(sum(sizes) for sizes, _ in results)
     capped = sum(capped for _, capped in results)
-    best_col = f"best of {args.repeat} (s)"
-    header = f"{'states':>9} {'capped':>6} {best_col:>14} {'states/s':>10} {'peak MB':>8}"
+    q1, median, q3 = quartiles([seconds for seconds, _ in runs])
+    header = (
+        f"{'states':>9} {'capped':>6} {'s q1':>7} {'s median':>8} {'s q3':>7}"
+        f" {'states/s q1':>11} {'median':>9} {'q3':>9} {'peak MB':>8}"
+    )
+    print(f"{args.repeat} runs of the sweep: quartiles of its seconds and of states/s")
     print(header)
     print("-" * len(header))
-    print(f"{states:>9} {capped:>6} {best:14.3f} {states / best:10.0f} {peak:8.1f}")
+    print(
+        f"{states:>9} {capped:>6} {q1:7.3f} {median:8.3f} {q3:7.3f}"
+        f" {states / q3:11.0f} {states / median:9.0f} {states / q1:9.0f} {peak:8.1f}"
+    )
     counts = built_and_counted(seeds)
     total = sum(counts)
     print(f"census_levels counted {total} states:")

@@ -16,10 +16,11 @@ does not, naming the command and the last line it wrote to stderr.
 """
 
 import argparse
-import statistics
 import subprocess
 import sys
 import time
+
+from spread import quartiles
 
 COMMANDS = [
     ["orbit", "--necklace", "BWW", "--power", "3"],
@@ -55,14 +56,6 @@ def timed(name: str, argv: list[str]) -> tuple[float, str]:
     proc = subprocess.run(argv, capture_output=True, text=True)
     elapsed = (time.perf_counter() - start) * 1e3
     return elapsed, succeeded(name, proc).stdout
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3); a single run is all three."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
 
 
 def loaded_modules(command: list[str]) -> str:

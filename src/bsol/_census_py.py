@@ -33,10 +33,12 @@ stubs, states whose one predecessor is a leaf, and a tenth is forks,
 states whose two predecessors are a leaf and a stub.  A predecessor's
 first three births are state's first three past the undone pile, then
 newborns, so whether it is a stub or a fork is read off state[0..3] as
-well.  The walk builds only the states it will expand, and counts the
-leaves, stubs and forks of each level as plain ints; a shape's states
-are counted at its own level and the next ones: a leaf 1, a stub 1 and
-1, a fork 1, 2 and 1.
+well.  Leaves and stubs come only from the first two piles and forks
+from the first three, so the walk tests the first two piles directly
+and loops over piles only from the third.  It builds only the states it
+will expand, and counts the leaves, stubs and forks of each level as
+plain ints; a shape's states are counted at its own level and the next
+ones: a leaf 1, a stub 1 and 1, a fork 1, 2 and 1.
 """
 
 from __future__ import annotations
@@ -102,57 +104,75 @@ def _birth_levels(
         # at its end caps at the same level as a check after every state
         for i in range(0, len(level), 256):
             for state in level[i : i + 256]:
-                # a pile born at t <= room can have been stacked last; equal
-                # births give equal predecessors, so only the first is tried.
-                # The predecessor p from pile j has top + 1 - t piles and
-                # room t + 2, and its first births a, b, c are state's first
-                # three past j, then newborns; for j > 1, b = state[1] <= t.
-                # p is a leaf when a > t + 2, which needs j = 0.  It is a
-                # stub when it is one pile (t = top) and a < top, or when
-                # b > t + 2 (a is then its one pile to undo) and b > a + 2
-                # (the predecessor that leaves starts with b, past its room
-                # a + 2); a < t for j = 1 and a >= t for j = 0.  It is a fork
-                # when its only piles to undo are a < b <= t + 2 (c > t + 2,
-                # or it is two piles), undoing a leaves a leaf (b > a + 2) and
-                # undoing b a stub: one pile (b = top + 1), or a second birth,
-                # c or a newborn at top + 2, past its room b + 2 (c > b + 2,
-                # or b < top when it is two piles).  That needs j = 1 or 2,
-                # as for j = 0, a >= t; for j = 2, b < t, and for j = 1 the
-                # stub test leaves t < top and b <= t + 2.  No stub or fork
-                # at depth 0, where every level-1 candidate goes through the
-                # cycle check
+                # undoing a pile born at u <= room, which can have been
+                # stacked last, gives the predecessor p: top + 1 - u piles,
+                # room u + 2, and state's births past u, then newborns at
+                # top + 1.  Equal births give equal predecessors, so only the
+                # first is tried.  t, a, b, c are state's first four births,
+                # top + 1 past its end; no birth is past top, and t <= room,
+                # as no built state is a leaf and a cycle state has a
+                # predecessor.  No stub or fork at depth 0, where every
+                # level-1 candidate goes through the cycle check
                 n = len(state)
+                if not n:
+                    continue  # the empty partition, W's cycle
                 room = top + 2 - n
+                t = state[0]
+                a = state[1] if n > 1 else top + 1
                 b = state[2] if n > 2 else top + 1
-                prev, j = None, 0
-                for t in state:
-                    if t > room:
+                # j = 0: p starts a >= t, b, c.  It is a leaf when a > t + 2;
+                # undoing any other pile keeps t in front, so no other p is.
+                # It is a stub when b > a + 2: then b > t + 2, so a is its one
+                # pile to undo, and the predecessor that leaves starts with b,
+                # past its room a + 2.  A one-pile p (t = top) is no stub, as
+                # its birth a >= top.  A fork's first birth is below u, as its
+                # second is past the first + 2 and at most u + 2; p's, a, is not
+                if a > t + 2:
+                    leaf += 1
+                elif depth and b > a + 2:
+                    stub += 1
+                else:
+                    push(state[1:] + born * (room - t))
+                if n < 2 or a > room:
+                    continue
+                # j = 1: p starts t < a, b, c, so it is no leaf.  It is a stub
+                # when it is one pile (a = top; its birth t < top), or when
+                # b > a + 2: t is then its one pile to undo, and the
+                # predecessor that leaves starts with b, past its room t + 2.
+                # It is a fork when its only piles to undo are t < b <= a + 2
+                # (c > a + 2, or it is two piles), undoing t leaves a leaf
+                # (b > t + 2) and undoing b a stub: one pile (b = top + 1), or
+                # a second birth, c or a newborn at top + 2, past its room
+                # b + 2 (c > b + 2, or b < top when it is two piles).  The
+                # stub test leaves a < top and b <= a + 2
+                if a != t:
+                    if not depth:
+                        push(state[:1] + state[2:] + born * (room - a))
+                    elif a == top or b > a + 2:
+                        stub += 1
+                    elif t + 2 < b and (
+                        (state[3] if n > 3 else top + 1) > b + 2 if a < top - 1 else b != top
+                    ):
+                        fork += 1
+                    else:
+                        push(state[:1] + state[2:] + born * (room - a))
+                # j >= 2: p starts t, a < u, so it is no leaf or stub, and
+                # past j = 2 no fork, as t, a, b are three piles to undo.  For
+                # j = 2 it is a fork when a > t + 2 (undoing t leaves a leaf)
+                # and t, a are its only piles to undo: it is two piles, or its
+                # third birth, c or a newborn when state is three piles, is
+                # past u + 2 and so a's room (undoing a leaves a stub)
+                j, prev = 2, a
+                while j < n:
+                    u = state[j]
+                    if u > room:
                         break
-                    if t != prev:
-                        prev = t
-                        if j > 1:
-                            if j == 2 and depth and state[0] + 2 < state[1] and (
-                                n == 3 or state[3] > t + 2
-                            ):
-                                fork += 1
-                            else:
-                                push(state[:j] + state[j + 1 :] + born * (room - t))
+                    if u != prev:
+                        prev = u
+                        if j == 2 and depth and t + 2 < a and (n == 3 or state[3] > u + 2):
+                            fork += 1
                         else:
-                            a = state[1 - j] if n > 1 else top + 1
-                            if a > t + 2:
-                                leaf += 1
-                            elif not depth:
-                                push(state[:j] + state[j + 1 :] + born * (room - t))
-                            elif a < top if t == top else b > (t if j else a) + 2:
-                                stub += 1
-                            elif j and a + 2 < b and (
-                                (state[3] if n > 3 else top + 1) > b + 2
-                                if t < top - 1
-                                else b != top
-                            ):
-                                fork += 1
-                            else:
-                                push(state[:j] + state[j + 1 :] + born * (room - t))
+                            push(state[:j] + state[j + 1 :] + born * (room - u))
                     j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor

@@ -2,7 +2,7 @@ import contextlib
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bsol
@@ -156,6 +156,15 @@ def walked(seeds, budget):
     return levels, False
 
 
+def recurrent(state):
+    """Whether the forward move brings state back to itself."""
+    seen, s = set(), forward_move(state)
+    while s != state and s not in seen:
+        seen.add(s)
+        s = forward_move(s)
+    return s == state
+
+
 def depths(levels):
     """Each state of levels with its level."""
     return {s: depth for depth, split in enumerate(levels) for part in split for s in part}
@@ -190,6 +199,18 @@ class TestBuildOrbit:
         # the walk expands only what it built: a built state's image was built
         for split, above in zip(levels[1:], levels):
             assert {forward_move(s) for s in split.expand} <= set(above.expand)
+
+    @given(parts=st.lists(st.integers(1, 10), min_size=1, max_size=5))
+    @example(parts=[3, 3])  # its first pile's predecessor is a stub
+    @example(parts=[6, 3, 2])  # its third pile's predecessor is a fork
+    @settings(max_examples=60, deadline=None)
+    def test_walk_from_any_state_off_the_cycles(self, parts):
+        # a state off every cycle with a predecessor hangs a tree of them as
+        # well, and its first piles can lie more than two apart, as no cycle
+        # state's do: the walk must still count no stub or fork at level 1
+        state = tuple(sorted(parts, reverse=True))
+        assume(predecessors(state) and not recurrent(state))
+        walked([state], 2000)
 
     def test_all_states_share_the_weight(self):
         n = weight("BWWW" * 2)
@@ -300,6 +321,20 @@ class TestKernels:
                 check_kernel(_census_py.census_levels, seeds, word, power)
                 levels, capped = walked(seeds, 10**6)
             assert not capped and depths(levels) == basin_levels(word, power)
+
+    @pytest.mark.parametrize("word", ["W", "B", "WW"])
+    def test_smallest_cycles_in_every_container(self, word):
+        # W's cycle is the empty partition, and B's and W^2's are one pile,
+        # so the walk reads past the end of each state there: each cycle
+        # is its whole orbit, with no leaf, stub or fork, in each container
+        seeds = cycle_partitions(word)
+        box = {"bytes": bytes, "tuples": tuple, "switch": bytes}
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                assert _census_py.census_levels(seeds, 1) == ([1], False)
+                ((size, level, *shapes),) = _census_py._birth_levels(seeds, 1)
+            assert size == 1 and shapes == [0, 0, 0]
+            assert type(level[0]) is box[container]
 
     def test_big_board_honors_the_budget(self):
         # a 277-chip board stops at its budget with its whole cycle counted
