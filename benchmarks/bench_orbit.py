@@ -2,9 +2,9 @@
 
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
-CEILING states, with _census_py.census_levels, which counts leaves, stubs
-(states whose one predecessor is a leaf) and forks (states whose two
-predecessors are a leaf and a stub) as plain ints, without building them.
+CEILING states, with _census_py.census_levels, which counts the states
+that root binomial trees B_k (leaves, stubs, forks and trees of every
+higher order k) as plain ints, without building them.
 It runs the whole sweep N times and prints the total states, the median
 seconds of a sweep with the first and third quartiles of the N beside
 it, so that the spread between runs shows, the same three of the states
@@ -14,8 +14,9 @@ per second, and the process's own peak resident memory after the sweeps
 Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
 tabulated above CEILING.  The script exits non-zero when one does not.
-It then splits the counted states into those the walk built, the leaves,
-the stubs and the forks it only counted, each with its share.
+It then splits the counted states into those the walk built and those
+it only counted, by the order of the tree each roots, each with its
+share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -60,22 +61,24 @@ def peak_rss_mb() -> float:
     raise SystemExit("no VmHWM line in /proc/self/status")
 
 
-def built_and_counted(seeds) -> tuple[int, int, int, int]:
-    """States the counting walk builds; leaves, stubs and forks it only counts.
+def built_and_counted(seeds) -> list[int]:
+    """States the counting walk builds, then those it only counts, by order.
 
-    The leaves include each stub's and each fork's leaf, and the stubs
-    each fork's stub, all further down.
+    Entry k + 1 is the states that root a B_k, met at their own level or
+    carried down from a larger tree above them.
     """
-    built = leaves = stubs = forks = 0
+    counts = [0]
     for s in seeds:
         for step in _census_py._birth_levels(s, CEILING):
             if step is not None:
-                _, level, leaf, stub, fork = step
-                built += len(level)
-                leaves += leaf + stub + 2 * fork
-                stubs += stub + fork
-                forks += fork
-    return built, leaves, stubs, forks
+                _, level, orders = step
+                counts += [0] * (len(orders) + 1 - len(counts))
+                counts[0] += len(level)
+                for k, n in enumerate(orders, 1):
+                    counts[k] += n
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return counts
 
 
 def main() -> None:
@@ -115,7 +118,7 @@ def main() -> None:
     counts = built_and_counted(seeds)
     total = sum(counts)
     print(f"census_levels counted {total} states:")
-    kinds = ("built", "leaves, counted only", "stubs, counted only", "forks, counted only")
+    kinds = ["built"] + [f"B_{k}, counted only" for k in range(len(counts) - 1)]
     for what, n in zip(kinds, counts):
         print(f"{n:>9} {n / total:6.1%}  {what}")
 

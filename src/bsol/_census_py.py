@@ -24,32 +24,58 @@ level into tuples and goes on with them, and a cycle whose largest pile
 is _BYTE_MAX or more starts on tuples.  _flip turns pile values into
 stored births and back.
 
-Three shapes of the forest are counted, never built.  Nearly half of an
-orbit is leaves, states with no predecessor: their first birth is past
-their room.  Undoing any pile but the first keeps state[0] <= t in front,
-so only the first pile's predecessor can be a leaf, and comparing
-state[1] with t + 2 tells before it is built.  A further quarter is
-stubs, states whose one predecessor is a leaf, and a tenth is forks,
-states whose two predecessors are a leaf and a stub.  A predecessor's
-first three births are state's first three past the undone pile, then
-newborns, so whether it is a stub or a fork is read off state[0..3] as
-well.  Leaves and stubs come only from the first two piles and forks
-from the first three, so the walk tests the first two piles directly
-and loops over piles only from the third.  It builds only the states it
-will expand, and counts the leaves, stubs and forks of each level as
-plain ints; a shape's states are counted at its own level and the next
-ones: a leaf 1, a stub 1 and 1, a fork 1, 2 and 1.
+Binomial trees of the forest are counted, never built.  A leaf, a
+state with no predecessor, is B_0, and a state whose predecessors are
+B_0 ... B_(k-1), one each, is B_k.  Nearly half of an orbit is leaves, a
+quarter B_1 (stubs) and a tenth B_2 (forks); a twentieth roots a larger
+tree.  A B_k holds C(k, i) states i levels below its root: its child B_m
+holds C(m, i - 1) there, and these sum over m < k to C(k, i).  So the
+walk counts each level's states by the order of the tree they root, and
+carries trees, not states: a B_k puts one each of B_0 ... B_(k-1) on the
+next level.
+
+Undoing the i-th of a B_k's k births to undo keeps the i before it, so
+it leaves B_i: a B_k's births to undo lie more than 2 apart, and its next
+birth is past its room and past the last of them + 2.  Undoing pile j of
+a state at top T and room R, born at u <= R (it can have been stacked
+last; of equal births only the first, as they give equal predecessors),
+gives p: T + 1 - u piles of room u + 2, the state's births without pile
+j, then R - u newborns at T + 1.  p keeps the j births before pile j to
+undo, so it is B_j, B_(j + 1) or no tree, and no tree once two of them
+lie 2 or less apart.  Let x be p's first birth after them: state[j + 1],
+else a newborn when R > u, else none.  When the births before pile j lie
+more than 2 apart, p is B_j when x > u + 2 or there is no x, and
+B_(j + 1) when x <= u + 2, x > state[j - 1] + 2 and p's next birth after
+x is past x + 2; else it is built.  From j = 2 on a newborn x is past
+u + 2, and when p has no birth after x, undoing x leaves newborns at
+T + 2, past x + 2.
+
+The walk reads t, a, b, c, a state's first four births (T + 1 past its
+end: no birth is past T), and writes the rule out for j = 0 and 1, where
+p can be one or two piles and those newborns at T + 2 count.  j = 0 gives
+a leaf when a > t + 2, else a stub when b > a + 2; a one-pile p (t = T)
+is no stub, as its birth a >= T.  j = 1 gives a stub when p is one pile
+(a = T, its birth t < T) or b > a + 2.  That leaves a < T and b <= a + 2,
+and it gives a fork when t + 2 < b and undoing b leaves a stub: b is one
+pile past t (b = T + 1), or its next birth, c or a newborn at T + 2 when
+p is two piles (a >= T - 1), is past b + 2 (c > b + 2, or b < T).  From
+j = 2 the walk runs the rule in a loop, and at the first gap of 2 or less
+falls into a loop that only builds.  It builds only the states it will
+expand.  No built state's first birth is past its room, as no built state
+is a leaf and every cycle state has a predecessor.  At depth 0 only
+leaves are counted: every level-1 candidate goes through the cycle check.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
-Step = tuple[int, list[State], int, int, int]
+Step = tuple[int, list[State], list[int]]
 
 _BYTE_MAX = 255  # the largest stored birth a byte string holds
 
@@ -66,53 +92,46 @@ def _flip(
 def _birth_levels(
     seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
 ) -> Iterator[Step | None]:
-    # each level as (its size, the states to expand, and how many of its
-    # states are leaves, stubs and forks); None when the budget runs out.
-    # A stub's leaf and a fork's leaf, stub and the stub's leaf lie further
-    # down, so they are carried into the sizes of the next two levels.
-    # The walk stops after level max_depth
+    # each level as (its size, the states to expand, and how many of the
+    # others root a B_k, by k); None when the budget runs out.  The walk
+    # stops after level max_depth
     cycle = list(dict.fromkeys(seeds))
     off = max([v for s in cycle for v in s], default=0)
     box = bytes if off < _BYTE_MAX else tuple
     on_cycle = set(_flip(cycle, off, 1, box))  # the cycle as level-1 births
     level = _flip(cycle, off, 0, box)
     size = total = len(level)
-    depth = later = leaf = stub = fork = 0
+    depth = 0
+    orders: list[int] = []
     while size:
-        yield size, level, leaf, stub, fork
+        yield size, level, orders
         if depth == max_depth:
             if total > max_states:  # only the cycle is not checked below
                 yield None
             return
-        # counted ahead: states of the next level, and later those of the
-        # level after it, that shapes counted so far put there
-        ahead, later = later + stub + 2 * fork, fork
+        top = off + depth  # the level's depth as a stored birth
+        # the next level's trees by order: those carried down, trees[k] =
+        # sum(orders[k + 1:]), padded to the largest order it can count.  A
+        # tree counted at pile j needs the j births before it, each at least
+        # 1 and 3 apart, below u <= top + 1 - j: so j <= (top + 2) // 4
+        trees = [*accumulate(orders[:0:-1])][::-1]
+        trees += [0] * (top // 4 + 3 - len(trees))
         nxt: list[State] = []
         push = nxt.append
-        leaf = stub = fork = 0
-        top = off + depth  # the level's depth as a stored birth
+        leaf = stub = fork = 0  # the first two piles' trees, kept as locals
         if box is bytes and top >= _BYTE_MAX:
             # a newborn's stored birth, top + 1, would not fit a byte
             box = tuple
             level = [tuple(s) for s in level]
         born = box((top + 1,))
-        left = max_states - total - ahead
-        if left < 0:
+        left = max_states - total
+        if sum(trees) > left:
             yield None
             return
         # counts only grow within a level, so a check every 256 states and
         # at its end caps at the same level as a check after every state
         for i in range(0, len(level), 256):
             for state in level[i : i + 256]:
-                # undoing a pile born at u <= room, which can have been
-                # stacked last, gives the predecessor p: top + 1 - u piles,
-                # room u + 2, and state's births past u, then newborns at
-                # top + 1.  Equal births give equal predecessors, so only the
-                # first is tried.  t, a, b, c are state's first four births,
-                # top + 1 past its end; no birth is past top, and t <= room,
-                # as no built state is a leaf and a cycle state has a
-                # predecessor.  No stub or fork at depth 0, where every
-                # level-1 candidate goes through the cycle check
                 n = len(state)
                 if not n:
                     continue  # the empty partition, W's cycle
@@ -120,14 +139,7 @@ def _birth_levels(
                 t = state[0]
                 a = state[1] if n > 1 else top + 1
                 b = state[2] if n > 2 else top + 1
-                # j = 0: p starts a >= t, b, c.  It is a leaf when a > t + 2;
-                # undoing any other pile keeps t in front, so no other p is.
-                # It is a stub when b > a + 2: then b > t + 2, so a is its one
-                # pile to undo, and the predecessor that leaves starts with b,
-                # past its room a + 2.  A one-pile p (t = top) is no stub, as
-                # its birth a >= top.  A fork's first birth is below u, as its
-                # second is past the first + 2 and at most u + 2; p's, a, is not
-                if a > t + 2:
+                if a > t + 2:  # j = 0
                     leaf += 1
                 elif depth and b > a + 2:
                     stub += 1
@@ -135,17 +147,7 @@ def _birth_levels(
                     push(state[1:] + born * (room - t))
                 if n < 2 or a > room:
                     continue
-                # j = 1: p starts t < a, b, c, so it is no leaf.  It is a stub
-                # when it is one pile (a = top; its birth t < top), or when
-                # b > a + 2: t is then its one pile to undo, and the
-                # predecessor that leaves starts with b, past its room t + 2.
-                # It is a fork when its only piles to undo are t < b <= a + 2
-                # (c > a + 2, or it is two piles), undoing t leaves a leaf
-                # (b > t + 2) and undoing b a stub: one pile (b = top + 1), or
-                # a second birth, c or a newborn at top + 2, past its room
-                # b + 2 (c > b + 2, or b < top when it is two piles).  The
-                # stub test leaves a < top and b <= a + 2
-                if a != t:
+                if a != t:  # j = 1
                     if not depth:
                         push(state[:1] + state[2:] + born * (room - a))
                     elif a == top or b > a + 2:
@@ -156,32 +158,47 @@ def _birth_levels(
                         fork += 1
                     else:
                         push(state[:1] + state[2:] + born * (room - a))
-                # j >= 2: p starts t, a < u, so it is no leaf or stub, and
-                # past j = 2 no fork, as t, a, b are three piles to undo.  For
-                # j = 2 it is a fork when a > t + 2 (undoing t leaves a leaf)
-                # and t, a are its only piles to undo: it is two piles, or its
-                # third birth, c or a newborn when state is three piles, is
-                # past u + 2 and so a's room (undoing a leaves a stub)
                 j, prev = 2, a
+                if depth and t + 2 < a:
+                    # the rule from j = 2, while the births before j lie
+                    # more than 2 apart; prev is state[j - 1]
+                    while j < n:
+                        u = state[j]
+                        if u > room or u == prev:
+                            break
+                        x = state[j + 1] if j + 1 < n else top + 3  # p is B_j
+                        if x > u + 2:
+                            trees[j] += 1
+                        elif x > prev + 2 and (
+                            state[j + 2] > x + 2 if j + 2 < n else room == u or x < top - 1
+                        ):
+                            trees[j + 1] += 1
+                        else:
+                            push(state[:j] + state[j + 1 :] + born * (room - u))
+                        j += 1
+                        if u <= prev + 2:
+                            prev = u
+                            break
+                        prev = u
                 while j < n:
                     u = state[j]
                     if u > room:
                         break
                     if u != prev:
                         prev = u
-                        if j == 2 and depth and t + 2 < a and (n == 3 or state[3] > u + 2):
-                            fork += 1
-                        else:
-                            push(state[:j] + state[j + 1 :] + born * (room - u))
+                        push(state[:j] + state[j + 1 :] + born * (room - u))
                     j += 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]
-            if len(nxt) + leaf + stub + fork > left:
+            if len(nxt) + leaf + stub + fork + sum(trees) > left:
                 yield None
                 return
-        size = ahead + len(nxt) + leaf + stub + fork
-        total, level, depth = total + size, nxt, depth + 1
+        trees[0] += leaf
+        trees[1] += stub
+        trees[2] += fork
+        size = len(nxt) + sum(trees)
+        total, level, orders, depth = total + size, nxt, trees, depth + 1
 
 
 def census_levels(
@@ -192,8 +209,8 @@ def census_levels(
     sizes[i] counts states i reverse moves from the cycle (level 0), for
     the levels up to max_depth (all of them when it is None).  When the
     states counted pass max_states the walk stops with capped=True and the
-    sizes of the levels whose predecessors were being generated.  Leaves,
-    stubs and forks are counted, never built.
+    sizes of the levels whose predecessors were being generated.  States
+    that root binomial trees are counted, never built.
     """
     sizes: list[int] = []
     for step in _birth_levels(seeds, max_states, max_depth):

@@ -15,11 +15,11 @@ pile by one, so birth depths never change and a predecessor is two
 slices and a pad of newborn piles.  A state is a byte string, one byte a
 pile, holding its birth depth plus an offset, the cycle's largest pile,
 so no byte is negative; a walk whose births would pass 255 turns its
-states into tuples and goes on with them.  Leaves, nearly half of every
-orbit, stubs, states whose one predecessor is a leaf, a further quarter, and
-forks, states whose two predecessors are a leaf and a stub, a tenth, are
-told apart before they are built, so the walk only counts them, as
-plain ints, and builds about a sixth of the states.  A caller that
+states into tuples and goes on with them.  States that root binomial
+trees B_k (leaves, nearly half of every orbit, are B_0; a state whose
+predecessors are B_0 ... B_(k-1), one each, is B_k) are told apart
+before they are built, so the walk only counts them by order, as plain
+ints, and builds about a ninth of the states.  A caller that
 reads only the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
 the lemma 2.16 check counts its paths with partitions.predecessors,
 apart from the walk.

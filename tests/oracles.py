@@ -10,8 +10,9 @@ build inputs with:
 - the reverse move on finite barred difference sequences, the finite
   form of the infinite-board move;
 - forward trajectories, partition enumeration and the staircase;
-- the census walk's levels, each state classified as a leaf, stub, fork
-  or state to expand by a plain predecessors search;
+- the census walk's levels, each state classified by the order of the
+  binomial tree it roots, or as a state to expand, by a plain
+  predecessors search;
 - a necklace's chip count, the first anchor of the anchored reduction,
   a reference closed form by necklace, the two published series-level
   forms, and a parser for the polynomial text format.
@@ -341,62 +342,60 @@ def staircase(k: int) -> tuple[int, ...]:
 Preds = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
 
 
-def is_leaf(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
-    """No predecessor."""
-    return not preds(parts)
+def binomial_order(parts: tuple[int, ...], preds: Preds = predecessors) -> int | None:
+    """k when parts roots a binomial tree B_k: its predecessors are B_0 ... B_(k-1), one each.
 
-
-def is_stub(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
-    """One predecessor, a leaf."""
+    A leaf is B_0, a state whose one predecessor is a leaf B_1, and one
+    whose two are a leaf and a B_1 is B_2.  None when parts roots no
+    binomial tree.  A predecessor with k or more predecessors of its own
+    cannot be one of B_0 ... B_(k-1), so the search never goes deeper than
+    k levels.
+    """
     ps = preds(parts)
-    return len(ps) == 1 and is_leaf(ps[0], preds)
-
-
-def is_fork(parts: tuple[int, ...], preds: Preds = predecessors) -> bool:
-    """Two predecessors, a leaf and a stub."""
-    ps = preds(parts)
-    return len(ps) == 2 and any(
-        is_leaf(a, preds) and is_stub(b, preds) for a, b in (ps, ps[::-1])
-    )
+    k = len(ps)
+    below = set()
+    for p in ps:
+        if len(preds(p)) >= k:
+            return None
+        below.add(binomial_order(p, preds))
+    return k if below == set(range(k)) else None
 
 
 class LevelShapes(NamedTuple):
     """One orbit level split as the census walk splits it, in value form."""
 
     expand: list[tuple[int, ...]]
-    leaves: list[tuple[int, ...]]
-    stubs: list[tuple[int, ...]]
-    forks: list[tuple[int, ...]]
+    orders: list[list[tuple[int, ...]]]  # orders[k]: the states that root a B_k
+
+    def states(self) -> list[tuple[int, ...]]:
+        return self.expand + [s for part in self.orders for s in part]
 
 
 def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
     """The levels of the orbit hanging off the cycle seeds, by a predecessors search.
 
     Each state is classified as the census walk classifies it: from level
-    1 on a state with no predecessor is a leaf, and from level 2 on one
-    whose one predecessor is a leaf is a stub and one whose two are a leaf
-    and a stub is a fork; every other state is one the walk expands.  The
-    states under a stub or fork, which the walk counts with it and never
-    reaches, are leaves and stubs themselves and are classified as such.
-    Levels are made one at a time, so a caller that stops early builds
-    none past it.
+    1 on a state with no predecessor is a leaf, B_0, and from level 2 on a
+    state that roots a binomial tree B_k is put with the others of its
+    order k; every other state is one the walk expands.  The states of a
+    B_k's subtree, which the walk counts and never reaches, root binomial
+    trees themselves and are classified by their own order.  orders has
+    no trailing empty list.  Levels are made one at a time, so a caller
+    that stops early builds none past it.
     """
-    # classifying a state reads the predecessors of states up to three levels down
     preds = functools.cache(predecessors)
     cycle = set(seeds)
     level = list(dict.fromkeys(seeds))
     depth = 0
     while level:
-        split = LevelShapes([], [], [], [])
+        split = LevelShapes([], [])
         for state in level:
-            if depth and is_leaf(state, preds):
-                split.leaves.append(state)
-            elif depth > 1 and is_stub(state, preds):
-                split.stubs.append(state)
-            elif depth > 1 and is_fork(state, preds):
-                split.forks.append(state)
-            else:
+            k = binomial_order(state, preds) if depth else None
+            if k is None or (depth == 1 and k):
                 split.expand.append(state)
+            else:
+                split.orders.extend([] for _ in range(k + 1 - len(split.orders)))
+                split.orders[k].append(state)
         yield split
         level = [p for s in level for p in preds(s) if p not in cycle]
         depth += 1

@@ -47,8 +47,8 @@ def test_startup_stops_on_a_failed_command():
 
 @pytest.mark.parametrize("word,power", [("BWW", 4), ("BBBBBW", 2)])
 def test_orbit_split_adds_up_to_the_census(word, power):
-    # built, leaves, stubs and forks, each shape weighted by the states it
-    # stands for, must total the census, so the split cannot drift from the walk
+    # the built states and the counted ones of each order must total the
+    # census, so the split cannot drift from the walk
     orbit = load(BENCHMARKS / "bench_orbit.py")
     seeds = cycle_partitions(word * power)
     sizes, capped = _census_py.census_levels(seeds, orbit.CEILING)

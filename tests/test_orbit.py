@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,9 +25,8 @@ from bsol.partitions import forward_move, predecessors
 from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
+    binomial_order,
     h_series_forms,
-    is_fork,
-    is_stub,
     parse_poly,
     shaped_levels,
     weight,
@@ -130,30 +130,35 @@ def walked(seeds, budget):
     """The census walk's steps, checked level by level against oracles.shaped_levels.
 
     Each step's states to expand, decoded with _flip, must be the oracle's
-    as a sorted list, and its size the oracle level's.  Its counts, carried
-    down as the walk carries them (a stub's leaf one level down; a fork's
-    leaf and stub one level down and the stub's leaf two levels down),
-    must be the oracle's leaves, stubs and forks at that level.  Returns
-    (levels, capped): the oracle's split of each level the walk completed.
+    as a sorted list, and its size the oracle level's.  Its count of each
+    order k must be the number of states there that root a B_k, which the
+    walk counts at the level where it met the tree's root, or carried down
+    from a tree counted above: a B_k puts one each of B_0 ... B_(k-1) a
+    level down, C(k, i) states i levels down in all.  Returns (levels,
+    capped): the oracle's split of each level the walk completed.
     """
     off = offset(seeds)
     oracle = shaped_levels(seeds)
-    levels, counts = [], [(0, 0, 0), (0, 0, 0)]  # the walk's counts, from two levels up
+    levels = []
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        size, level, leaves, stubs, forks = step
+        size, level, orders = step
         split = next(oracle)
         assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
-        (_, _, forks2), (_, stubs1, forks1) = counts[-2:]
-        assert leaves + stubs1 + forks1 + forks2 == len(split.leaves)
-        assert stubs + forks1 == len(split.stubs)
-        assert forks == len(split.forks)
-        assert size == sum(map(len, split))
-        counts.append((leaves, stubs, forks))
+        assert trimmed(orders) == [len(part) for part in split.orders]
+        assert size == len(split.states())
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
+
+
+def trimmed(orders):
+    """A step's counts by order, without the trailing zeros the walk pads them with."""
+    orders = list(orders)
+    while orders and not orders[-1]:
+        orders.pop()
+    return orders
 
 
 def recurrent(state):
@@ -167,7 +172,7 @@ def recurrent(state):
 
 def depths(levels):
     """Each state of levels with its level."""
-    return {s: depth for depth, split in enumerate(levels) for part in split for s in part}
+    return {s: depth for depth, split in enumerate(levels) for s in split.states()}
 
 
 class TestBuildOrbit:
@@ -177,14 +182,14 @@ class TestBuildOrbit:
     def test_census_matches_kernel(self, word, power):
         levels, capped = walked(cycle_partitions(word * power), 10**6)
         assert not capped
-        sizes = [sum(map(len, split)) for split in levels]
+        sizes = [len(split.states()) for split in levels]
         assert IntPoly(dict(enumerate(sizes))) == d_series(word, power)
         assert sum(sizes) == orbit_size(word, power)
 
     def test_roots_are_the_cycle(self):
         levels, _ = walked(cycle_partitions("BWW"), 10**6)
         assert sorted(levels[0].expand) == sorted(set(cycle_partitions("BWW")))
-        assert levels[0][1:] == ([], [], [])
+        assert levels[0].orders == []
 
     def test_depth_is_max_level(self):
         levels, _ = walked(cycle_partitions("BBW"), 10**6)
@@ -207,7 +212,7 @@ class TestBuildOrbit:
     def test_walk_from_any_state_off_the_cycles(self, parts):
         # a state off every cycle with a predecessor hangs a tree of them as
         # well, and its first piles can lie more than two apart, as no cycle
-        # state's do: the walk must still count no stub or fork at level 1
+        # state's do: the walk must still count no tree but a leaf at level 1
         state = tuple(sorted(parts, reverse=True))
         assume(predecessors(state) and not recurrent(state))
         walked([state], 2000)
@@ -326,14 +331,14 @@ class TestKernels:
     def test_smallest_cycles_in_every_container(self, word):
         # W's cycle is the empty partition, and B's and W^2's are one pile,
         # so the walk reads past the end of each state there: each cycle
-        # is its whole orbit, with no leaf, stub or fork, in each container
+        # is its whole orbit, with no tree counted, in each container
         seeds = cycle_partitions(word)
         box = {"bytes": bytes, "tuples": tuple, "switch": bytes}
         for container in CONTAINERS:
             with holding(container, seeds):
                 assert _census_py.census_levels(seeds, 1) == ([1], False)
-                ((size, level, *shapes),) = _census_py._birth_levels(seeds, 1)
-            assert size == 1 and shapes == [0, 0, 0]
+                ((size, level, orders),) = _census_py._birth_levels(seeds, 1)
+            assert size == 1 and not any(orders)
             assert type(level[0]) is box[container]
 
     def test_big_board_honors_the_budget(self):
@@ -354,7 +359,7 @@ class TestBirthDepths:
         seeds = cycle_partitions(word * power)
         cycle = set(seeds)
         splits, capped = walked(seeds, 2000)
-        levels = [[s for part in split for s in part] for split in splits]
+        levels = [split.states() for split in splits]
         if not capped:
             levels.append([])  # the walk ends where no state has a predecessor
         assert sorted(levels[0]) == sorted(cycle)
@@ -495,18 +500,37 @@ class TestDepthBound:
             assert [step[0] for step in steps] == want
 
 
-class TestStubCounting:
-    """census_levels counts stubs, states whose one predecessor is a leaf."""
+class TestBinomialCounting:
+    """census_levels counts the states that root binomial trees B_k, of every order k."""
 
-    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @given(
+        word=st.text(alphabet="BW", min_size=1, max_size=7),
+        power=st.integers(1, 3),
+        container=st.sampled_from(CONTAINERS),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
-        # walked checks that the stubs counted at each level, with those of
-        # the forks counted a level up, are as many as the states there
-        # whose one predecessor is a leaf; from level 2 on the walk builds
-        # none
-        levels, _ = walked(cycle_partitions(word * power), 5000)
-        assert not any(is_stub(s) for split in levels[2:] for s in split.expand)
+    def test_each_counted_state_roots_a_binomial_tree(self, word, power, container):
+        # walked checks that each level's count of order k is as many as
+        # the states there whose predecessors are B_0 ... B_(k-1), one each,
+        # and that from level 2 on the walk builds none of them
+        seeds = cycle_partitions(word * power)
+        with holding(container, seeds):
+            walked(seeds, 5000)
+
+    def test_orders_three_to_five_in_every_container(self):
+        # BWW^4 has states of every order up to 5; a B_5 counted at level
+        # 9 puts 5, 10, 10, 5 and 1 of its states on the five levels below
+        seeds = cycle_partitions("BWW" * 4)
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                levels, capped = walked(seeds, 10**6)
+            assert not capped
+            assert [len(part) for part in levels[9].orders] == [15, 9, 5, 1, 0, 1]
+            assert {k for split in levels for k, part in enumerate(split.orders) if part} == set(range(6))
+
+
+class TestStubCounting:
+    """census_levels counts stubs, B_1, states whose one predecessor is a leaf."""
 
     def test_stubs_are_counted_ahead(self):
         # BBW has a level of leaves and stubs only: no state is left to
@@ -514,7 +538,7 @@ class TestStubCounting:
         # the cap check
         seeds = cycle_partitions("BBW")
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert any(stubs and not level for _, level, _, stubs, _ in steps)
+        assert any(orders[1] and not level for _, level, orders in steps[1:])
         full = basin_census("BBW", 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
@@ -525,22 +549,13 @@ class TestStubCounting:
         # built: every level-1 candidate goes through the cycle check
         seeds = cycle_partitions("BWW")
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert [len(level) + leaves for _, level, leaves, _, _ in steps] == [3, 1, 1]
-        assert len(steps[1][1]) == 1 and steps[1][3] == 0
-        assert is_stub(_census_py._flip(steps[1][1], offset(seeds), 1)[0])
+        assert [len(level) + sum(orders) for _, level, orders in steps] == [3, 1, 1]
+        assert len(steps[1][1]) == 1 and steps[1][2][1] == 0
+        assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 1
 
 
 class TestForkCounting:
-    """census_levels counts forks, states whose two predecessors are a leaf and a stub."""
-
-    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
-    @settings(max_examples=80, deadline=None)
-    def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
-        # walked checks that the forks counted at each level are as many as
-        # the states there whose two predecessors are a leaf and a stub;
-        # from level 2 on the walk builds none
-        levels, _ = walked(cycle_partitions(word * power), 5000)
-        assert not any(is_fork(s) for split in levels[2:] for s in split.expand)
+    """census_levels counts forks, B_2, states whose two predecessors are a leaf and a stub."""
 
     @pytest.mark.parametrize("word,depth", [("BWWW", 3), ("BBWW", 4)])
     def test_forks_are_counted_ahead(self, word, depth):
@@ -549,20 +564,21 @@ class TestForkCounting:
         # down: at every budget each must join the cap check at its level
         seeds = cycle_partitions(word)
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert steps[depth - 1][4] and not steps[depth][1]
+        assert steps[depth - 1][2][2] and not steps[depth][1]
         full = basin_census(word, 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
             assert _census_py.census_levels(seeds, budget) == want
 
     def test_built_states_are_pinned(self):
-        # BWW^4 (625 states): the walk builds 109 and counts 106 leaves,
-        # 89 stubs and 58 forks; a rule turned off builds more
+        # BWW^4 (625 states): the predecessors search of oracles.shaped_levels
+        # leaves 75 states to build, and 311, 147, 58, 21, 11 and 2 states
+        # that root trees of orders 0 to 5; a rule turned off builds more
         steps = list(_census_py._birth_levels(cycle_partitions("BWW" * 4), 10**6))
-        counts = [sum(len(step[1]) for step in steps)]
-        counts += [sum(step[i] for step in steps) for i in range(2, 5)]
-        assert counts == [109, 106, 89, 58]
-        assert counts[0] + counts[1] + 2 * counts[2] + 4 * counts[3] == 625
+        built = sum(len(level) for _, level, _ in steps)
+        orders = [sum(col) for col in itertools.zip_longest(*(o for *_, o in steps), fillvalue=0)]
+        assert [built, *trimmed(orders)] == [75, 311, 147, 58, 21, 11, 2]
+        assert built + sum(orders) == 625
 
     def test_no_fork_at_level_one(self):
         # BBW's one level-1 state has two predecessors, a leaf and a stub,
@@ -571,8 +587,8 @@ class TestForkCounting:
         seeds = cycle_partitions("BBW")
         steps = list(_census_py._birth_levels(seeds, 100))
         assert [step[0] for step in steps] == [3, 1, 2, 1]
-        assert len(steps[1][1]) == 1 and steps[1][4] == 0
-        assert is_fork(_census_py._flip(steps[1][1], offset(seeds), 1)[0])
+        assert len(steps[1][1]) == 1 and steps[1][2][2] == 0
+        assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 2
 
 
 class TestStateBudget:
