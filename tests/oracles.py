@@ -345,8 +345,8 @@ Preds = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
 def binomial_order(parts: tuple[int, ...], preds: Preds = predecessors) -> int | None:
     """k when parts roots a binomial tree B_k: its predecessors are B_0 ... B_(k-1), one each.
 
-    A leaf is B_0, a state whose one predecessor is a leaf B_1, and one
-    whose two are a leaf and a B_1 is B_2.  None when parts roots no
+    A leaf is B_0; a state whose one predecessor is a leaf is B_1, and
+    one whose two are a leaf and a B_1 is B_2.  None when parts roots no
     binomial tree.  A predecessor with k or more predecessors of its own
     cannot be one of B_0 ... B_(k-1), so the search never goes deeper than
     k levels.
