@@ -161,6 +161,18 @@ def trimmed(orders):
     return orders
 
 
+def is_stub(state):
+    """Whether state's one predecessor is a leaf, a state with no predecessor."""
+    preds = predecessors(state)
+    return len(preds) == 1 and not predecessors(preds[0])
+
+
+def is_fork(state):
+    """Whether state's two predecessors are a leaf and a stub."""
+    preds = predecessors(state)
+    return len(preds) == 2 and any(not predecessors(p) for p in preds) and any(map(is_stub, preds))
+
+
 def recurrent(state):
     """Whether the forward move brings state back to itself."""
     seen, s = set(), forward_move(state)
@@ -532,6 +544,18 @@ class TestBinomialCounting:
 class TestStubCounting:
     """census_levels counts stubs, B_1, states whose one predecessor is a leaf."""
 
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
+        # walked checks each level's count of order 1 against the oracle;
+        # here, from level 2 on, the states of order 1 are exactly those
+        # whose one predecessor is a leaf, and the walk builds none of them
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        for split in levels[2:]:
+            stubs = split.orders[1] if len(split.orders) > 1 else []
+            assert set(stubs) == {s for s in split.states() if is_stub(s)}
+            assert not any(is_stub(s) for s in split.expand)
+
     def test_stubs_are_counted_ahead(self):
         # BBW has a level of leaves and stubs only: no state is left to
         # expand there, yet its stubs' leaves, one level down, must join
@@ -556,6 +580,19 @@ class TestStubCounting:
 
 class TestForkCounting:
     """census_levels counts forks, B_2, states whose two predecessors are a leaf and a stub."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
+        # walked checks each level's count of order 2 against the oracle;
+        # here, from level 2 on, the states of order 2 are exactly those
+        # whose two predecessors are a leaf and a stub, and the walk builds
+        # none of them
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        for split in levels[2:]:
+            forks = split.orders[2] if len(split.orders) > 2 else []
+            assert set(forks) == {s for s in split.states() if is_fork(s)}
+            assert not any(is_fork(s) for s in split.expand)
 
     @pytest.mark.parametrize("word,depth", [("BWWW", 3), ("BBWW", 4)])
     def test_forks_are_counted_ahead(self, word, depth):
