@@ -11,8 +11,8 @@ build inputs with:
   form of the infinite-board move;
 - forward trajectories, partition enumeration and the staircase;
 - the census walk's levels, each state classified by the order of the
-  binomial tree it roots, or as a state to expand, by a plain
-  predecessors search;
+  binomial tree it roots, the end and count of its pair tree, or as a
+  state to expand, by a plain predecessors search;
 - a necklace's chip count, the first anchor of the anchored reduction,
   a reference closed form by necklace, the two published series-level
   forms, and a parser for the polynomial text format.
@@ -341,24 +341,47 @@ def staircase(k: int) -> tuple[int, ...]:
 
 Preds = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
 
+# the predecessors of a state, each computed once; the oracles below and
+# the tests that classify states share it
+cached_predecessors: Preds = functools.lru_cache(maxsize=1 << 17)(predecessors)
 
-def binomial_order(parts: tuple[int, ...], preds: Preds = predecessors) -> int | None:
+
+@functools.lru_cache(maxsize=1 << 17)
+def binomial_order(parts: tuple[int, ...], preds: Preds = cached_predecessors) -> int | None:
     """k when parts roots a binomial tree B_k: its predecessors are B_0 ... B_(k-1), one each.
 
     A leaf is B_0; a state whose one predecessor is a leaf is B_1, and
     one whose two are a leaf and a B_1 is B_2.  None when parts roots no
-    binomial tree.  A predecessor with k or more predecessors of its own
-    cannot be one of B_0 ... B_(k-1), so the search never goes deeper than
-    k levels.
+    binomial tree.  A B_i has i predecessors, so the search goes down only
+    when the predecessors have 0 ... k - 1 predecessors of their own, and
+    never deeper than k levels.  Each state's order is found once.
     """
     ps = preds(parts)
     k = len(ps)
-    below = set()
-    for p in ps:
-        if len(preds(p)) >= k:
-            return None
-        below.add(binomial_order(p, preds))
-    return k if below == set(range(k)) else None
+    if sorted(len(preds(p)) for p in ps) != list(range(k)):
+        return None
+    return k if {binomial_order(p, preds) for p in ps} == set(range(k)) else None
+
+
+def pair_shape(
+    parts: tuple[int, ...], preds: Preds = cached_predecessors
+) -> tuple[int, int] | None:
+    """(e, c) when parts roots a pair tree: B_0 ... B_(e-2), one each, and c trees B_e.
+
+    Those are its predecessors; c is 1 or 2 and e at least 1, so a pair
+    tree of end 1 has one or two B_1 as its predecessors and nothing else.
+    None for any other state, a binomial tree among them.  As in
+    binomial_order, the predecessors' own counts of predecessors must fit
+    before the search goes down.
+    """
+    ps = preds(parts)
+    counts = sorted(len(preds(p)) for p in ps)
+    e = counts[-1] if counts else 0
+    c = counts.count(e)
+    if e and c <= 2 and counts == [*range(e - 1), *[e] * c]:
+        if all(binomial_order(p, preds) == len(preds(p)) for p in ps):
+            return e, c
+    return None
 
 
 class LevelShapes(NamedTuple):
@@ -366,9 +389,11 @@ class LevelShapes(NamedTuple):
 
     expand: list[tuple[int, ...]]
     orders: list[list[tuple[int, ...]]]  # orders[k]: the states that root a B_k
+    pairs: dict[tuple[int, int], list[tuple[int, ...]]]  # pairs[e, c]: pair trees
 
     def states(self) -> list[tuple[int, ...]]:
-        return self.expand + [s for part in self.orders for s in part]
+        pairs = [s for part in self.pairs.values() for s in part]
+        return self.expand + [s for part in self.orders for s in part] + pairs
 
 
 def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
@@ -377,21 +402,25 @@ def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
     Each state is classified as the census walk classifies it: from level
     1 on a state with no predecessor is a leaf, B_0, and from level 2 on a
     state that roots a binomial tree B_k is put with the others of its
-    order k; every other state is one the walk expands.  The states of a
-    B_k's subtree, which the walk counts and never reaches, root binomial
-    trees themselves and are classified by their own order.  orders has
-    no trailing empty list.  Levels are made one at a time, so a caller
-    that stops early builds none past it.
+    order k, and one that roots a pair tree of end e with c trees B_e
+    under pairs[e, c]; every other state is one the walk expands.  The
+    states of a counted tree's subtree, which the walk counts and never
+    reaches, root binomial trees themselves and are classified by their
+    own order.  orders has no trailing empty list.  Levels are made one
+    at a time, so a caller that stops early builds none past it.
     """
-    preds = functools.cache(predecessors)
+    preds = cached_predecessors
     cycle = set(seeds)
     level = list(dict.fromkeys(seeds))
     depth = 0
     while level:
-        split = LevelShapes([], [])
+        split = LevelShapes([], [], {})
         for state in level:
             k = binomial_order(state, preds) if depth else None
-            if k is None or (depth == 1 and k):
+            pair = pair_shape(state, preds) if depth > 1 and k is None else None
+            if pair:
+                split.pairs.setdefault(pair, []).append(state)
+            elif k is None or (depth == 1 and k):
                 split.expand.append(state)
             else:
                 split.orders.extend([] for _ in range(k + 1 - len(split.orders)))

@@ -47,13 +47,15 @@ def test_startup_stops_on_a_failed_command():
 
 @pytest.mark.parametrize("word,power", [("BWW", 4), ("BBBBBW", 2)])
 def test_orbit_split_adds_up_to_the_census(word, power):
-    # the built states and the counted ones of each order must total the
-    # census, so the split cannot drift from the walk
+    # the built states, the counted ones of each order and the pair trees
+    # must total the census, so the split cannot drift from the walk
     orbit = load(BENCHMARKS / "bench_orbit.py")
     seeds = cycle_partitions(word * power)
     sizes, capped = _census_py.census_levels(seeds, orbit.CEILING)
     assert not capped
-    assert sum(orbit.built_and_counted([seeds])) == sum(sizes)
+    counts, pairs = orbit.built_and_counted([seeds])
+    assert sum(counts) + sum(pairs.values()) == sum(sizes)
+    assert min(counts) >= 0 and min(pairs.values()) > 0
 
 
 def test_quartiles_are_inclusive():

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,9 @@ from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
     binomial_order,
+    cached_predecessors,
     h_series_forms,
+    pair_shape,
     parse_poly,
     shaped_levels,
     weight,
@@ -131,11 +134,15 @@ def walked(seeds, budget):
 
     Each step's states to expand, decoded with _flip, must be the oracle's
     as a sorted list, and its size the oracle level's.  Its count of each
-    order k must be the number of states there that root a B_k, which the
-    walk counts at the level where it met the tree's root, or carried down
-    from a tree counted above: a B_k puts one each of B_0 ... B_(k-1) a
-    level down, C(k, i) states i levels down in all.  Returns (levels,
-    capped): the oracle's split of each level the walk completed.
+    order k, less the pair trees it counts as B_k, must be the number of
+    states there that root a B_k, and its pair trees of each end e with
+    one and with two B_e the oracle's.  The walk counts a tree at the
+    level where it met the tree's root, or carries it down from a tree
+    counted above: a B_k puts one each of B_0 ... B_(k-1) a level down,
+    C(k, i) states i levels down in all, and a pair tree puts B_0 ...
+    B_(e-2) and its B_e there, so a wrong c shows one level down.
+    Returns (levels, capped): the oracle's split of each level the walk
+    completed.
     """
     off = offset(seeds)
     oracle = shaped_levels(seeds)
@@ -143,10 +150,11 @@ def walked(seeds, budget):
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        size, level, orders = step
+        size, level, orders, once, twice = step
         split = next(oracle)
         assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
-        assert trimmed(orders) == [len(part) for part in split.orders]
+        assert binomial_counts(orders, once, twice) == [len(part) for part in split.orders]
+        assert pair_counts(once, twice) == {shape: len(part) for shape, part in split.pairs.items()}
         assert size == len(split.states())
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
@@ -161,16 +169,41 @@ def trimmed(orders):
     return orders
 
 
+def binomial_counts(orders, once, twice):
+    """A step's states that root a B_k, by k.
+
+    The walk counts a pair tree of end e as a B_(e-1), so its count of
+    order k less its pair trees of end k + 1.
+    """
+    ends = Counter(once) + Counter(twice)
+    return trimmed(n - ends[k + 1] for k, n in enumerate(orders))
+
+
+def pair_counts(once, twice):
+    """A step's pair trees by (e, c): end e, with c trees B_e under each."""
+    counts = {(e, 1): n for e, n in Counter(once).items()}
+    return counts | {(e, 2): n for e, n in Counter(twice).items()}
+
+
+def pair_shapes(levels):
+    """The pair trees of the oracle's levels, by (e, c)."""
+    shapes = Counter()
+    for split in levels:
+        shapes.update({shape: len(part) for shape, part in split.pairs.items()})
+    return shapes
+
+
 def is_stub(state):
     """Whether state's one predecessor is a leaf, a state with no predecessor."""
-    preds = predecessors(state)
-    return len(preds) == 1 and not predecessors(preds[0])
+    preds = cached_predecessors(state)
+    return len(preds) == 1 and not cached_predecessors(preds[0])
 
 
 def is_fork(state):
     """Whether state's two predecessors are a leaf and a stub."""
-    preds = predecessors(state)
-    return len(preds) == 2 and any(not predecessors(p) for p in preds) and any(map(is_stub, preds))
+    preds = cached_predecessors(state)
+    leaf = any(not cached_predecessors(p) for p in preds)
+    return len(preds) == 2 and leaf and any(map(is_stub, preds))
 
 
 def recurrent(state):
@@ -349,8 +382,8 @@ class TestKernels:
         for container in CONTAINERS:
             with holding(container, seeds):
                 assert _census_py.census_levels(seeds, 1) == ([1], False)
-                ((size, level, orders),) = _census_py._birth_levels(seeds, 1)
-            assert size == 1 and not any(orders)
+                ((size, level, orders, once, twice),) = _census_py._birth_levels(seeds, 1)
+            assert size == 1 and not any(orders + once + twice)
             assert type(level[0]) is box[container]
 
     def test_big_board_honors_the_budget(self):
@@ -562,7 +595,7 @@ class TestStubCounting:
         # the cap check
         seeds = cycle_partitions("BBW")
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert any(orders[1] and not level for _, level, orders in steps[1:])
+        assert any(orders[1] and not level for _, level, orders, *_ in steps[1:])
         full = basin_census("BBW", 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
@@ -573,7 +606,7 @@ class TestStubCounting:
         # built: every level-1 candidate goes through the cycle check
         seeds = cycle_partitions("BWW")
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert [len(level) + sum(orders) for _, level, orders in steps] == [3, 1, 1]
+        assert [len(level) + sum(orders) for _, level, orders, *_ in steps] == [3, 1, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][1] == 0
         assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 1
 
@@ -609,13 +642,23 @@ class TestForkCounting:
 
     def test_built_states_are_pinned(self):
         # BWW^4 (625 states): the predecessors search of oracles.shaped_levels
-        # leaves 75 states to build, and 311, 147, 58, 21, 11 and 2 states
-        # that root trees of orders 0 to 5; a rule turned off builds more
-        steps = list(_census_py._birth_levels(cycle_partitions("BWW" * 4), 10**6))
-        built = sum(len(level) for _, level, _ in steps)
-        orders = [sum(col) for col in itertools.zip_longest(*(o for *_, o in steps), fillvalue=0)]
-        assert [built, *trimmed(orders)] == [75, 311, 147, 58, 21, 11, 2]
-        assert built + sum(orders) == 625
+        # leaves 61 states to build, 311, 147, 58, 21, 11 and 2 states that
+        # root trees of orders 0 to 5, and 14 pair trees; the walk builds
+        # and counts exactly these, and a rule turned off builds more
+        seeds = cycle_partitions("BWW" * 4)
+        pinned = [61, 311, 147, 58, 21, 11, 2]
+        pairs = {(2, 1): 1, (3, 1): 4, (3, 2): 1, (4, 1): 5, (4, 2): 2, (5, 1): 1}
+        levels = list(shaped_levels(seeds))
+        by_order = itertools.zip_longest(*(split.orders for split in levels), fillvalue=[])
+        built = sum(len(split.expand) for split in levels)
+        assert [built, *(sum(map(len, col)) for col in by_order)] == pinned
+        assert pair_shapes(levels) == pairs
+        steps = list(_census_py._birth_levels(seeds, 10**6))
+        counts = [binomial_counts(*step[2:]) for step in steps]
+        orders = [sum(col) for col in itertools.zip_longest(*counts, fillvalue=0)]
+        assert [sum(len(step[1]) for step in steps), *orders] == pinned
+        assert sum((Counter(pair_counts(*step[3:])) for step in steps), Counter()) == pairs
+        assert sum(pinned) + sum(pairs.values()) == 625
 
     def test_no_fork_at_level_one(self):
         # BBW's one level-1 state has two predecessors, a leaf and a stub,
@@ -626,6 +669,42 @@ class TestForkCounting:
         assert [step[0] for step in steps] == [3, 1, 2, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][2] == 0
         assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 2
+
+
+class TestPairCounting:
+    """census_levels counts pair trees: B_0 ... B_(e-2), one each, and one or two B_e below."""
+
+    @given(
+        word=st.text(alphabet="BW", min_size=1, max_size=7),
+        power=st.integers(1, 3),
+        container=st.sampled_from(CONTAINERS),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_pair_tree_has_its_predecessors(self, word, power, container):
+        # walked checks each level's pair trees by end e and count c
+        # against the oracle; here, from level 2 on, a state counted as a
+        # pair tree (e, c) has predecessors of orders 0 ... e - 2 and c of
+        # order e, and the walk builds no state that roots a pair tree
+        seeds = cycle_partitions(word * power)
+        with holding(container, seeds):
+            levels, _ = walked(seeds, 5000)
+        for split in levels[2:]:
+            for (e, c), part in split.pairs.items():
+                for state in part:
+                    below = sorted(binomial_order(p) for p in cached_predecessors(state))
+                    assert below == [*range(e - 1), *[e] * c]
+            assert not any(map(pair_shape, split.expand))
+
+    def test_ends_one_to_three_in_every_container(self):
+        # BBWBWWW (189 states) has pair trees of ends 1, 2 and 3, each
+        # with one B_e and with two
+        seeds = cycle_partitions("BBWBWWW")
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                levels, capped = walked(seeds, 10**6)
+            assert not capped
+            want = {(1, 1): 4, (1, 2): 1, (2, 1): 4, (2, 2): 4, (3, 1): 1, (3, 2): 1}
+            assert pair_shapes(levels) == want
 
 
 class TestStateBudget:
