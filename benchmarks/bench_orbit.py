@@ -3,9 +3,9 @@
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
 CEILING states, with _census_py.census_levels, which counts the states
-that root binomial trees B_k (leaves, stubs, forks and trees of every
-higher order k) and pair trees (B_0 ... B_(e-2) and one or two B_e
-under the root) as plain ints, without building them.
+whose level counts are (1 + x)^a times 1 + c x + c x^2 for each of their
+pairs, c = 1 or 2 (binomial trees B_a when they have no pair), as plain
+ints, without building them.
 It runs the whole sweep N times and prints the total states, the median
 seconds of a sweep with the first and third quartiles of the N beside
 it, so that the spread between runs shows, the same three of the states
@@ -16,8 +16,8 @@ Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
 tabulated above CEILING.  The script exits non-zero when one does not.
 It then splits the counted states into those the walk built and those
-it only counted, by the order of the binomial tree each roots or the end
-e and count c of its pair tree, each with its share.
+it only counted: in binomial trees by order, or met with b pairs, by b,
+each with its share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -62,28 +62,28 @@ def peak_rss_mb() -> float:
     raise SystemExit("no VmHWM line in /proc/self/status")
 
 
-def built_and_counted(seeds) -> tuple[list[int], dict[tuple[int, int], int]]:
+def built_and_counted(seeds) -> tuple[list[int], dict[int, int]]:
     """States the counting walk builds, then those it only counts.
 
-    Entry k + 1 of the list is the states that root a B_k, met at their
-    own level or carried down from a tree above them; the dict holds the
-    pair trees of end e with c trees B_e under key (e, c), which the walk
-    counts as B_(e-1) in its orders.
+    Entry k + 1 of the list is the states counted in binomial trees B_k:
+    those met as a B_k at their own level, and those the walk carries
+    down from a counted state above them.  The dict holds, under b >= 1,
+    the states met with b pairs, which the walk counts as a B_a in its
+    orders and whose subtrees it owes the levels below.
     """
     counts = [0]
-    pairs: dict[tuple[int, int], int] = {}
+    pairs: dict[int, int] = {}
     for s in seeds:
         for step in _census_py._birth_levels(s, CEILING):
             if step is not None:
-                _, level, orders, once, twice = step
+                _, level, orders, shapes = step
                 counts += [0] * (len(orders) + 1 - len(counts))
                 counts[0] += len(level)
                 for k, n in enumerate(orders, 1):
                     counts[k] += n
-                for c, ends in ((1, once), (2, twice)):
-                    for e in ends:
-                        counts[e] -= 1
-                        pairs[e, c] = pairs.get((e, c), 0) + 1
+                for (a, cs), n in shapes.items():
+                    counts[a + 1] -= n
+                    pairs[len(cs)] = pairs.get(len(cs), 0) + n
     while len(counts) > 1 and not counts[-1]:
         counts.pop()
     return counts, dict(sorted(pairs.items()))
@@ -126,8 +126,8 @@ def main() -> None:
     counts, pairs = built_and_counted(seeds)
     total = sum(counts) + sum(pairs.values())
     print(f"census_levels counted {total} states:")
-    kinds = ["built"] + [f"B_{k}, counted only" for k in range(len(counts) - 1)]
-    kinds += [f"pair tree of end {e} with {c} B_{e}, counted only" for e, c in pairs]
+    kinds = ["built"] + [f"in a B_{k}, counted only" for k in range(len(counts) - 1)]
+    kinds += [f"met with {b} pair{'s' * (b > 1)}, counted only" for b in pairs]
     for what, n in zip(kinds, [*counts, *pairs.values()]):
         print(f"{n:>9} {n / total:6.1%}  {what}")
 

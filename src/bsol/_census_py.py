@@ -24,63 +24,74 @@ level into tuples and goes on with them, and a cycle whose largest pile
 is _BYTE_MAX or more starts on tuples.  _flip turns pile values into
 stored births and back.
 
-Binomial trees of the forest are counted, never built.  A leaf, a
-state with no predecessor, is B_0, and a state whose predecessors are
-B_0 ... B_(k-1), one each, is B_k.  Nearly half of an orbit is leaves, a
-quarter B_1 (stubs) and a tenth B_2 (forks); a twentieth roots a larger
-tree.  A B_k holds C(k, i) states i levels below its root: its child B_m
-holds C(m, i - 1) there, and these sum over m < k to C(k, i).  So the
-walk counts each level's states by the order of the tree they root, and
-carries trees, not states: a B_k puts one each of B_0 ... B_(k-1) on the
-next level.
+States of product shape are counted, never built.  A state's births to
+undo, those up to its room, fall into blocks when each is a single
+birth, more than 2 from the births beside it, or one of a pair, two
+births 2 or less apart, equal ones too, more than 2 from the others.
+When they do, and the birth after the last block lies more than 2 past
+it, the states below it count by level
 
-Undoing the i-th of a B_k's k births to undo keeps the i before it, so
-it leaves B_i: a B_k's births to undo lie more than 2 apart, and its next
-birth is past its room and past the last of them + 2.  Undoing pile j of
-a state at top T and room R, born at u <= R (it can have been stacked
-last; of equal births only the first, as they give equal predecessors),
-gives p: T + 1 - u piles of room u + 2, the state's births without pile
-j, then R - u newborns at T + 1.  p keeps the j births before pile j to
-undo, so it is B_j, B_(j + 1) or no tree, and no tree once two of them
-lie 2 or less apart.  Let x be p's first birth after them: state[j + 1],
-else a newborn when R > u, else none.  When the births before pile j lie
-more than 2 apart, p is B_j when x > u + 2 or there is no x, and
-B_(j + 1) when x <= u + 2, x > state[j - 1] + 2 and p's birth y after x
-is past x + 2; else it is built.  A birth missing past p's end reads as
-T + 2, the newborns that undoing a birth v < u + 2 of p leaves, and as
-past every birth when v = u + 2 leaves none.
+    (1 + x)^a prod (1 + c x + c x^2),
 
-A pair tree of end e >= 1 has B_0 ... B_(e-2), one each, and c = 1 or 2
-trees B_e as its predecessors: its first e births to undo lie more than
-2 apart, its next birth x' lies within 2 of the last of them, w, and its
-birth after x' is past x' + 2 and past its room.  Undoing w leaves a
-B_e, and so does undoing x' when x' is in the room and is not w.  Its
-subtree is a B_(e-1)'s with c trees B_e added one level down, so the
-walk counts it as a B_(e-1) and adds the c trees B_e to the level after
-next, a second carry; the budget check charges each level only with the
-states on it.  p is a pair tree in three places: before pile j, when the
-state's first close or equal pair is piles j - 2 and j - 1 and p's birth
-after it is past u + 2 (e = j - 1, c = 2 for a close pair); across it,
-when x lies within 2 of state[j - 1] and y is past x + 2 (e = j, c = 2);
-after it, when y <= x + 2 alone keeps p from B_(j + 1) and the birth
-after y is past y + 2 (e = j + 1, c = 2 when x < y <= u + 2).
+a the single births and one factor per pair: c = 2 when its births
+differ and both are to undo, else c = 1.  Undoing a birth keeps the
+blocks before it: a single birth leaves them, and either birth of a pair
+leaves them and the pair's other birth, single now.  So with P_i the
+product over the first i blocks, a block's predecessors give
+x g_i P_(i-1) = P_i - P_(i-1), g_i = 1 for a single birth and c (1 + x)
+for a pair, and these sum to P - 1.  This is the paper's factoring of a
+reverse-move tree by the segments of its board: a close pair's factor
+1 + 2x + 2x^2 is u_2, the census of a 2-fuse.  With no pair the state
+roots a binomial tree B_a.  A leaf, a state with no predecessor, is B_0,
+a stub B_1 and a fork B_2: nearly half of an orbit is leaves, a quarter
+stubs and a tenth forks.
+
+A B_k holds C(k, i) states i levels below its root and puts one each of
+B_0 ... B_(k-1) on the next level.  A state of shape (a, cs), cs its
+pairs' c, holds
+
+    (1 + x)^a prod (1 + c x (1 + x)) = sum_i e_i x^i (1 + x)^(a + i),
+
+e_i the i-th elementary symmetric polynomial of cs.  So the walk counts
+it as a B_a at its own level and owes e_i trees B_(a + i) to the level i
+below.  It counts each level's states by the order of the tree they
+root, carries trees, not states, and adds the owed trees when it starts
+a level.  The budget check charges each level only with the states on
+it, so every walk caps at the level where it would cap if it built them.
+
+Undoing pile j of a state at top T and room R, born at u <= R (it can
+have been stacked last; of equal births only the first, as they give
+equal predecessors), gives p: T + 1 - u piles of room u + 2, the state's
+births without pile j, then R - u newborns at T + 1.  p keeps the j
+births before pile j to undo: the walk carries their blocks as j
+advances, j + o single births and the pairs in a key, and stops at the
+third close birth in a row, past which no p is of product shape.  Let x
+be p's first birth after them: state[j + 1], else a newborn when R > u,
+else none; and y and z the two after x.  x > u + 2, or no x, adds no
+block; else x pairs with state[j - 1] when that is single and
+y > x + 2, is single when y > x + 2, and pairs with y when z > y + 2.
+A birth missing past p's end reads as T + 2, the newborns that undoing
+a birth v < u + 2 of p leaves, and as past every birth when v = u + 2
+leaves none.
 
 The walk reads t, a, b, a state's first three births (T + 1 past its
-end: no birth is past T), and writes the rules out for j = 0 and 1,
-where p can be one or two piles.  j = 0 gives a leaf when a > t + 2,
-else a stub when b > a + 2; a one-pile p (t = T) is no stub, as its
-birth a >= T.  j = 1 gives a stub when p is one pile (a = T, its birth
-t < T) or b > a + 2; p = (t, T + 1) is a fork.  From j = 2 the walk runs
-the rule in a loop; past the first gap of 2 or less it tests one more
-pile for a pair tree and falls into a loop that only builds.  It builds
-only the states it will expand.  No built state's first birth is past
-its room, as no built state is a leaf and every cycle state has a
-predecessor.  At depth 0 only leaves are counted: every level-1
-candidate goes through the cycle check.
+end: no birth is past T), and writes the rule out for j = 0 and 1, where
+p can be one or two piles.  j = 0 gives a leaf when a > t + 2, else a
+stub when b > a + 2; a one-pile p (t = T) is no stub, as its birth
+a >= T.  j = 1 gives a stub when p is one pile (a = T, its birth t < T)
+or b > a + 2; p = (t, T + 1) is a fork.  From j = 2 the walk runs the
+rule in a loop, then builds the rest.  It builds only the states it will
+expand, about a twenty-third of those it counts on the benchmark's
+growth rows.  No built state's first birth is past its room, as no built
+state is a leaf and every cycle state has a predecessor.  At depth 0
+only leaves are counted: every level-1 candidate goes through the cycle
+check.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -88,7 +99,8 @@ __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
-Step = tuple[int, list[State], list[int], list[int], list[int]]
+Shape = tuple[int, tuple[int, ...]]  # (a, cs): a B_a with pairs of c = 1 or 2 trees
+Step = tuple[int, list[State], list[int], dict[Shape, int]]
 
 _BYTE_MAX = 255  # the largest stored birth a byte string holds
 
@@ -102,13 +114,29 @@ def _flip(
     return [box([c - x for x in s]) for s in states]
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _plan(key: int, shift: int) -> tuple[Shape, tuple[tuple[int, int, int], ...]]:
+    # a counted state's key, a + (n1 << shift) + (n2 << 2 * shift), as its
+    # shape (a, cs), cs the c of its n1 equal and n2 close pairs, and the
+    # trees it owes the levels below: (i - 1, a + i, e_i) for the e_i trees
+    # B_(a + i) i levels down, e_i the coefficient of y^i in the product
+    # of (1 + c y) over cs
+    mask = (1 << shift) - 1
+    a = key & mask
+    cs = (1,) * (key >> shift & mask) + (2,) * (key >> 2 * shift)
+    e = [1]
+    for c in cs:
+        e = [x + c * y for x, y in zip([*e, 0], [0, *e])]
+    return (a, cs), tuple((i - 1, a + i, e[i]) for i in range(1, len(e)))
+
+
 def _birth_levels(
     seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
 ) -> Iterator[Step | None]:
     # each level as (its size, the states to expand, how many of the others
-    # it counts as a B_k, by k, and the ends e of the pair trees among them,
-    # counted as B_(e-1), with one B_e and with two); None when the budget
-    # runs out.  The walk stops after level max_depth
+    # it counts as B_k, by k, and how many of those it met with pairs, by
+    # shape (a, cs), each counted as a B_a); None when the budget runs out.
+    # The walk stops after level max_depth
     cycle = list(dict.fromkeys(seeds))
     off = max([v for s in cycle for v in s], default=0)
     box = bytes if off < _BYTE_MAX else tuple
@@ -117,26 +145,35 @@ def _birth_levels(
     size = total = len(level)
     depth = 0
     orders = [0] * (off // 4 + 3)
-    once: list[int] = []
-    twice: list[int] = []
+    shapes: dict[Shape, int] = {}
+    # the trees the states met with pairs owe the levels below, by order:
+    # later[0] to the next level generated, later[1] to the one after it
+    later: list[dict[int, int]] = [{} for _ in range(off // 4 + 3)]
     while size:
-        yield size, level, orders, once, twice
+        yield size, level, orders, shapes
         if depth == max_depth:
             if total > max_states:  # only the cycle is not checked below
                 yield None
             return
         top = off + depth  # the level's depth as a stored birth
         # the next level's trees by order: those carried down, trees[k] =
-        # sum(orders[k + 1:]), and the pair trees' B_e.  The list reaches
-        # the largest order a tree counted at pile j can have: the j births
-        # before it, at least 1 and 3 apart, lie below u <= top + 1 - j, so
-        # j <= (top + 2) // 4
+        # sum(orders[k + 1:]), and those owed to it.  The list reaches the
+        # largest order a counted state can have, its count B of blocks:
+        # their first births, at least 1 and 3 apart, lie within its room
+        # u + 2, and it has top + 1 - u >= B births, so B <= (top + 5) // 4
         trees = [0, *accumulate(reversed(orders))][-2::-1]
-        for e in once + twice + twice:
-            trees[e] += 1
         if len(trees) < top // 4 + 3:
             trees.append(0)
-        once, twice = [], []
+        for k, c in later.pop(0).items():
+            trees[k] += c
+        if len(later) < top // 4 + 3:  # past the most pairs, B
+            later.append({})
+        # the key of a state met with pairs: its a and its counts n1 and n2
+        # of pairs with c = 1 and 2, each below 1 << shift, as bit fields
+        shift = (top + 3).bit_length()
+        p1 = 1 << shift
+        p2 = p1 << shift
+        pend: list[int] = []
         nxt: list[State] = []
         push = nxt.append
         leaf = stub = fork = 0  # the first two piles' trees, kept as locals
@@ -167,8 +204,8 @@ def _birth_levels(
                 elif depth and n > 2 and (
                     state[3] if n > 3 else top + 1 if room > t else top + 2
                 ) > b + 2:
-                    leaf += 1  # a pair tree of end 1, counted as a B_0
-                    (twice if a < b <= t + 2 else once).append(1)
+                    leaf += 1  # (a, b) is p's one pair
+                    pend.append(p2 if a < b <= t + 2 else p1)
                 else:
                     push(state[1:] + born * (room - t))
                 if n < 2 or a > room:
@@ -184,61 +221,64 @@ def _birth_levels(
                         if t + 2 < b:
                             fork += 1
                         else:
-                            leaf += 1  # a pair tree of end 1 across pile 1
-                            twice.append(1)
+                            leaf += 1  # (t, b) is p's one pair
+                            pend.append(p2)
                     elif t + 2 < b and (
                         state[4] > y + 2
                         if n > 4
                         else y < top - 1 or room == a and (y < top or b == top)
                     ):
-                        stub += 1  # a pair tree of end 2 after pile 1
-                        (twice if b < y <= a + 2 else once).append(2)
+                        stub += 1  # (b, y) is p's one pair
+                        pend.append(1 + (p2 if b < y <= a + 2 else p1))
                     else:
                         push(state[:1] + state[2:] + born * (room - a))
                 j, prev = 2, a
-                if depth and t + 2 < a:
-                    # the rule from j = 2, while the births before j lie more
-                    # than 2 apart; prev is state[j - 1]
+                if depth:
+                    # the rule from j = 2: the births before pile j are j + o
+                    # single births and the pairs in pk, and prev, state[j - 1],
+                    # may pair with the next birth unless it closed a pair, at
+                    # pile shut
+                    o, pk, shut = (0, 0, -1) if t + 2 < a else (-2, p2 if t < a else p1, 1)
                     while j < n:
                         u = state[j]
                         if u > room:
                             break
-                        if u == prev:
-                            j += 1
-                            break
-                        x = state[j + 1] if j + 1 < n else top + 3  # p is B_j
-                        if x > u + 2:
-                            trees[j] += 1
-                        elif (
-                            y := state[j + 2] if j + 2 < n else top + 1 if room > u else top + 3
-                        ) > x + 2:
-                            if x > prev + 2:
-                                trees[j + 1] += 1
+                        if u != prev:
+                            x = state[j + 1] if j + 1 < n else top + 3  # a newborn is past u + 2 too
+                            if x > u + 2:
+                                trees[j + o] += 1
+                                if pk:
+                                    pend.append(pk + j + o)
+                            elif (
+                                y := state[j + 2] if j + 2 < n else top + 1 if room > u else top + 3
+                            ) > x + 2:
+                                if x > prev + 2:
+                                    trees[j + o + 1] += 1
+                                    if pk:
+                                        pend.append(pk + j + o + 1)
+                                elif shut < j - 1:  # (prev, x) is a pair of p
+                                    trees[j + o - 1] += 1
+                                    pend.append(pk + p2 + j + o - 1)
+                                else:
+                                    push(state[:j] + state[j + 1 :] + born * (room - u))
+                            elif x > prev + 2 and (
+                                state[j + 3] > y + 2
+                                if j + 3 < n  # at j + 2 == n, y is p's one newborn and x = u + 2
+                                else j + 2 == n or y < top - 1 or room == u and (y < top or x == u + 2)
+                            ):
+                                trees[j + o] += 1  # (x, y) is a pair of p
+                                pend.append(pk + (p2 if x < y <= u + 2 else p1) + j + o)
                             else:
-                                trees[j - 1] += 1  # a pair tree of end j across pile j
-                                twice.append(j)
-                        elif x > prev + 2 and (
-                            state[j + 3] > y + 2
-                            if j + 3 < n  # at j + 2 == n, y is p's one newborn and x = u + 2
-                            else j + 2 == n or y < top - 1 or room == u and (y < top or x == u + 2)
-                        ):
-                            trees[j] += 1  # a pair tree of end j + 1 after pile j
-                            (twice if x < y <= u + 2 else once).append(j + 1)
-                        else:
-                            push(state[:j] + state[j + 1 :] + born * (room - u))
+                                push(state[:j] + state[j + 1 :] + born * (room - u))
                         j += 1
                         if u <= prev + 2:
-                            prev = u
-                            break
+                            if shut == j - 2:  # a third close birth: no later pile gives a counted state
+                                prev = u
+                                break
+                            o -= 2
+                            pk += p2 if u > prev else p1
+                            shut = j - 1
                         prev = u
-                if depth and j < n and prev != state[j] <= room:  # past the first gap <= 2
-                    u = state[j]
-                    if (state[j + 1] if j + 1 < n else top + 3) > u + 2:
-                        trees[j - 2] += 1  # a pair tree of end j - 1 before pile j
-                        (twice if state[j - 2] < prev else once).append(j - 1)
-                    else:
-                        push(state[:j] + state[j + 1 :] + born * (room - u))
-                    j, prev = j + 1, u
                 while j < n:
                     u = state[j]
                     if u > room:
@@ -254,6 +294,15 @@ def _birth_levels(
         if size > left:
             yield None
             return
+        # each state met with pairs owes its e_i trees B_(a + i) to the
+        # level i below it
+        shapes = {}
+        if pend:
+            for key, c in Counter(pend).items():
+                shape, owed = _plan(key, shift)
+                shapes[shape] = c
+                for d, k, e in owed:
+                    later[d][k] = later[d].get(k, 0) + c * e
         trees[0] += leaf
         trees[1] += stub
         trees[2] += fork
@@ -269,7 +318,7 @@ def census_levels(
     the levels up to max_depth (all of them when it is None).  When the
     states counted pass max_states the walk stops with capped=True and the
     sizes of the levels whose predecessors were being generated.  States
-    that root binomial trees or pair trees are counted, never built.
+    of product shape, binomial trees among them, are counted, never built.
     """
     sizes: list[int] = []
     for step in _birth_levels(seeds, max_states, max_depth):

@@ -15,13 +15,14 @@ pile by one, so birth depths never change and a predecessor is two
 slices and a pad of newborn piles.  A state is a byte string, one byte a
 pile, holding its birth depth plus an offset, the cycle's largest pile,
 so no byte is negative; a walk whose births would pass 255 turns its
-states into tuples and goes on with them.  States that root binomial
-trees B_k (leaves, nearly half of every orbit, are B_0; a state whose
-predecessors are B_0 ... B_(k-1), one each, is B_k) and pair trees
-(B_0 ... B_(e-2), one each, and one or two B_e under the state) are told
-apart before they are built, so the walk only counts them, as plain
-ints, and builds about a fourteenth of the states.  A caller that
-reads only the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
+states into tuples and goes on with them.  States of product shape,
+whose births to undo are single births and pairs 2 or less apart, with
+(1 + x)^a times 1 + c x + c x^2 for each pair states below them by level
+(binomial trees B_a when they have no pair; leaves, nearly half of every
+orbit, are B_0), are told apart before they are built, so the walk only
+counts them, as plain ints, and builds about a twenty-third of the
+states (4.4% on the benchmark's growth rows).  A caller that reads only
+the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
 the lemma 2.16 check counts its paths with partitions.predecessors,
 apart from the walk.
 """

@@ -9,10 +9,11 @@ build inputs with:
   compositions, and the prefuse scan;
 - the reverse move on finite barred difference sequences, the finite
   form of the infinite-board move;
-- forward trajectories, partition enumeration and the staircase;
-- the census walk's levels, each state classified by the order of the
-  binomial tree it roots, the end and count of its pair tree, or as a
-  state to expand, by a plain predecessors search;
+- forward trajectories, partition enumeration, the staircase and a
+  partition's predecessors;
+- the census walk's levels, each state classified by the product shape
+  of the level counts under it, or as a state to expand, by a plain
+  predecessors search;
 - a necklace's chip count, the first anchor of the anchored reduction,
   a reference closed form by necklace, the two published series-level
   forms, and a parser for the polynomial text format.
@@ -24,14 +25,14 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from bsol import golden
 from bsol.golden import h_table
 from bsol.limits import assemble_system, reduce_system
 from bsol.murep import BAR_WINDOW, InfSeq, inf_move, inf_seq, recurrent_elements, tail_from_word
 from bsol.necklaces import canonical, check_word
-from bsol.partitions import forward_move, predecessors
+from bsol.partitions import forward_move
 from bsol.polyrat import IntPoly, RatFn
 
 # --- fuse: weak compositions and play census ------------------------------------
@@ -339,49 +340,107 @@ def staircase(k: int) -> tuple[int, ...]:
     return tuple(range(k, 0, -1))
 
 
-Preds = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
+def reverse_moves(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The partitions the forward move sends to parts, by undoing it at each pile it allows.
+
+    A pile of v >= len(parts) - 1 chips can be the one the forward move
+    stacked: the other piles lost a chip each and v - len(parts) + 1 piles
+    of one chip went away, so giving back a chip to the first v of them,
+    zeros included, undoes it.  Equal piles give equal partitions, so of
+    each run of them only the first is undone.  The empty board maps to
+    itself.  A second route to partitions.predecessors, without its checks.
+    """
+    k = len(parts)
+    out = [] if k else [()]
+    for j, v in enumerate(parts):
+        if v < k - 1:
+            break
+        if not j or parts[j - 1] != v:
+            rest = parts[:j] + parts[j + 1 :] + (0,) * (v - k + 1)
+            out.append(tuple(x + 1 for x in rest))
+    return out
+
 
 # the predecessors of a state, each computed once; the oracles below and
 # the tests that classify states share it
-cached_predecessors: Preds = functools.lru_cache(maxsize=1 << 17)(predecessors)
+cached_predecessors = functools.lru_cache(maxsize=1 << 17)(reverse_moves)
+
+
+Shape = tuple[int, tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def product_levels(a: int, cs: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of (1 + x)^a times 1 + c x + c x^2 for each c in cs, lowest first."""
+    out = [1]
+    for factor in [(1, 1)] * a + [(1, c, c) for c in cs]:
+        product = [0] * (len(out) + len(factor) - 1)
+        for i, m in enumerate(out):
+            for k, f in enumerate(factor):
+                product[i + k] += m * f
+        out = product
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def blocks_fit(counts: tuple[int, ...], w: int = 0) -> bool:
+    """Whether a run of blocks, single births and pairs, has predecessors with these counts.
+
+    counts are the predecessors' own counts of predecessors, ascending.
+    Undoing a state's birth keeps its blocks before it: a single birth
+    after blocks of weight w leaves a state with w predecessors, and a
+    birth of a pair there leaves one with w + 1, once when the pair's c
+    is 1 and twice when it is 2.  A single birth has weight 1 and a pair
+    weight c.
+    """
+    if not counts:
+        return True
+    first, twin = counts[0], counts[1:2] == (w + 1,)
+    return (
+        first == w
+        and blocks_fit(counts[1:], w + 1)
+        or first == w + 1
+        and (blocks_fit(counts[1:], w + 1) or twin and blocks_fit(counts[2:], w + 2))
+    )
 
 
 @functools.lru_cache(maxsize=1 << 17)
-def binomial_order(parts: tuple[int, ...], preds: Preds = cached_predecessors) -> int | None:
-    """k when parts roots a binomial tree B_k: its predecessors are B_0 ... B_(k-1), one each.
+def pair_product_shape(parts: tuple[int, ...]) -> Shape | None:
+    """(a, cs) when the level counts under parts are (1 + x)^a prod (1 + c x + c x^2), c in cs.
 
-    A leaf is B_0; a state whose one predecessor is a leaf is B_1, and
-    one whose two are a leaf and a B_1 is B_2.  None when parts roots no
-    binomial tree.  A B_i has i predecessors, so the search goes down only
-    when the predecessors have 0 ... k - 1 predecessors of their own, and
-    never deeper than k levels.  Each state's order is found once.
+    The level counts are the states 0, 1, 2, ... reverse moves below
+    parts in its subtree, found by a predecessors search.  cs holds c = 1
+    or 2 for each pair, the ones first; with no pair, cs = (), parts roots
+    a binomial tree B_a.  A leaf is (0, ()).  None for any other state.
+    The subtree of (a, cs) holds 2^a 3^n1 5^n2 states, n1 and n2 the
+    pairs with c = 1 and 2, so its total gives the candidate shape.
+    A state of product shape has births to undo that are single births
+    and pairs, and each predecessor keeps those before the birth it
+    undoes: so the predecessors have product shape, and their counts of
+    predecessors fit blocks_fit.  The search goes down only while both
+    hold, and each state's shape is found once.
     """
-    ps = preds(parts)
-    k = len(ps)
-    if sorted(len(preds(p)) for p in ps) != list(range(k)):
+    ps = cached_predecessors(parts)
+    if not blocks_fit(tuple(sorted(len(cached_predecessors(p)) for p in ps))):
         return None
-    return k if {binomial_order(p, preds) for p in ps} == set(range(k)) else None
-
-
-def pair_shape(
-    parts: tuple[int, ...], preds: Preds = cached_predecessors
-) -> tuple[int, int] | None:
-    """(e, c) when parts roots a pair tree: B_0 ... B_(e-2), one each, and c trees B_e.
-
-    Those are its predecessors; c is 1 or 2 and e at least 1, so a pair
-    tree of end 1 has one or two B_1 as its predecessors and nothing else.
-    None for any other state, a binomial tree among them.  As in
-    binomial_order, the predecessors' own counts of predecessors must fit
-    before the search goes down.
-    """
-    ps = preds(parts)
-    counts = sorted(len(preds(p)) for p in ps)
-    e = counts[-1] if counts else 0
-    c = counts.count(e)
-    if e and c <= 2 and counts == [*range(e - 1), *[e] * c]:
-        if all(binomial_order(p, preds) == len(preds(p)) for p in ps):
-            return e, c
-    return None
+    counts = [1]
+    for p in reversed(ps):  # the last undoes the latest birth and keeps the most
+        shape = pair_product_shape(p)
+        if shape is None:
+            return None
+        below = product_levels(*shape)
+        counts += [0] * (len(below) + 1 - len(counts))
+        for i, n in enumerate(below, 1):
+            counts[i] += n
+    total, exps = sum(counts), []
+    for f in (2, 3, 5):
+        exps.append(0)
+        while total % f == 0:
+            total //= f
+            exps[-1] += 1
+    a, n1, n2 = exps
+    shape = a, (1,) * n1 + (2,) * n2
+    return shape if total == 1 and product_levels(*shape) == tuple(counts) else None
 
 
 class LevelShapes(NamedTuple):
@@ -389,7 +448,8 @@ class LevelShapes(NamedTuple):
 
     expand: list[tuple[int, ...]]
     orders: list[list[tuple[int, ...]]]  # orders[k]: the states that root a B_k
-    pairs: dict[tuple[int, int], list[tuple[int, ...]]]  # pairs[e, c]: pair trees
+    pairs: dict[Shape, list[tuple[int, ...]]]  # the other states of product shape
+    roots: dict[Shape, list[tuple[int, ...]]]  # the states the walk counts on this level
 
     def states(self) -> list[tuple[int, ...]]:
         pairs = [s for part in self.pairs.values() for s in part]
@@ -399,34 +459,41 @@ class LevelShapes(NamedTuple):
 def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
     """The levels of the orbit hanging off the cycle seeds, by a predecessors search.
 
-    Each state is classified as the census walk classifies it: from level
-    1 on a state with no predecessor is a leaf, B_0, and from level 2 on a
-    state that roots a binomial tree B_k is put with the others of its
-    order k, and one that roots a pair tree of end e with c trees B_e
-    under pairs[e, c]; every other state is one the walk expands.  The
-    states of a counted tree's subtree, which the walk counts and never
-    reaches, root binomial trees themselves and are classified by their
-    own order.  orders has no trailing empty list.  Levels are made one
-    at a time, so a caller that stops early builds none past it.
+    Each state is classified by pair_product_shape as the census walk
+    classifies it: from level 1 on a state with no predecessor is a leaf,
+    B_0, and from level 2 on a state of product shape (a, cs) is one the
+    walk does not build, under orders[a] when cs is empty and under
+    pairs[a, cs] when it is not; every other state is one the walk
+    expands.  roots holds by shape the states the walk counts where it
+    meets them, as predecessors of states it built; the others lie below
+    a counted state, and the walk carries them as the trees of its
+    shape.  orders has no trailing empty list.  Levels are made one at a
+    time, so a caller that stops early builds none past it.
     """
-    preds = cached_predecessors
     cycle = set(seeds)
-    level = list(dict.fromkeys(seeds))
+    built = list(dict.fromkeys(seeds))  # level 0: the cycle, expanded
+    counted: list[tuple[int, ...]] = []
     depth = 0
-    while level:
-        split = LevelShapes([], [], {})
-        for state in level:
-            k = binomial_order(state, preds) if depth else None
-            pair = pair_shape(state, preds) if depth > 1 and k is None else None
-            if pair:
-                split.pairs.setdefault(pair, []).append(state)
-            elif k is None or (depth == 1 and k):
-                split.expand.append(state)
-            else:
-                split.orders.extend([] for _ in range(k + 1 - len(split.orders)))
-                split.orders[k].append(state)
+    while built or counted:
+        split = LevelShapes([], [], {}, {})
+        for met, states in ((True, built), (False, counted)):
+            for state in states:
+                shape = pair_product_shape(state) if depth else None
+                if shape is None or depth == 1 and shape != (0, ()):
+                    split.expand.append(state)
+                    continue
+                if met:
+                    split.roots.setdefault(shape, []).append(state)
+                a, cs = shape
+                if cs:
+                    split.pairs.setdefault(shape, []).append(state)
+                else:
+                    split.orders.extend([] for _ in range(a + 1 - len(split.orders)))
+                    split.orders[a].append(state)
         yield split
-        level = [p for s in level for p in preds(s) if p not in cycle]
+        built = [p for s in split.expand for p in cached_predecessors(s) if p not in cycle]
+        parts = [*split.orders, *split.pairs.values()]
+        counted = [p for part in parts for s in part for p in cached_predecessors(s)]
         depth += 1
 
 

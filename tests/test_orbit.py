@@ -26,11 +26,11 @@ from bsol.partitions import forward_move, predecessors
 from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
-    binomial_order,
     cached_predecessors,
     h_series_forms,
-    pair_shape,
+    pair_product_shape,
     parse_poly,
+    product_levels,
     shaped_levels,
     weight,
 )
@@ -133,64 +133,68 @@ def walked(seeds, budget):
     """The census walk's steps, checked level by level against oracles.shaped_levels.
 
     Each step's states to expand, decoded with _flip, must be the oracle's
-    as a sorted list, and its size the oracle level's.  Its count of each
-    order k, less the pair trees it counts as B_k, must be the number of
-    states there that root a B_k, and its pair trees of each end e with
-    one and with two B_e the oracle's.  The walk counts a tree at the
-    level where it met the tree's root, or carries it down from a tree
-    counted above: a B_k puts one each of B_0 ... B_(k-1) a level down,
-    C(k, i) states i levels down in all, and a pair tree puts B_0 ...
-    B_(e-2) and its B_e there, so a wrong c shows one level down.
-    Returns (levels, capped): the oracle's split of each level the walk
-    completed.
+    as a sorted list, and its size the oracle level's.  The walk counts a
+    state it meets by its product shape (a, cs) as a B_a, and one with
+    pairs also owes the levels below e_i trees B_(a + i) i levels down
+    (owed_trees); a B_k carries one each of B_0 ... B_(k-1) to the next
+    level.  So a step's count of order k, less the trees carried and owed
+    to its level and less the states it reports of shape (k, cs) with
+    pairs, is the B_k it met there, and those and the shapes it reports
+    must be the oracle's roots.  The states below a counted one are
+    checked through the level sizes: below a state with pairs they are
+    not all binomial trees.  Returns (levels, capped): the oracle's split
+    of each level the walk completed.
     """
     off = offset(seeds)
     oracle = shaped_levels(seeds)
     levels = []
+    above, owed = [], []
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        size, level, orders, once, twice = step
+        size, level, orders, shapes = step
         split = next(oracle)
         assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
-        assert binomial_counts(orders, once, twice) == [len(part) for part in split.orders]
-        assert pair_counts(once, twice) == {shape: len(part) for shape, part in split.pairs.items()}
         assert size == len(split.states())
+        due = owed.pop(0) if owed else Counter()
+        met = [n - sum(above[k + 1 :]) - due[k] for k, n in enumerate(orders)]
+        for (a, cs), n in shapes.items():
+            assert cs and n > 0
+            met[a] -= n
+            for i, e in enumerate(owed_trees(cs), 1):
+                owed.extend(Counter() for _ in range(i - len(owed)))
+                owed[i - 1][a + i] += n * e
+        assert min(met) >= 0
+        roots = Counter({(k, ()): n for k, n in enumerate(met) if n}) + Counter(shapes)
+        assert roots == {shape: len(part) for shape, part in split.roots.items()}
+        above = orders
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
 
 
+def owed_trees(cs):
+    """e_1, e_2, ...: the coefficients of y, y^2, ... in the product of 1 + c y over cs."""
+    e = [1]
+    for c in cs:
+        e = [x + c * y for x, y in zip([*e, 0], [0, *e])]
+    return e[1:]
+
+
 def trimmed(orders):
-    """A step's counts by order, without the trailing zeros the walk pads them with."""
+    """Counts by order, without the trailing zeros the walk pads them with."""
     orders = list(orders)
     while orders and not orders[-1]:
         orders.pop()
     return orders
 
 
-def binomial_counts(orders, once, twice):
-    """A step's states that root a B_k, by k.
-
-    The walk counts a pair tree of end e as a B_(e-1), so its count of
-    order k less its pair trees of end k + 1.
-    """
-    ends = Counter(once) + Counter(twice)
-    return trimmed(n - ends[k + 1] for k, n in enumerate(orders))
-
-
-def pair_counts(once, twice):
-    """A step's pair trees by (e, c): end e, with c trees B_e under each."""
-    counts = {(e, 1): n for e, n in Counter(once).items()}
-    return counts | {(e, 2): n for e, n in Counter(twice).items()}
-
-
-def pair_shapes(levels):
-    """The pair trees of the oracle's levels, by (e, c)."""
-    shapes = Counter()
+def shape_counts(levels):
+    """The oracle's states with pairs over levels, by shape (a, cs)."""
+    counts = Counter()
     for split in levels:
-        shapes.update({shape: len(part) for shape, part in split.pairs.items()})
-    return shapes
+        counts.update({shape: len(part) for shape, part in split.pairs.items()})
+    return counts
 
 
 def is_stub(state):
@@ -382,8 +386,8 @@ class TestKernels:
         for container in CONTAINERS:
             with holding(container, seeds):
                 assert _census_py.census_levels(seeds, 1) == ([1], False)
-                ((size, level, orders, once, twice),) = _census_py._birth_levels(seeds, 1)
-            assert size == 1 and not any(orders + once + twice)
+                ((size, level, orders, shapes),) = _census_py._birth_levels(seeds, 1)
+            assert size == 1 and not any(orders) and not shapes
             assert type(level[0]) is box[container]
 
     def test_big_board_honors_the_budget(self):
@@ -409,11 +413,11 @@ class TestBirthDepths:
             levels.append([])  # the walk ends where no state has a predecessor
         assert sorted(levels[0]) == sorted(cycle)
         for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
-            preds = [p for s in level for p in predecessors(s) if depth or p not in cycle]
+            preds = [p for s in level for p in cached_predecessors(s) if depth or p not in cycle]
             assert sorted(nxt) == sorted(preds)
         # and each state the walk builds is a predecessor of one it built
         for depth, (split, below) in enumerate(zip(splits, splits[1:])):
-            preds = {p for s in split.expand for p in predecessors(s) if depth or p not in cycle}
+            preds = {p for s in split.expand for p in cached_predecessors(s) if depth or p not in cycle}
             assert set(below.expand) <= preds
 
     @given(
@@ -608,7 +612,7 @@ class TestStubCounting:
         steps = list(_census_py._birth_levels(seeds, 100))
         assert [len(level) + sum(orders) for _, level, orders, *_ in steps] == [3, 1, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][1] == 0
-        assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 1
+        assert pair_product_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (1, ())
 
 
 class TestForkCounting:
@@ -643,21 +647,24 @@ class TestForkCounting:
     def test_built_states_are_pinned(self):
         # BWW^4 (625 states): the predecessors search of oracles.shaped_levels
         # leaves 61 states to build, 311, 147, 58, 21, 11 and 2 states that
-        # root trees of orders 0 to 5, and 14 pair trees; the walk builds
-        # and counts exactly these, and a rule turned off builds more
+        # root trees of orders 0 to 5, and 14 states with one pair, each
+        # with binomial trees below it; the walk builds and counts exactly
+        # these, and a rule turned off builds more
         seeds = cycle_partitions("BWW" * 4)
         pinned = [61, 311, 147, 58, 21, 11, 2]
-        pairs = {(2, 1): 1, (3, 1): 4, (3, 2): 1, (4, 1): 5, (4, 2): 2, (5, 1): 1}
+        pairs = {(1, (1,)): 1, (2, (1,)): 4, (2, (2,)): 1, (3, (1,)): 5, (3, (2,)): 2, (4, (1,)): 1}
         levels = list(shaped_levels(seeds))
         by_order = itertools.zip_longest(*(split.orders for split in levels), fillvalue=[])
         built = sum(len(split.expand) for split in levels)
         assert [built, *(sum(map(len, col)) for col in by_order)] == pinned
-        assert pair_shapes(levels) == pairs
+        assert shape_counts(levels) == pairs
         steps = list(_census_py._birth_levels(seeds, 10**6))
-        counts = [binomial_counts(*step[2:]) for step in steps]
-        orders = [sum(col) for col in itertools.zip_longest(*counts, fillvalue=0)]
-        assert [sum(len(step[1]) for step in steps), *orders] == pinned
-        assert sum((Counter(pair_counts(*step[3:])) for step in steps), Counter()) == pairs
+        shapes = sum((Counter(step[3]) for step in steps), Counter())
+        orders = [sum(col) for col in itertools.zip_longest(*(step[2] for step in steps), fillvalue=0)]
+        for (a, _), n in shapes.items():
+            orders[a] -= n  # a state with pairs is counted as a B_a
+        assert [sum(len(step[1]) for step in steps), *trimmed(orders)] == pinned
+        assert shapes == pairs
         assert sum(pinned) + sum(pairs.values()) == 625
 
     def test_no_fork_at_level_one(self):
@@ -668,11 +675,20 @@ class TestForkCounting:
         steps = list(_census_py._birth_levels(seeds, 100))
         assert [step[0] for step in steps] == [3, 1, 2, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][2] == 0
-        assert binomial_order(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == 2
+        assert pair_product_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (2, ())
+
+
+def subtree_levels(state):
+    """The states 0, 1, 2, ... reverse moves below state, by a plain predecessors search."""
+    counts, level = [], [state]
+    while level:
+        counts.append(len(level))
+        level = [p for s in level for p in cached_predecessors(s)]
+    return tuple(counts)
 
 
 class TestPairCounting:
-    """census_levels counts pair trees: B_0 ... B_(e-2), one each, and one or two B_e below."""
+    """census_levels counts the states of product shape (1 + x)^a prod (1 + c x + c x^2)."""
 
     @given(
         word=st.text(alphabet="BW", min_size=1, max_size=7),
@@ -680,31 +696,55 @@ class TestPairCounting:
         container=st.sampled_from(CONTAINERS),
     )
     @settings(max_examples=80, deadline=None)
-    def test_each_pair_tree_has_its_predecessors(self, word, power, container):
-        # walked checks each level's pair trees by end e and count c
-        # against the oracle; here, from level 2 on, a state counted as a
-        # pair tree (e, c) has predecessors of orders 0 ... e - 2 and c of
-        # order e, and the walk builds no state that roots a pair tree
+    def test_each_counted_state_has_its_product_levels(self, word, power, container):
+        # walked checks each level's counted states by shape against the
+        # oracle; here, from level 2 on, the level counts under each of
+        # them, found by a plain search, are its shape's product, and the
+        # walk builds no state of product shape
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             levels, _ = walked(seeds, 5000)
         for split in levels[2:]:
-            for (e, c), part in split.pairs.items():
+            for shape, part in split.roots.items():
                 for state in part:
-                    below = sorted(binomial_order(p) for p in cached_predecessors(state))
-                    assert below == [*range(e - 1), *[e] * c]
-            assert not any(map(pair_shape, split.expand))
+                    assert subtree_levels(state) == product_levels(*shape)
+            assert not any(map(pair_product_shape, split.expand))
 
     def test_ends_one_to_three_in_every_container(self):
-        # BBWBWWW (189 states) has pair trees of ends 1, 2 and 3, each
-        # with one B_e and with two
+        # BBWBWWW (189 states) has states with one pair after a B_0, a B_1
+        # and a B_2, each pair with c = 1 and with c = 2, by the oracle
         seeds = cycle_partitions("BBWBWWW")
+        want = {(0, (1,)): 4, (0, (2,)): 1, (1, (1,)): 6, (1, (2,)): 5, (2, (1,)): 1, (2, (2,)): 1}
         for container in CONTAINERS:
             with holding(container, seeds):
                 levels, capped = walked(seeds, 10**6)
             assert not capped
-            want = {(1, 1): 4, (1, 2): 1, (2, 1): 4, (2, 2): 4, (3, 1): 1, (3, 2): 1}
-            assert pair_shapes(levels) == want
+            assert {k: n for k, n in shape_counts(levels).items() if len(k[1]) == 1} == want
+
+    def test_two_and_three_pairs_in_every_container(self):
+        # BBWW^3 (1,500 states): the walk counts 19 states with two pairs
+        # and 3 with three, by the oracle, and builds 119 states; walked
+        # checks the walk's shapes against the oracle's level by level
+        seeds = cycle_partitions("BBWW" * 3)
+        want = {
+            (0, (1, 1)): 1,
+            (0, (1, 2)): 1,
+            (1, (1, 1)): 6,
+            (1, (1, 2)): 4,
+            (2, (1, 1)): 7,
+            (0, (1, 1, 1)): 1,
+            (0, (1, 1, 2)): 1,
+            (1, (1, 1, 1)): 1,
+        }
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                levels, capped = walked(seeds, 10**6)
+            assert not capped
+            roots = Counter()
+            for split in levels:
+                roots.update({shape: len(part) for shape, part in split.roots.items()})
+            assert {shape: n for shape, n in roots.items() if len(shape[1]) > 1} == want
+            assert sum(len(split.expand) for split in levels) == 119
 
 
 class TestStateBudget:

@@ -9,7 +9,7 @@ from bsol.partitions import (
     predecessors,
     reverse_move,
 )
-from oracles import all_partitions, level_and_cycle, staircase, trajectory
+from oracles import all_partitions, level_and_cycle, reverse_moves, staircase, trajectory
 
 partitions_20 = st.integers(1, 20).flatmap(
     lambda n: st.sampled_from(sorted(all_partitions(n)))
@@ -60,7 +60,9 @@ class TestReverseMove:
             assert forward_move(reverse_move(lam, j)) == lam
 
     def test_predecessors_complete(self):
-        # brute force: preimages found by scanning every partition of n
+        # brute force: preimages found by scanning every partition of n;
+        # the oracles' reverse_moves, which the census tests search with,
+        # must find the same ones in the same order
         for n in range(0, 16):
             everything = list(all_partitions(n))
             by_image: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
@@ -68,6 +70,7 @@ class TestReverseMove:
                 by_image.setdefault(forward_move(lam), set()).add(lam)
             for lam in everything:
                 assert set(predecessors(lam)) == by_image.get(lam, set())
+                assert reverse_moves(lam) == predecessors(lam)
 
     def test_predecessors_distinct(self):
         for n in range(1, 16):
