@@ -3,9 +3,9 @@
 Censuses every growth row of golden.size_rows() at powers 1..k, where k
 is the largest verified power whose tabulated orbit size is at most
 CEILING states, with _census_py.census_levels, which counts the states
-whose level counts are (1 + x)^a times 1 + c x + c x^2 for each of their
-pairs, c = 1 or 2 (binomial trees B_a when they have no pair), as plain
-ints, without building them.
+whose births to undo fall into runs, by the product of the runs' factors
+(binomial trees B_a when every run is a single birth), as plain ints,
+without building them.
 It runs the whole sweep N times and prints the total states, the median
 seconds of a sweep with the first and third quartiles of the N beside
 it, so that the spread between runs shows, the same three of the states
@@ -16,7 +16,8 @@ Every census must match its row: a finished census must total the
 tabulated size row.count_at(power), and a capped one must be of an orbit
 tabulated above CEILING.  The script exits non-zero when one does not.
 It then splits the counted states into those the walk built and those
-it only counted: in binomial trees by order, or met with b pairs, by b,
+it only counted, by the shape of the root they lie below: binomial trees
+by order, roots with pairs, with a k-fuse run by k, and with other runs,
 each with its share.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
@@ -62,31 +63,69 @@ def peak_rss_mb() -> float:
     raise SystemExit("no VmHWM line in /proc/self/status")
 
 
-def built_and_counted(seeds) -> tuple[list[int], dict[int, int]]:
-    """States the counting walk builds, then those it only counts.
+def run_kind(code: int) -> str:
+    """The kind of a run by its code in the walk: a pair of two births, a
+    k-fuse of k >= 3 births all to undo, 1 or 2 apart with no two 1 apart
+    in a row, or another run."""
+    gaps, undo = _census_py._run(code)
+    if len(gaps) == 1:
+        return "pair"
+    if undo > len(gaps) and all(g in (1, 2) for g in gaps) and (1, 1) not in zip(gaps, gaps[1:]):
+        return f"{undo}-fuse"
+    return "other"
 
-    Entry k + 1 of the list is the states counted in binomial trees B_k:
-    those met as a B_k at their own level, and those the walk carries
-    down from a counted state above them.  The dict holds, under b >= 1,
-    the states met with b pairs, which the walk counts as a B_a in its
-    orders and whose subtrees it owes the levels below.
+
+def shape_kind(shape) -> str:
+    """What a counted root's shape (a, run codes) is reported under: its
+    order when it has no run, else its runs' rarest kind."""
+    a, codes = shape
+    kinds = {run_kind(code) for code in codes}
+    if not kinds:
+        return f"B_{a}"
+    if "other" in kinds:
+        return "other"
+    fuses = [k for k in kinds if k.endswith("-fuse")]
+    return max(fuses, key=lambda k: int(k.split("-")[0])) if fuses else "pair"
+
+
+def tree_levels(shape) -> list[int]:
+    """The level counts of the tree below a root of shape (a, run codes):
+    (1 + x)^a times the factor of each run."""
+    a, codes = shape
+    out = [1]
+    for factor in [(1, 1)] * a + [_census_py._run_levels(*_census_py._run(code)) for code in codes]:
+        out = _census_py._times(out, factor)
+    return out
+
+
+def built_and_counted(seeds) -> dict[str, int]:
+    """States the counting walk builds, then those it only counts, by kind.
+
+    "built" are the states the walk builds.  Every other state lies in the
+    tree below a root the walk met and counted by its shape, and counts
+    under that root's kind: B_k by order k, "pair" for roots whose runs
+    are all of two births, "k-fuse" for those with a run of k >= 3 births
+    that is a fuse, and "other" for those with any other run.  A root's
+    tree counts down to the walk's last level, so the kinds add up to the
+    census.
     """
-    counts = [0]
-    pairs: dict[int, int] = {}
+    split: dict[str, int] = {"built": 0}
     for s in seeds:
+        met = []
         for step in _census_py._birth_levels(s, CEILING):
-            if step is not None:
-                _, level, orders, shapes = step
-                counts += [0] * (len(orders) + 1 - len(counts))
-                counts[0] += len(level)
-                for k, n in enumerate(orders, 1):
-                    counts[k] += n
-                for (a, cs), n in shapes.items():
-                    counts[a + 1] -= n
-                    pairs[len(cs)] = pairs.get(len(cs), 0) + n
-    while len(counts) > 1 and not counts[-1]:
-        counts.pop()
-    return counts, dict(sorted(pairs.items()))
+            if step is None:
+                break
+            _, level, orders, shapes = step
+            split["built"] += len(level)
+            met.append([*(((k, ()), n) for k, n in enumerate(orders) if n), *shapes.items()])
+        for depth, roots in enumerate(met):
+            for shape, n in roots:
+                tree = tree_levels(shape)[: len(met) - depth]
+                kind = shape_kind(shape)
+                split[kind] = split.get(kind, 0) + n * sum(tree)
+    order = ["built"] + sorted(k for k in split if k.startswith("B_")) + ["pair"]
+    order += sorted((k for k in split if k.endswith("-fuse")), key=lambda k: int(k.split("-")[0]))
+    return {k: split[k] for k in [*order, "other"] if k in split}
 
 
 def main() -> None:
@@ -123,12 +162,21 @@ def main() -> None:
         f"{states:>9} {capped:>6} {q1:7.3f} {median:8.3f} {q3:7.3f}"
         f" {states / q3:11.0f} {states / median:9.0f} {states / q1:9.0f} {peak:8.1f}"
     )
-    counts, pairs = built_and_counted(seeds)
-    total = sum(counts) + sum(pairs.values())
+    split = built_and_counted(seeds)
+    total = sum(split.values())
     print(f"census_levels counted {total} states:")
-    kinds = ["built"] + [f"in a B_{k}, counted only" for k in range(len(counts) - 1)]
-    kinds += [f"met with {b} pair{'s' * (b > 1)}, counted only" for b in pairs]
-    for what, n in zip(kinds, [*counts, *pairs.values()]):
+    names = {
+        "built": "built",
+        "pair": "below a root with pairs, counted only",
+        "other": "below a root with another run, counted only",
+    }
+    for kind, n in split.items():
+        if kind.startswith("B_"):
+            what = f"in a {kind}, counted only"
+        elif kind.endswith("-fuse"):
+            what = f"below a root with a {kind} run, counted only"
+        else:
+            what = names[kind]
         print(f"{n:>9} {n / total:6.1%}  {what}")
 
 

@@ -24,85 +24,77 @@ level into tuples and goes on with them, and a cycle whose largest pile
 is _BYTE_MAX or more starts on tuples.  _flip turns pile values into
 stored births and back.
 
-States of product shape are counted, never built.  A state's births to
-undo, those up to its room, fall into blocks when each is a single
-birth, more than 2 from the births beside it, or one of a pair, two
-births 2 or less apart, equal ones too, more than 2 from the others.
-When they do, and the birth after the last block lies more than 2 past
-it, the states below it count by level
+States of product shape are counted, never built.  Births 2 or less
+apart chain into runs.  When a state's births to undo, those up to its
+room, fall into runs and the birth after the last run lies more than 2
+past it (past the state's end, T + 1 at top T: its empty piles), the
+states below it count by level as a product of one factor per run.
+Undoing a birth u keeps the runs before it and leaves its own run's
+births before and after it, one run or two, the later with its births
+up to u + 2 to undo, and no later birth to undo.  So with P_i the
+product over the first i runs, the predecessors that undo a birth of run
+i give x g_i P_(i-1) = P_i - P_(i-1), where 1 + x g_i depends on the run
+alone: _run_levels finds it by this recursion.  A single birth's factor
+is 1 + x, so a state of a single births only roots a binomial tree B_a,
+with C(a, i) states i levels down: a leaf, with no birth to undo, is
+B_0, a stub B_1 and a fork B_2.
 
-    (1 + x)^a prod (1 + c x + c x^2),
+This is the paper's factoring of a reverse-move tree by the segments of
+its board, whose entries are the birth gaps and whose bars the births to
+undo.  Its fuse lemma, in finite form: a run of k births, all to undo,
+whose gaps are 1s and 2s with no two 1s adjacent and whose next birth
+lies more than 2 past it, is a k-fuse, with factor u_k = sum_i
+w(i, k - i) x^i, w(n, z) the weak compositions of n with z zeros.  A
+close pair's 1 + 2x + 2x^2 is u_2.  Other runs have factors of their
+own: 1 + x + x^2 for two equal births or a pair whose second birth is
+past the room, 1 + 3x + 6x^2 + 6x^3 for the gaps (1, 1).  The walk counts
+the runs with at most _PAST births past the room, and builds the states
+with longer ones, whose factors cost more to find than building saves.
 
-a the single births and one factor per pair: c = 2 when its births
-differ and both are to undo, else c = 1.  Undoing a birth keeps the
-blocks before it: a single birth leaves them, and either birth of a pair
-leaves them and the pair's other birth, single now.  So with P_i the
-product over the first i blocks, a block's predecessors give
-x g_i P_(i-1) = P_i - P_(i-1), g_i = 1 for a single birth and c (1 + x)
-for a pair, and these sum to P - 1.  This is the paper's factoring of a
-reverse-move tree by the segments of its board: a close pair's factor
-1 + 2x + 2x^2 is u_2, the census of a 2-fuse.  With no pair the state
-roots a binomial tree B_a.  A leaf, a state with no predecessor, is B_0,
-a stub B_1 and a fork B_2: nearly half of an orbit is leaves, a quarter
-stubs and a tenth forks.
-
-A B_k holds C(k, i) states i levels below its root and puts one each of
-B_0 ... B_(k-1) on the next level.  A state of shape (a, cs), cs its
-pairs' c, holds
-
-    (1 + x)^a prod (1 + c x (1 + x)) = sum_i e_i x^i (1 + x)^(a + i),
-
-e_i the i-th elementary symmetric polynomial of cs.  So the walk counts
-it as a B_a at its own level and owes e_i trees B_(a + i) to the level i
-below.  It counts each level's states by the order of the tree they
-root, carries trees, not states, and adds the owed trees when it starts
-a level.  The budget check charges each level only with the states on
-it, so every walk caps at the level where it would cap if it built them.
+The walk counts each state it meets and does not build by its shape
+(a, runs), a its single births and runs the codes of its longer runs, at
+its own level; at the level end it adds each shape's level counts below
+the root, times its states, to one list owed, an int per level ahead.
+Owed states join a level's count when that level is generated, and the
+budget check charges each level only with the states on it, so every
+walk caps at the level where it would cap if it built them.
 
 Undoing pile j of a state at top T and room R, born at u <= R (it can
 have been stacked last; of equal births only the first, as they give
-equal predecessors), gives p: T + 1 - u piles of room u + 2, the state's
-births without pile j, then R - u newborns at T + 1.  p keeps the j
-births before pile j to undo: the walk carries their blocks as j
-advances, j + o single births and the pairs in a key, and stops at the
-third close birth in a row, past which no p is of product shape.  Let x
-be p's first birth after them: state[j + 1], else a newborn when R > u,
-else none; and y and z the two after x.  x > u + 2, or no x, adds no
-block; else x pairs with state[j - 1] when that is single and
-y > x + 2, is single when y > x + 2, and pairs with y when z > y + 2.
-A birth missing past p's end reads as T + 2, the newborns that undoing
-a birth v < u + 2 of p leaves, and as past every birth when v = u + 2
-leaves none.
-
-The walk reads t, a, b, a state's first three births (T + 1 past its
-end: no birth is past T), and writes the rule out for j = 0 and 1, where
-p can be one or two piles.  j = 0 gives a leaf when a > t + 2, else a
-stub when b > a + 2; a one-pile p (t = T) is no stub, as its birth
-a >= T.  j = 1 gives a stub when p is one pile (a = T, its birth t < T)
-or b > a + 2; p = (t, T + 1) is a fork.  From j = 2 the walk runs the
-rule in a loop, then builds the rest.  It builds only the states it will
-expand, about a twenty-third of those it counts on the benchmark's
-growth rows.  No built state's first birth is past its room, as no built
-state is a leaf and every cycle state has a predecessor.  At depth 0
-only leaves are counted: every level-1 candidate goes through the cycle
-check.
+equal predecessors), gives p: the state's births without pile j, then
+R - u newborns at T + 1.  p keeps the runs of the births before pile j,
+which the walk carries as j advances: a0 single births and the codes
+runs0 closed, and the code rc of the open run's births up to j - 1.  x,
+the birth after u, says whether p undoes births after u, those up to
+u + 2; the walk reads them, the births past p's room that join its last
+run, up to _PAST, and z, the next birth, reading a newborn past the
+state's end when R > u and T + 2, past p's end, when not.  p is counted
+when z lies more than 2 past its last run.  A p with newborns to undo
+(R > u >= T - 1) has 2 piles: (t, T + 1), a fork, when u = T - 1 is the
+state's second birth, and a cycle state else.  The walk builds about a
+seventy-first of the states it counts on the benchmark's growth rows.
+At depth 0 only leaves are counted: every level-1 candidate goes through
+the cycle check.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
-Shape = tuple[int, tuple[int, ...]]  # (a, cs): a B_a with pairs of c = 1 or 2 trees
+# (a, runs): a single births and the codes of the longer runs.  A run's
+# code is its gaps as base-6 digits after a leading 1, each plus 3 when the
+# birth after it is past the room
+Shape = tuple[int, tuple[int, ...]]
 Step = tuple[int, list[State], list[int], dict[Shape, int]]
 
 _BYTE_MAX = 255  # the largest stored birth a byte string holds
+_PAST = 4  # the most births past the room that a counted run holds
+_BITS = 64  # the bits of a level's count in owed, before it is widened
 
 
 def _flip(
@@ -114,29 +106,58 @@ def _flip(
     return [box([c - x for x in s]) for s in states]
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _plan(key: int, shift: int) -> tuple[Shape, tuple[tuple[int, int, int], ...]]:
-    # a counted state's key, a + (n1 << shift) + (n2 << 2 * shift), as its
-    # shape (a, cs), cs the c of its n1 equal and n2 close pairs, and the
-    # trees it owes the levels below: (i - 1, a + i, e_i) for the e_i trees
-    # B_(a + i) i levels down, e_i the coefficient of y^i in the product
-    # of (1 + c y) over cs
-    mask = (1 << shift) - 1
-    a = key & mask
-    cs = (1,) * (key >> shift & mask) + (2,) * (key >> 2 * shift)
-    e = [1]
-    for c in cs:
-        e = [x + c * y for x, y in zip([*e, 0], [0, *e])]
-    return (a, cs), tuple((i - 1, a + i, e[i]) for i in range(1, len(e)))
+def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _run_levels(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
+    # the level counts of a run: births 0, gaps[0], gaps[0] + gaps[1], ...,
+    # the first r to undo, the next more than 2 past the last.  Undoing birth
+    # i leaves the births before it, to undo, and those after it, those within
+    # 2 of it to undo: one run when the births beside it lie 2 apart or less
+    out = [1]
+    for i in range(r):
+        if i and not gaps[i - 1]:
+            continue  # equal births give equal predecessors
+        if i == len(gaps):
+            below = _run_levels(gaps[: i - 1], i) if i else (1,)
+        else:
+            d, k = gaps[i], i + 1
+            while k < len(gaps) and d + gaps[k] <= 2:
+                d += gaps[k]
+                k += 1
+            if i and gaps[i - 1] + gaps[i] <= 2:
+                below = _run_levels((*gaps[: i - 1], gaps[i - 1] + gaps[i], *gaps[i + 1 :]), k)
+            else:
+                below = _run_levels(gaps[i + 1 :], k - i)
+                if i:
+                    below = _times(below, _run_levels(gaps[: i - 1], i))
+        out += [0] * (len(below) + 1 - len(out))
+        for k, m in enumerate(below, 1):
+            out[k] += m
+    return tuple(out)
+
+
+def _run(code: int) -> tuple[tuple[int, ...], int]:
+    # the run with this code: its gaps and how many of its births are to undo
+    digits = []
+    while code > 1:
+        code, g = divmod(code, 6)
+        digits.append(g)
+    return tuple(g % 3 for g in reversed(digits)), len(digits) + 1 - sum(g > 2 for g in digits)
 
 
 def _birth_levels(
     seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
 ) -> Iterator[Step | None]:
-    # each level as (its size, the states to expand, how many of the others
-    # it counts as B_k, by k, and how many of those it met with pairs, by
-    # shape (a, cs), each counted as a B_a); None when the budget runs out.
-    # The walk stops after level max_depth
+    # each level as (its size, the states to expand, and the states it met
+    # and counted: B_k by k, and the others by shape); None when the budget
+    # runs out.  The walk stops after level max_depth
     cycle = list(dict.fromkeys(seeds))
     off = max([v for s in cycle for v in s], default=0)
     box = bytes if off < _BYTE_MAX else tuple
@@ -144,11 +165,11 @@ def _birth_levels(
     level = _flip(cycle, off, 0, box)
     size = total = len(level)
     depth = 0
-    orders = [0] * (off // 4 + 3)
+    orders: list[int] = []
     shapes: dict[Shape, int] = {}
-    # the trees the states met with pairs owe the levels below, by order:
-    # later[0] to the next level generated, later[1] to the one after it
-    later: list[dict[int, int]] = [{} for _ in range(off // 4 + 3)]
+    owed: list[int] = []  # owed[i]: states below counted ones, i + 1 levels past the last
+    bits = _BITS
+    packs: dict[int, tuple[int, int]] = {}  # a run's code: its level counts packed, their sum
     while size:
         yield size, level, orders, shapes
         if depth == max_depth:
@@ -156,27 +177,13 @@ def _birth_levels(
                 yield None
             return
         top = off + depth  # the level's depth as a stored birth
-        # the next level's trees by order: those carried down, trees[k] =
-        # sum(orders[k + 1:]), and those owed to it.  The list reaches the
-        # largest order a counted state can have, its count B of blocks:
-        # their first births, at least 1 and 3 apart, lie within its room
-        # u + 2, and it has top + 1 - u >= B births, so B <= (top + 5) // 4
-        trees = [0, *accumulate(reversed(orders))][-2::-1]
-        if len(trees) < top // 4 + 3:
-            trees.append(0)
-        for k, c in later.pop(0).items():
-            trees[k] += c
-        if len(later) < top // 4 + 3:  # past the most pairs, B
-            later.append({})
-        # the key of a state met with pairs: its a and its counts n1 and n2
-        # of pairs with c = 1 and 2, each below 1 << shift, as bit fields
-        shift = (top + 3).bit_length()
-        p1 = 1 << shift
-        p2 = p1 << shift
-        pend: list[int] = []
+        due = owed.pop(0) if owed else 0
+        # a state has at most (top + 5) // 4 runs: their first births, 3
+        # apart, lie within its room, and it has at least as many births
+        orders = [0] * (top // 4 + 3)
+        shapes = {}
         nxt: list[State] = []
         push = nxt.append
-        leaf = stub = fork = 0  # the first two piles' trees, kept as locals
         if box is bytes and top >= _BYTE_MAX:
             # a newborn's stored birth, top + 1, would not fit a byte
             box = tuple
@@ -186,127 +193,118 @@ def _birth_levels(
         # counts only grow within a level, so a check every 256 states and
         # at its end caps at the same level as a check after every state
         for i in range(0, len(level), 256):
-            if i and len(nxt) + leaf + stub + fork + sum(trees) > left:
+            if i and len(nxt) + sum(orders) + sum(shapes.values()) + due > left:
                 yield None
                 return
             for state in level[i : i + 256]:
                 n = len(state)
-                if not n:
-                    continue  # the empty partition, W's cycle
                 room = top + 2 - n
-                t = state[0]
-                a = state[1] if n > 1 else top + 1
-                b = state[2] if n > 2 else top + 1
-                if a > t + 2:  # j = 0
-                    leaf += 1
-                elif depth and b > a + 2:
-                    stub += 1
-                elif depth and n > 2 and (
-                    state[3] if n > 3 else top + 1 if room > t else top + 2
-                ) > b + 2:
-                    leaf += 1  # (a, b) is p's one pair
-                    pend.append(p2 if a < b <= t + 2 else p1)
-                else:
-                    push(state[1:] + born * (room - t))
-                if n < 2 or a > room:
-                    continue
-                if a != t:  # j = 1
-                    if not depth:
-                        push(state[:1] + state[2:] + born * (room - a))
-                    elif a == top or b > a + 2:
-                        stub += 1
-                    elif n == 2 or (  # with n == 2, p = (t, top + 1) is a fork
-                        y := state[3] if n > 3 else top + 1 if room > a else top + 2
-                    ) > b + 2:
-                        if t + 2 < b:
-                            fork += 1
-                        else:
-                            leaf += 1  # (t, b) is p's one pair
-                            pend.append(p2)
-                    elif t + 2 < b and (
-                        state[4] > y + 2
-                        if n > 4
-                        else y < top - 1 or room == a and (y < top or b == top)
-                    ):
-                        stub += 1  # (b, y) is p's one pair
-                        pend.append(1 + (p2 if b < y <= a + 2 else p1))
-                    else:
-                        push(state[:1] + state[2:] + born * (room - a))
-                j, prev = 2, a
-                if depth:
-                    # the rule from j = 2: the births before pile j are j + o
-                    # single births and the pairs in pk, and prev, state[j - 1],
-                    # may pair with the next birth unless it closed a pair, at
-                    # pile shut
-                    o, pk, shut = (0, 0, -1) if t + 2 < a else (-2, p2 if t < a else p1, 1)
-                    while j < n:
-                        u = state[j]
-                        if u > room:
-                            break
-                        if u != prev:
-                            x = state[j + 1] if j + 1 < n else top + 3  # a newborn is past u + 2 too
-                            if x > u + 2:
-                                trees[j + o] += 1
-                                if pk:
-                                    pend.append(pk + j + o)
-                            elif (
-                                y := state[j + 2] if j + 2 < n else top + 1 if room > u else top + 3
-                            ) > x + 2:
-                                if x > prev + 2:
-                                    trees[j + o + 1] += 1
-                                    if pk:
-                                        pend.append(pk + j + o + 1)
-                                elif shut < j - 1:  # (prev, x) is a pair of p
-                                    trees[j + o - 1] += 1
-                                    pend.append(pk + p2 + j + o - 1)
-                                else:
-                                    push(state[:j] + state[j + 1 :] + born * (room - u))
-                            elif x > prev + 2 and (
-                                state[j + 3] > y + 2
-                                if j + 3 < n  # at j + 2 == n, y is p's one newborn and x = u + 2
-                                else j + 2 == n or y < top - 1 or room == u and (y < top or x == u + 2)
-                            ):
-                                trees[j + o] += 1  # (x, y) is a pair of p
-                                pend.append(pk + (p2 if x < y <= u + 2 else p1) + j + o)
-                            else:
-                                push(state[:j] + state[j + 1 :] + born * (room - u))
-                        j += 1
-                        if u <= prev + 2:
-                            if shut == j - 2:  # a third close birth: no later pile gives a counted state
-                                prev = u
-                                break
-                            o -= 2
-                            pk += p2 if u > prev else p1
-                            shut = j - 1
-                        prev = u
-                while j < n:
+                plain = depth and n > 2  # past level 1, and no newborn to undo
+                a0, runs0, rc = 0, (), 0
+                for j in range(n):
                     u = state[j]
                     if u > room:
                         break
-                    if u != prev:
-                        prev = u
-                        push(state[:j] + state[j + 1 :] + born * (room - u))
-                    j += 1
+                    x = state[j + 1] if j + 1 < n else top + 3
+                    if x > u + 2:
+                        # p undoes only the births before u, in the runs they form
+                        if not rc and plain:  # u is a single birth
+                            if runs0:
+                                shapes[a0, runs0] = shapes.get((a0, runs0), 0) + 1
+                            else:
+                                orders[a0] += 1
+                            a0 += 1
+                            continue
+                        if j and u == state[j - 1]:
+                            pass
+                        elif j + 1 == n and room > u >= top - 1:
+                            # newborns to undo: n = 2, and p = (t, T + 1) is a fork past level 1
+                            if j and depth:
+                                orders[2] += 1
+                            else:
+                                push(state[:j] + born * (room - u))
+                        elif not depth and (rc or a0 or runs0):
+                            push(state[:j] + state[j + 1 :] + born * (room - u))
+                        elif rc > 1:
+                            key = a0, (*runs0, rc)
+                            shapes[key] = shapes.get(key, 0) + 1
+                        elif runs0:
+                            shapes[a0 + rc, runs0] = shapes.get((a0 + rc, runs0), 0) + 1
+                        else:
+                            orders[a0 + rc] += 1
+                        # and u closes its run
+                        if rc:
+                            runs0 += (rc * 6 + u - state[j - 1],)
+                            rc = 0
+                        else:
+                            a0 += 1
+                        continue
+                    if not j or u != state[j - 1]:
+                        # p undoes births after u too: in one run with the open one, or a run after it
+                        a, runs = a0, runs0
+                        if rc and x <= state[j - 1] + 2:
+                            w = rc * 6 + x - state[j - 1]
+                        else:
+                            if rc == 1:
+                                a += 1
+                            elif rc:
+                                runs += (rc,)
+                            w = 1
+                        k = j + 2
+                        while k < n and state[k] <= u + 2:
+                            w = w * 6 + state[k] - state[k - 1]
+                            k += 1
+                        last = state[k - 1]
+                        z = state[k] if k < n else top + 1 if room > u else top + 2
+                        past = 0  # the births past p's room that join its last run
+                        while z <= last + 2 and past < _PAST and k < n and depth:
+                            w = w * 6 + 3 + z - last
+                            last = z
+                            past += 1
+                            k += 1
+                            z = state[k] if k < n else top + 1 if room > u else top + 2
+                        if z <= last + 2 or not depth:
+                            push(state[:j] + state[j + 1 :] + born * (room - u))
+                        elif w > 1:
+                            runs += (w,)
+                            shapes[a, runs] = shapes.get((a, runs), 0) + 1
+                        elif runs:
+                            shapes[a + 1, runs] = shapes.get((a + 1, runs), 0) + 1
+                        else:
+                            orders[a + 1] += 1
+                    rc = rc * 6 + u - state[j - 1] if rc else 1
             if depth == 0:
                 # each cycle state is also its cycle neighbour's predecessor
                 nxt[:] = [p for p in nxt if p not in on_cycle]
-        size = len(nxt) + leaf + stub + fork + sum(trees)
+        size = len(nxt) + sum(orders) + sum(shapes.values()) + due
         if size > left:
             yield None
             return
-        # each state met with pairs owes its e_i trees B_(a + i) to the
-        # level i below it
-        shapes = {}
-        if pend:
-            for key, c in Counter(pend).items():
-                shape, owed = _plan(key, shift)
-                shapes[shape] = c
-                for d, k, e in owed:
-                    later[d][k] = later[d].get(k, 0) + c * e
-        trees[0] += leaf
-        trees[1] += stub
-        trees[2] += fork
-        total, level, orders, depth = total + size, nxt, trees, depth + 1
+        # each counted state owes the levels below it its shape's counts: the
+        # walk sums them packed, bits to a level, widened until no level's
+        # sum can pass them, and adds the sum to owed
+        roots = [*(((k, ()), c) for k, c in enumerate(orders) if c), *shapes.items()]
+        while True:
+            add = sums = 0
+            for (a, runs), c in roots:
+                p, t = (1 + (1 << bits)) ** a, 1 << a
+                for code in runs:
+                    if code not in packs:
+                        levels = _run_levels(*_run(code))
+                        packs[code] = sum(m << bits * i for i, m in enumerate(levels)), sum(levels)
+                    q, m = packs[code]
+                    p, t = p * q, t * m
+                add += c * p
+                sums += c * t
+            if sums < 1 << bits:
+                break
+            bits, packs = 2 * bits, {}
+        add >>= bits  # less the roots themselves
+        for d in range((add.bit_length() + bits - 1) // bits):
+            if d == len(owed):
+                owed.append(0)
+            owed[d] += add >> d * bits & (1 << bits) - 1
+        total, level, depth = total + size, nxt, depth + 1
 
 
 def census_levels(

@@ -16,12 +16,13 @@ slices and a pad of newborn piles.  A state is a byte string, one byte a
 pile, holding its birth depth plus an offset, the cycle's largest pile,
 so no byte is negative; a walk whose births would pass 255 turns its
 states into tuples and goes on with them.  States of product shape,
-whose births to undo are single births and pairs 2 or less apart, with
-(1 + x)^a times 1 + c x + c x^2 for each pair states below them by level
-(binomial trees B_a when they have no pair; leaves, nearly half of every
-orbit, are B_0), are told apart before they are built, so the walk only
-counts them, as plain ints, and builds about a twenty-third of the
-states (4.4% on the benchmark's growth rows).  A caller that reads only
+whose births to undo fall into runs of births 2 or less apart, with the
+product of one factor per run states below them by level (the paper's
+u_k for a run that is a k-fuse; binomial trees B_a when every run is a
+single birth; leaves, nearly half of every orbit, are B_0), are told
+apart before they are built, so the walk only counts them, as plain
+ints, and builds about a seventy-first of the states (1.4% on the
+benchmark's growth rows).  A caller that reads only
 the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
 the lemma 2.16 check counts its paths with partitions.predecessors,
 apart from the walk.

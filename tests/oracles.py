@@ -11,9 +11,9 @@ build inputs with:
   form of the infinite-board move;
 - forward trajectories, partition enumeration, the staircase and a
   partition's predecessors;
-- the census walk's levels, each state classified by the product shape
-  of the level counts under it, or as a state to expand, by a plain
-  predecessors search;
+- the census walk's levels by a plain predecessors search, each state
+  classified by the runs of the piles it can undo, and the level counts
+  of each run, by a predecessors search on a partition that holds it;
 - a necklace's chip count, the first anchor of the anchored reduction,
   a reference closed form by necklace, the two published series-level
   forms, and a parser for the polynomial text format.
@@ -352,148 +352,159 @@ def reverse_moves(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """
     k = len(parts)
     out = [] if k else [()]
+    plus = tuple([x + 1 for x in parts])  # every pile given back its chip
     for j, v in enumerate(parts):
         if v < k - 1:
             break
         if not j or parts[j - 1] != v:
-            rest = parts[:j] + parts[j + 1 :] + (0,) * (v - k + 1)
-            out.append(tuple(x + 1 for x in rest))
+            out.append(plus[:j] + plus[j + 1 :] + (1,) * (v - k + 1))
     return out
 
 
 # the predecessors of a state, each computed once; the oracles below and
-# the tests that classify states share it
-cached_predecessors = functools.lru_cache(maxsize=1 << 17)(reverse_moves)
+# the tests that classify states share it.  It holds every state that one
+# run of the census tests meets
+cached_predecessors = functools.lru_cache(maxsize=1 << 19)(reverse_moves)
 
 
-Shape = tuple[int, tuple[int, ...]]
+def level_counts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The states 0, 1, 2, ... reverse moves below parts, by a plain predecessors search.
+
+    The states below one are a tree, met once each, so nothing is cached.
+    """
+    counts, level = [], [parts]
+    while level:
+        counts.append(len(level))
+        level = [p for s in level for p in reverse_moves(s)]
+    return tuple(counts)
 
 
-@functools.lru_cache(maxsize=None)
-def product_levels(a: int, cs: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients of (1 + x)^a times 1 + c x + c x^2 for each c in cs, lowest first."""
-    out = [1]
-    for factor in [(1, 1)] * a + [(1, c, c) for c in cs]:
-        product = [0] * (len(out) + len(factor) - 1)
-        for i, m in enumerate(out):
-            for k, f in enumerate(factor):
-                product[i + k] += m * f
-        out = product
+def times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two polynomials, as coefficient tuples lowest first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, m in enumerate(p):
+        for k, f in enumerate(q):
+            out[i + k] += m * f
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def blocks_fit(counts: tuple[int, ...], w: int = 0) -> bool:
-    """Whether a run of blocks, single births and pairs, has predecessors with these counts.
+Run = tuple[tuple[int, ...], int]  # a run's gaps, largest pile first, and its piles past the room
+Shape = tuple[int, tuple[Run, ...]]  # (a, runs): a single piles, and the longer runs, sorted
 
-    counts are the predecessors' own counts of predecessors, ascending.
-    Undoing a state's birth keeps its blocks before it: a single birth
-    after blocks of weight w leaves a state with w predecessors, and a
-    birth of a pair there leaves one with w + 1, once when the pair's c
-    is 1 and twice when it is 2.  A single birth has weight 1 and a pair
-    weight c.
+
+def run_shape(parts: tuple[int, ...]) -> Shape | None:
+    """The runs of the piles parts can undo, (a, runs), or None when the last reaches the empty piles.
+
+    A pile can be undone when it holds at least len(parts) - 1 chips.
+    Piles 2 chips or less apart chain into runs, from the largest down, and
+    an empty pile lies past the smallest.  A run starts at a pile to undo
+    and takes in the piles that chain to it, to undo or not, those its
+    piles past the room.  a counts the runs of one pile, and runs holds
+    each longer one as (its gaps, its piles past the room).  When a run
+    chains to the empty piles the shape is None, but in (v, 1): undoing
+    its pile of one chip uses no empty pile, and undoing v leaves that
+    pile past every room below, so it is a single pile.  The level counts
+    under parts are then shape_levels(shape): a leaf is (0, ()), and a
+    state with no longer run roots a binomial tree B_a.
     """
-    if not counts:
-        return True
-    first, twin = counts[0], counts[1:2] == (w + 1,)
-    return (
-        first == w
-        and blocks_fit(counts[1:], w + 1)
-        or first == w + 1
-        and (blocks_fit(counts[1:], w + 1) or twin and blocks_fit(counts[2:], w + 2))
-    )
+    n = len(parts)
+    values = (*parts, 0)
+    a, runs, i = 0, [], 0
+    while i < n and parts[i] >= n - 1:
+        start = i
+        while values[i] - values[i + 1] <= 2:
+            if i + 1 == n:
+                if parts[start:] == (1,) and n == 2:
+                    break  # undoing (v, 1)'s last pile uses no empty pile
+                return None
+            i += 1
+        gaps = tuple(values[k] - values[k + 1] for k in range(start, i))
+        if gaps:
+            runs.append((gaps, sum(v < n - 1 for v in parts[start : i + 1])))
+        else:
+            a += 1
+        i += 1
+    return a, tuple(sorted(runs))
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def pair_product_shape(parts: tuple[int, ...]) -> Shape | None:
-    """(a, cs) when the level counts under parts are (1 + x)^a prod (1 + c x + c x^2), c in cs.
+@functools.lru_cache(maxsize=None)
+def run_levels(run: Run) -> tuple[int, ...]:
+    """A run's factor: the level counts under a partition whose piles to undo form that run alone.
 
-    The level counts are the states 0, 1, 2, ... reverse moves below
-    parts in its subtree, found by a predecessors search.  cs holds c = 1
-    or 2 for each pair, the ones first; with no pair, cs = (), parts roots
-    a binomial tree B_a.  A leaf is (0, ()).  None for any other state.
-    The subtree of (a, cs) holds 2^a 3^n1 5^n2 states, n1 and n2 the
-    pairs with c = 1 and 2, so its total gives the candidate shape.
-    A state of product shape has births to undo that are single births
-    and pairs, and each predecessor keeps those before the birth it
-    undoes: so the predecessors have product shape, and their counts of
-    predecessors fit blocks_fit.  The search goes down only while both
-    hold, and each state's shape is found once.
+    Its piles are the run's, from base = len + 3 chips up, and then ones,
+    so that its first len - past piles are to undo and no other pile is,
+    and its smallest lies more than 2 chips above the ones.
     """
-    ps = cached_predecessors(parts)
-    if not blocks_fit(tuple(sorted(len(cached_predecessors(p)) for p in ps))):
-        return None
-    counts = [1]
-    for p in reversed(ps):  # the last undoes the latest birth and keeps the most
-        shape = pair_product_shape(p)
-        if shape is None:
-            return None
-        below = product_levels(*shape)
-        counts += [0] * (len(below) + 1 - len(counts))
-        for i, n in enumerate(below, 1):
-            counts[i] += n
-    total, exps = sum(counts), []
-    for f in (2, 3, 5):
-        exps.append(0)
-        while total % f == 0:
-            total //= f
-            exps[-1] += 1
-    a, n1, n2 = exps
-    shape = a, (1,) * n1 + (2,) * n2
-    return shape if total == 1 and product_levels(*shape) == tuple(counts) else None
+    gaps, past = run
+    m = len(gaps) + 1
+    values = [m + 3 + sum(gaps[i:]) for i in range(m)]
+    parts = (*values, *[1] * (values[m - 1 - past] + 1 - m))
+    if run_shape(parts) != (0, (run,)):
+        raise ValueError(f"no partition holds the run {run}")
+    return level_counts(parts)
+
+
+def shape_levels(shape: Shape) -> tuple[int, ...]:
+    """The level counts of a shape: (1 + x)^a times the factor of each run."""
+    a, runs = shape
+    out: tuple[int, ...] = (1,)
+    for factor in [(1, 1)] * a + [run_levels(run) for run in runs]:
+        out = times(out, factor)
+    return out
+
+
+def counted(shape: Shape | None, past: int) -> bool:
+    """Whether the census walk counts a state of this shape that it meets past level 1:
+    when its runs hold at most past piles past the room."""
+    return shape is not None and all(b <= past for _, b in shape[1])
 
 
 class LevelShapes(NamedTuple):
     """One orbit level split as the census walk splits it, in value form."""
 
     expand: list[tuple[int, ...]]
-    orders: list[list[tuple[int, ...]]]  # orders[k]: the states that root a B_k
-    pairs: dict[Shape, list[tuple[int, ...]]]  # the other states of product shape
-    roots: dict[Shape, list[tuple[int, ...]]]  # the states the walk counts on this level
+    counted: dict[Shape, list[tuple[int, ...]]]  # the states it does not build, by shape
+    roots: dict[Shape, list[tuple[int, ...]]]  # those of them it meets and counts on this level
 
     def states(self) -> list[tuple[int, ...]]:
-        pairs = [s for part in self.pairs.values() for s in part]
-        return self.expand + [s for part in self.orders for s in part] + pairs
+        return self.expand + [s for part in self.counted.values() for s in part]
+
+    def order(self, k: int) -> list[tuple[int, ...]]:
+        """The states it does not build that root a binomial tree B_k."""
+        return self.counted.get((k, ()), [])
 
 
-def shaped_levels(seeds: list[tuple[int, ...]]) -> Iterator[LevelShapes]:
+def shaped_levels(seeds: list[tuple[int, ...]], past: int) -> Iterator[LevelShapes]:
     """The levels of the orbit hanging off the cycle seeds, by a predecessors search.
 
-    Each state is classified by pair_product_shape as the census walk
-    classifies it: from level 1 on a state with no predecessor is a leaf,
-    B_0, and from level 2 on a state of product shape (a, cs) is one the
-    walk does not build, under orders[a] when cs is empty and under
-    pairs[a, cs] when it is not; every other state is one the walk
+    Each state is classified by run_shape as the census walk classifies
+    it: from level 1 on a state with no predecessor is a leaf, B_0, and
+    from level 2 on a state whose runs hold at most past piles past the
+    room is one the walk does not build; every other state is one the walk
     expands.  roots holds by shape the states the walk counts where it
     meets them, as predecessors of states it built; the others lie below
-    a counted state, and the walk carries them as the trees of its
-    shape.  orders has no trailing empty list.  Levels are made one at a
-    time, so a caller that stops early builds none past it.
+    a counted state, and the walk owes them as the levels of its shape.
+    Levels are made one at a time, so a caller that stops early builds
+    none past it.
     """
     cycle = set(seeds)
     built = list(dict.fromkeys(seeds))  # level 0: the cycle, expanded
-    counted: list[tuple[int, ...]] = []
+    owed: list[tuple[int, ...]] = []
     depth = 0
-    while built or counted:
-        split = LevelShapes([], [], {}, {})
-        for met, states in ((True, built), (False, counted)):
+    while built or owed:
+        split = LevelShapes([], {}, {})
+        for met, states in ((True, built), (False, owed)):
             for state in states:
-                shape = pair_product_shape(state) if depth else None
-                if shape is None or depth == 1 and shape != (0, ()):
+                shape = run_shape(state) if depth else None
+                if met and not (counted(shape, past) if depth > 1 else shape == (0, ())):
                     split.expand.append(state)
                     continue
                 if met:
                     split.roots.setdefault(shape, []).append(state)
-                a, cs = shape
-                if cs:
-                    split.pairs.setdefault(shape, []).append(state)
-                else:
-                    split.orders.extend([] for _ in range(a + 1 - len(split.orders)))
-                    split.orders[a].append(state)
+                split.counted.setdefault(shape, []).append(state)
         yield split
         built = [p for s in split.expand for p in cached_predecessors(s) if p not in cycle]
-        parts = [*split.orders, *split.pairs.values()]
-        counted = [p for part in parts for s in part for p in cached_predecessors(s)]
+        owed = [p for part in split.counted.values() for s in part for p in cached_predecessors(s)]
         depth += 1
 
 

@@ -45,17 +45,30 @@ def test_startup_stops_on_a_failed_command():
     assert e.value.code == "tables exited 1: ModuleNotFoundError: bsol"
 
 
-@pytest.mark.parametrize("word,power", [("BWW", 4), ("BBBBBW", 2)])
+@pytest.mark.parametrize("word,power", [("BWW", 4), ("BBBBBW", 2), ("BBWBWWW", 1), ("BWBWBWW", 1)])
 def test_orbit_split_adds_up_to_the_census(word, power):
-    # the built states, the counted ones of each order and the pair trees
-    # must total the census, so the split cannot drift from the walk
+    # the built states and the counted ones below each kind of root must
+    # total the census, so the split cannot drift from the walk
     orbit = load(BENCHMARKS / "bench_orbit.py")
     seeds = cycle_partitions(word * power)
     sizes, capped = _census_py.census_levels(seeds, orbit.CEILING)
     assert not capped
-    counts, pairs = orbit.built_and_counted([seeds])
-    assert sum(counts) + sum(pairs.values()) == sum(sizes)
-    assert min(counts) >= 0 and min(pairs.values()) > 0
+    split = orbit.built_and_counted([seeds])
+    assert sum(split.values()) == sum(sizes) and min(split.values()) > 0
+    assert {"built", "B_0", "pair"} <= set(split)
+
+
+def test_orbit_split_kinds():
+    # BWBWBWW (148 states): its walk builds 16, and meets a B_0, roots
+    # with pairs, a 4-fuse, whose tree holds u_4(1) = 34 states, and roots
+    # with runs that are no fuse; a run's code is its gaps in base 6 after
+    # a leading 1, each plus 3 when the birth after it is past the room
+    orbit = load(BENCHMARKS / "bench_orbit.py")
+    split = orbit.built_and_counted([cycle_partitions("BWBWBWW")])
+    assert split == {"built": 16, "B_0": 5, "pair": 27, "4-fuse": 34, "other": 66}
+    assert [orbit.run_kind(code) for code in (6 + 2, 6 + 3, 36 + 6 + 2, 36 + 6 + 1, 36 + 12 + 2)] == [
+        "pair", "pair", "3-fuse", "other", "3-fuse"
+    ]
 
 
 def test_quartiles_are_inclusive():

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bsol
-from bsol import _census_py, orbit
+from bsol import _census_py, fuse, orbit
 from bsol.golden import size_rows
 from bsol.necklaces import cycle_partitions, is_primitive, necklace_representatives
 from bsol.orbit import (
@@ -27,11 +27,15 @@ from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
     cached_predecessors,
+    counted,
     h_series_forms,
-    pair_product_shape,
+    level_counts,
     parse_poly,
-    product_levels,
+    run_levels,
+    run_shape,
+    shape_levels,
     shaped_levels,
+    times,
     weight,
 )
 
@@ -133,67 +137,58 @@ def walked(seeds, budget):
     """The census walk's steps, checked level by level against oracles.shaped_levels.
 
     Each step's states to expand, decoded with _flip, must be the oracle's
-    as a sorted list, and its size the oracle level's.  The walk counts a
-    state it meets by its product shape (a, cs) as a B_a, and one with
-    pairs also owes the levels below e_i trees B_(a + i) i levels down
-    (owed_trees); a B_k carries one each of B_0 ... B_(k-1) to the next
-    level.  So a step's count of order k, less the trees carried and owed
-    to its level and less the states it reports of shape (k, cs) with
-    pairs, is the B_k it met there, and those and the shapes it reports
-    must be the oracle's roots.  The states below a counted one are
-    checked through the level sizes: below a state with pairs they are
-    not all binomial trees.  Returns (levels, capped): the oracle's split
-    of each level the walk completed.
+    as a sorted list, and its size the oracle level's.  Each step reports
+    the states it met and counted there: B_k by k, and the others by shape,
+    which decoded must be the oracle's roots by shape, and the level
+    counts the walk owes for each shape must be the oracle's, found by a
+    predecessors search.  The states below a counted one are checked
+    through the level sizes.  The oracle counts runs with as many births
+    past the room as the walk, _census_py._PAST.  Returns (levels,
+    capped): the oracle's split of each level the walk completed.
     """
     off = offset(seeds)
-    oracle = shaped_levels(seeds)
+    oracle = shaped_levels(seeds, _census_py._PAST)
     levels = []
-    above, owed = [], []
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
         size, level, orders, shapes = step
         split = next(oracle)
         assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
-        assert size == len(split.states())
-        due = owed.pop(0) if owed else Counter()
-        met = [n - sum(above[k + 1 :]) - due[k] for k, n in enumerate(orders)]
-        for (a, cs), n in shapes.items():
-            assert cs and n > 0
-            met[a] -= n
-            for i, e in enumerate(owed_trees(cs), 1):
-                owed.extend(Counter() for _ in range(i - len(owed)))
-                owed[i - 1][a + i] += n * e
-        assert min(met) >= 0
-        roots = Counter({(k, ()): n for k, n in enumerate(met) if n}) + Counter(shapes)
-        assert roots == {shape: len(part) for shape, part in split.roots.items()}
-        above = orders
+        assert size == len(split.states()) and None not in split.counted
+        met = Counter({(k, ()): n for k, n in enumerate(orders) if n})
+        for shape, n in shapes.items():
+            assert shape[1] and n > 0
+            met[decoded(shape)] += n
+        for shape in [*((k, ()) for k, n in enumerate(orders) if n), *shapes]:
+            assert owed_levels(shape) == shape_levels(decoded(shape))
+        assert met == {shape: len(part) for shape, part in split.roots.items()}
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
 
 
-def owed_trees(cs):
-    """e_1, e_2, ...: the coefficients of y, y^2, ... in the product of 1 + c y over cs."""
-    e = [1]
-    for c in cs:
-        e = [x + c * y for x, y in zip([*e, 0], [0, *e])]
-    return e[1:]
+def owed_levels(shape):
+    """The level counts the walk owes for a root of shape (a, run codes): (1 + x)^a times each run's."""
+    a, codes = shape
+    out = (1,)
+    for factor in [(1, 1)] * a + [_census_py._run_levels(*_census_py._run(code)) for code in codes]:
+        out = times(out, factor)
+    return out
 
 
-def trimmed(orders):
-    """Counts by order, without the trailing zeros the walk pads them with."""
-    orders = list(orders)
-    while orders and not orders[-1]:
-        orders.pop()
-    return orders
+def decoded(shape):
+    """A shape of the walk, (a, run codes), as the oracle writes it: (a, sorted (gaps, past))."""
+    a, codes = shape
+    runs = [(gaps, len(gaps) + 1 - undo) for gaps, undo in map(_census_py._run, codes)]
+    return a, tuple(sorted(runs))
 
 
-def shape_counts(levels):
-    """The oracle's states with pairs over levels, by shape (a, cs)."""
+def met_counts(levels):
+    """The states the walk meets and counts over levels, by the oracle's shape."""
     counts = Counter()
     for split in levels:
-        counts.update({shape: len(part) for shape, part in split.pairs.items()})
+        counts.update({shape: len(part) for shape, part in split.roots.items()})
     return counts
 
 
@@ -238,7 +233,7 @@ class TestBuildOrbit:
     def test_roots_are_the_cycle(self):
         levels, _ = walked(cycle_partitions("BWW"), 10**6)
         assert sorted(levels[0].expand) == sorted(set(cycle_partitions("BWW")))
-        assert levels[0].orders == []
+        assert levels[0].counted == {}
 
     def test_depth_is_max_level(self):
         levels, _ = walked(cycle_partitions("BBW"), 10**6)
@@ -574,8 +569,8 @@ class TestBinomialCounting:
             with holding(container, seeds):
                 levels, capped = walked(seeds, 10**6)
             assert not capped
-            assert [len(part) for part in levels[9].orders] == [15, 9, 5, 1, 0, 1]
-            assert {k for split in levels for k, part in enumerate(split.orders) if part} == set(range(6))
+            assert [len(levels[9].order(k)) for k in range(7)] == [15, 9, 5, 1, 0, 1, 0]
+            assert {a for split in levels for a, runs in split.counted if not runs} == set(range(6))
 
 
 class TestStubCounting:
@@ -589,7 +584,7 @@ class TestStubCounting:
         # whose one predecessor is a leaf, and the walk builds none of them
         levels, _ = walked(cycle_partitions(word * power), 5000)
         for split in levels[2:]:
-            stubs = split.orders[1] if len(split.orders) > 1 else []
+            stubs = split.order(1)
             assert set(stubs) == {s for s in split.states() if is_stub(s)}
             assert not any(is_stub(s) for s in split.expand)
 
@@ -612,7 +607,7 @@ class TestStubCounting:
         steps = list(_census_py._birth_levels(seeds, 100))
         assert [len(level) + sum(orders) for _, level, orders, *_ in steps] == [3, 1, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][1] == 0
-        assert pair_product_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (1, ())
+        assert run_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (1, ())
 
 
 class TestForkCounting:
@@ -627,7 +622,7 @@ class TestForkCounting:
         # none of them
         levels, _ = walked(cycle_partitions(word * power), 5000)
         for split in levels[2:]:
-            forks = split.orders[2] if len(split.orders) > 2 else []
+            forks = split.order(2)
             assert set(forks) == {s for s in split.states() if is_fork(s)}
             assert not any(is_fork(s) for s in split.expand)
 
@@ -646,26 +641,30 @@ class TestForkCounting:
 
     def test_built_states_are_pinned(self):
         # BWW^4 (625 states): the predecessors search of oracles.shaped_levels
-        # leaves 61 states to build, 311, 147, 58, 21, 11 and 2 states that
-        # root trees of orders 0 to 5, and 14 states with one pair, each
-        # with binomial trees below it; the walk builds and counts exactly
-        # these, and a rule turned off builds more
+        # leaves 36 states to build, 311, 147, 58, 21, 11 and 2 states of
+        # binomial shape B_0 to B_5, and 39 below runs of two births or
+        # more, which the walk meets at the 9 states below; the walk builds
+        # and meets exactly these, and a rule turned off builds more
         seeds = cycle_partitions("BWW" * 4)
-        pinned = [61, 311, 147, 58, 21, 11, 2]
-        pairs = {(1, (1,)): 1, (2, (1,)): 4, (2, (2,)): 1, (3, (1,)): 5, (3, (2,)): 2, (4, (1,)): 1}
-        levels = list(shaped_levels(seeds))
-        by_order = itertools.zip_longest(*(split.orders for split in levels), fillvalue=[])
+        pinned = [36, 311, 147, 58, 21, 11, 2, 0]
+        runs = {
+            (1, (((0, 2, 1, 0), 3),)): 1,
+            (2, (((0, 2, 1, 0), 3),)): 2,
+            (2, (((0, 2, 1, 0, 2), 4),)): 1,
+            (2, (((0, 2, 2, 1, 0), 4),)): 1,
+            (3, (((0, 2, 2), 2),)): 1,
+            (3, (((1, 0, 2), 3),)): 1,
+            (3, (((2, 1, 0), 3),)): 1,
+            (4, (((2,), 1),)): 1,
+        }
+        levels = list(shaped_levels(seeds, _census_py._PAST))
         built = sum(len(split.expand) for split in levels)
-        assert [built, *(sum(map(len, col)) for col in by_order)] == pinned
-        assert shape_counts(levels) == pairs
+        assert [built, *(sum(len(split.order(k)) for split in levels) for k in range(7))] == pinned
+        assert {k: n for k, n in met_counts(levels).items() if k[1]} == runs
         steps = list(_census_py._birth_levels(seeds, 10**6))
-        shapes = sum((Counter(step[3]) for step in steps), Counter())
-        orders = [sum(col) for col in itertools.zip_longest(*(step[2] for step in steps), fillvalue=0)]
-        for (a, _), n in shapes.items():
-            orders[a] -= n  # a state with pairs is counted as a B_a
-        assert [sum(len(step[1]) for step in steps), *trimmed(orders)] == pinned
-        assert shapes == pairs
-        assert sum(pinned) + sum(pairs.values()) == 625
+        met = sum((Counter({decoded(k): n for k, n in step[3].items()}) for step in steps), Counter())
+        assert sum(len(step[1]) for step in steps) == pinned[0] and met == runs
+        assert sum(len(split.states()) for split in levels) == 625
 
     def test_no_fork_at_level_one(self):
         # BBW's one level-1 state has two predecessors, a leaf and a stub,
@@ -675,76 +674,209 @@ class TestForkCounting:
         steps = list(_census_py._birth_levels(seeds, 100))
         assert [step[0] for step in steps] == [3, 1, 2, 1]
         assert len(steps[1][1]) == 1 and steps[1][2][2] == 0
-        assert pair_product_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (2, ())
-
-
-def subtree_levels(state):
-    """The states 0, 1, 2, ... reverse moves below state, by a plain predecessors search."""
-    counts, level = [], [state]
-    while level:
-        counts.append(len(level))
-        level = [p for s in level for p in cached_predecessors(s)]
-    return tuple(counts)
+        assert run_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (2, ())
 
 
 class TestPairCounting:
-    """census_levels counts the states of product shape (1 + x)^a prod (1 + c x + c x^2)."""
+    """census_levels counts the states whose births to undo fall into runs, by their product."""
 
     @given(
         word=st.text(alphabet="BW", min_size=1, max_size=7),
         power=st.integers(1, 3),
         container=st.sampled_from(CONTAINERS),
     )
+    @example(word="BWBWBWW", power=1, container="switch")  # runs of 3 and 4 births, a 4-fuse
+    @example(word="BWW", power=3, container="bytes")  # runs with 1 to 3 births past the room
     @settings(max_examples=80, deadline=None)
     def test_each_counted_state_has_its_product_levels(self, word, power, container):
         # walked checks each level's counted states by shape against the
         # oracle; here, from level 2 on, the level counts under each of
         # them, found by a plain search, are its shape's product, and the
-        # walk builds no state of product shape
+        # walk builds no state whose runs it counts
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             levels, _ = walked(seeds, 5000)
         for split in levels[2:]:
             for shape, part in split.roots.items():
                 for state in part:
-                    assert subtree_levels(state) == product_levels(*shape)
-            assert not any(map(pair_product_shape, split.expand))
+                    assert level_counts(state) == shape_levels(shape)
+            assert not any(counted(run_shape(s), _census_py._PAST) for s in split.expand)
 
     def test_ends_one_to_three_in_every_container(self):
-        # BBWBWWW (189 states) has states with one pair after a B_0, a B_1
-        # and a B_2, each pair with c = 1 and with c = 2, by the oracle
+        # BBWBWWW (189 states) has states with one run of two births after
+        # a B_0, a B_1 and a B_2: equal births, whose factor is 1 + x + x^2,
+        # and births 1 apart, u_2, by the oracle
         seeds = cycle_partitions("BBWBWWW")
-        want = {(0, (1,)): 4, (0, (2,)): 1, (1, (1,)): 6, (1, (2,)): 5, (2, (1,)): 1, (2, (2,)): 1}
-        for container in CONTAINERS:
-            with holding(container, seeds):
-                levels, capped = walked(seeds, 10**6)
-            assert not capped
-            assert {k: n for k, n in shape_counts(levels).items() if len(k[1]) == 1} == want
-
-    def test_two_and_three_pairs_in_every_container(self):
-        # BBWW^3 (1,500 states): the walk counts 19 states with two pairs
-        # and 3 with three, by the oracle, and builds 119 states; walked
-        # checks the walk's shapes against the oracle's level by level
-        seeds = cycle_partitions("BBWW" * 3)
         want = {
-            (0, (1, 1)): 1,
-            (0, (1, 2)): 1,
-            (1, (1, 1)): 6,
-            (1, (1, 2)): 4,
-            (2, (1, 1)): 7,
-            (0, (1, 1, 1)): 1,
-            (0, (1, 1, 2)): 1,
-            (1, (1, 1, 1)): 1,
+            (0, (((0,), 0),)): 4,
+            (0, (((1,), 0),)): 1,
+            (1, (((0,), 0),)): 5,
+            (1, (((1,), 0),)): 4,
+            (1, (((2,), 0),)): 1,
+            (2, (((0,), 0),)): 1,
+            (2, (((1,), 0),)): 1,
         }
         for container in CONTAINERS:
             with holding(container, seeds):
                 levels, capped = walked(seeds, 10**6)
             assert not capped
-            roots = Counter()
-            for split in levels:
-                roots.update({shape: len(part) for shape, part in split.roots.items()})
-            assert {shape: n for shape, n in roots.items() if len(shape[1]) > 1} == want
-            assert sum(len(split.expand) for split in levels) == 119
+            assert {k: n for k, n in counted_shapes(levels).items() if pairs_only(k, 1)} == want
+
+    def test_two_and_three_pairs_in_every_container(self):
+        # BBWW^3 (1,500 states): 30 of the states the walk does not build
+        # have two or three runs of two births, some with their second
+        # birth past the room, by the oracle, and it builds 75 states;
+        # walked checks the walk's shapes against the oracle's level by level
+        seeds = cycle_partitions("BBWW" * 3)
+        want = {
+            (0, (((0,), 0), ((0,), 0))): 4,
+            (0, (((0,), 0), ((0,), 0), ((0,), 0))): 1,
+            (0, (((0,), 0), ((0,), 0), ((1,), 0))): 1,
+            (0, (((0,), 0), ((1,), 0))): 1,
+            (1, (((0,), 0), ((0,), 0))): 9,
+            (1, (((0,), 0), ((0,), 0), ((1,), 1))): 1,
+            (1, (((0,), 0), ((1,), 0))): 4,
+            (1, (((0,), 0), ((1,), 1))): 1,
+            (1, (((0,), 0), ((2,), 1))): 1,
+            (2, (((0,), 0), ((0,), 0))): 2,
+            (2, (((0,), 0), ((1,), 1))): 4,
+            (2, (((0,), 0), ((2,), 1))): 2,
+        }
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                levels, capped = walked(seeds, 10**6)
+            assert not capped
+            shapes = counted_shapes(levels)
+            assert {k: n for k, n in shapes.items() if len(k[1]) > 1 and pairs_only(k, 3)} == want
+            assert sum(len(split.expand) for split in levels) == 75
+
+
+def counted_shapes(levels):
+    """The states the walk does not build over levels, by the oracle's shape."""
+    counts = Counter()
+    for split in levels:
+        counts.update({shape: len(part) for shape, part in split.counted.items()})
+    return counts
+
+
+def pairs_only(shape, most):
+    """Whether shape has 1 to most runs, each of two births."""
+    return 0 < len(shape[1]) <= most and all(len(gaps) == 1 for gaps, _ in shape[1])
+
+
+def with_long_runs(counts):
+    """The counts of the shapes with a run of three births or more."""
+    return {k: n for k, n in counts.items() if any(len(gaps) > 1 for gaps, _ in k[1])}
+
+
+@contextlib.contextmanager
+def past_the_room(bound):
+    """Make the walk count runs with up to bound births past the room."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_census_py, "_PAST", bound)
+        yield
+
+
+class TestRunCounting:
+    """The runs the walk counts: fuses by u_k, others by their own factors, at any bound."""
+
+    def test_three_and_four_runs_in_every_container(self):
+        # BWBWBWW (148 states): the walk meets a 4-fuse, whose factor is
+        # u_4, a run of four births with three past the room, runs of three
+        # births with none and two past it, and a run of six births, by the
+        # oracle; it builds 16 states, in bytes, in tuples and across the
+        # switch between them
+        seeds = cycle_partitions("BWBWBWW")
+        want = {
+            (0, (((2, 1, 0), 3),)): 1,
+            (0, (((2, 2, 0, 0, 0), 4),)): 1,
+            (0, (((2, 2, 2), 0),)): 1,
+            (1, (((1, 0), 2),)): 1,
+            (1, (((2, 0), 0),)): 2,
+        }
+        assert shape_levels((0, (((2, 2, 2), 0),))) == (1, 4, 9, 12, 8)
+        for container in CONTAINERS:
+            with holding(container, seeds):
+                levels, capped = walked(seeds, 10**6)
+                steps = list(_census_py._birth_levels(seeds, 10**6))
+            assert not capped
+            assert with_long_runs(met_counts(levels)) == want
+            met = sum((Counter({decoded(k): n for k, n in step[3].items()}) for step in steps), Counter())
+            assert with_long_runs(met) == want
+            assert sum(len(step[1]) for step in steps) == 16
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_fuse_runs_count_by_u_k(self, k):
+        # every run of k births, all to undo, whose gaps are 1s and 2s with
+        # no two 1s adjacent is a k-fuse: the walk's factor for it is u_k
+        want = tuple(fuse.u_poly(k).coeff(i) for i in range(k + 1))
+        fuses = [g for g in itertools.product((1, 2), repeat=k - 1) if (1, 1) not in zip(g, g[1:])]
+        for gaps in fuses:
+            assert _census_py._run_levels(gaps, k) == want
+        # and the gaps (1, 1), two adjacent 1s, are no fuse
+        if k == 3:
+            assert _census_py._run_levels((1, 1), 3) == (1, 3, 6, 6) != want
+
+    def test_run_factors_match_the_oracle(self):
+        # every run of 2 to 6 births, with any gaps of 0, 1 or 2 and any
+        # births past the room: the walk's factor by its recursion is the
+        # oracle's, by a predecessors search on a partition that holds it
+        runs = 0
+        for m in range(2, 7):
+            for gaps in itertools.product((0, 1, 2), repeat=m - 1):
+                for r in range(1, m + 1):
+                    if r == m or gaps[r - 1]:  # equal births are both to undo or neither
+                        assert _census_py._run_levels(gaps, r) == run_levels((gaps, m - r))
+                        runs += 1
+        assert runs == 1457
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 4, 9])
+    def test_every_bound_on_births_past_the_room(self, bound):
+        # the walk at any bound builds and counts as the oracle does at it,
+        # and its census is a plain search's
+        for word, power in [("BWW", 4), ("BBWW", 3), ("BWBWBWW", 1), ("BBBBW", 1)]:
+            seeds = cycle_partitions(word * power)
+            with past_the_room(bound):
+                _, capped = walked(seeds, 10**6)
+                assert _census_py.census_levels(seeds, 10**6) == predecessor_census(seeds, 10**6)
+            assert not capped
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_narrow_packing_widens(self, bits):
+        # the walk sums the counts it owes packed, _BITS bits to a level,
+        # and widens them until no level's sum can pass them: from 1 or 3
+        # bits it must widen, and count as it does from 64
+        for word, power in [("BWW", 4), ("BBWBWWW", 1), ("BBBBBW", 2)]:
+            seeds = cycle_partitions(word * power)
+            want = _census_py.census_levels(seeds, 10**6)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_census_py, "_BITS", bits)
+                assert _census_py.census_levels(seeds, 10**6) == want
+
+    def test_each_birth_past_the_room_builds_fewer(self):
+        # BWW^4 (625 states) by the oracle: a walk that counts runs with up
+        # to 0, 1, ..., 5 births past the room builds these many states
+        built = []
+        for bound in range(6):
+            with past_the_room(bound):
+                levels, _ = walked(cycle_partitions("BWW" * 4), 10**6)
+            built.append(sum(len(split.expand) for split in levels))
+        assert built == [63, 57, 47, 38, 36, 33]
+
+
+def test_run_shapes_have_their_product_levels():
+    # every partition of up to 24 chips off its cycle, with a predecessor,
+    # whose runs end more than 2 chips above the next pile: its level counts
+    # by a plain search, the whole subtree with no pruning, are its shape's
+    # product
+    shapes = 0
+    for chips in range(1, 25):
+        for parts in all_partitions(chips):
+            shape = run_shape(parts)
+            if shape is not None and not recurrent(parts) and cached_predecessors(parts):
+                assert level_counts(parts) == shape_levels(shape)
+                shapes += 1
+    assert shapes == 3417
 
 
 class TestStateBudget:

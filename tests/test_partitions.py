@@ -54,6 +54,16 @@ class TestReverseMove:
         with pytest.raises(ValueError, match="not a partition"):
             reverse_move((2, 1, 3), 1)
 
+    def test_predecessors_keep_each_check(self):
+        # predecessors finds the playable piles once per state, yet checks
+        # each move's result, and a pile outside the list it passes on is
+        # still rejected
+        with pytest.raises(ValueError, match="not a partition"):
+            predecessors((2, 1, 3))
+        with pytest.raises(ValueError, match="not playable"):
+            reverse_move((5, 3, 3, 2), 2, [1, 3])
+        assert predecessors((5, 3, 3, 2)) == [reverse_move((5, 3, 3, 2), j) for j in (1, 3)]
+
     @given(partitions_20)
     def test_reverse_then_forward_is_identity(self, lam):
         for j in playable_parts(lam):
