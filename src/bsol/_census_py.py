@@ -170,6 +170,7 @@ def _birth_levels(
     owed: list[int] = []  # owed[i]: states below counted ones, i + 1 levels past the last
     bits = _BITS
     packs: dict[int, tuple[int, int]] = {}  # a run's code: its level counts packed, their sum
+    ones = [1]  # ones[k]: (1 + x)^k packed
     while size:
         yield size, level, orders, shapes
         if depth == max_depth:
@@ -280,14 +281,15 @@ def _birth_levels(
         if size > left:
             yield None
             return
-        # each counted state owes the levels below it its shape's counts: the
-        # walk sums them packed, bits to a level, widened until no level's
-        # sum can pass them, and adds the sum to owed
+        # each counted state owes the levels below it its shape's counts, summed
+        # packed, bits to a level, widened until no level's sum can pass them
         roots = [*(((k, ()), c) for k, c in enumerate(orders) if c), *shapes.items()]
         while True:
+            while len(ones) < len(orders):
+                ones.append(ones[-1] * ((1 << bits) + 1))
             add = sums = 0
             for (a, runs), c in roots:
-                p, t = (1 + (1 << bits)) ** a, 1 << a
+                p, t = ones[a], 1 << a
                 for code in runs:
                     if code not in packs:
                         levels = _run_levels(*_run(code))
@@ -298,7 +300,7 @@ def _birth_levels(
                 sums += c * t
             if sums < 1 << bits:
                 break
-            bits, packs = 2 * bits, {}
+            bits, packs, ones = 2 * bits, {}, [1]
         add >>= bits  # less the roots themselves
         for d in range((add.bit_length() + bits - 1) // bits):
             if d == len(owed):
