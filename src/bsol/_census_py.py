@@ -49,7 +49,7 @@ close pair's 1 + 2x + 2x^2 is u_2.  Other runs have factors of their
 own: 1 + x + x^2 for two equal births or a pair whose second birth is
 past the room, 1 + 3x + 6x^2 + 6x^3 for the gaps (1, 1).  The walk counts
 the runs with at most _PAST births past the room, and builds the states
-with longer ones, whose factors cost more to find than building saves.
+with longer ones, so the table of run factors a process keeps stays small.
 
 The walk counts each state it meets and does not build by its shape
 (a, runs), a its single births and runs the codes of its longer runs, at

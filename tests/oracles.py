@@ -453,7 +453,7 @@ def shape_levels(shape: Shape) -> tuple[int, ...]:
     return out
 
 
-def counted(shape: Shape | None, past: int) -> bool:
+def is_counted(shape: Shape | None, past: int) -> bool:
     """Whether the census walk counts a state of this shape that it meets past level 1:
     when its runs hold at most past piles past the room."""
     return shape is not None and all(b <= past for _, b in shape[1])
@@ -496,7 +496,7 @@ def shaped_levels(seeds: list[tuple[int, ...]], past: int) -> Iterator[LevelShap
         for met, states in ((True, built), (False, owed)):
             for state in states:
                 shape = run_shape(state) if depth else None
-                if met and not (counted(shape, past) if depth > 1 else shape == (0, ())):
+                if met and not (is_counted(shape, past) if depth > 1 else shape == (0, ())):
                     split.expand.append(state)
                     continue
                 if met:

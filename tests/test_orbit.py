@@ -27,8 +27,8 @@ from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
     cached_predecessors,
-    counted,
     h_series_forms,
+    is_counted,
     level_counts,
     parse_poly,
     run_levels,
@@ -555,8 +555,8 @@ class TestBinomialCounting:
     @settings(max_examples=80, deadline=None)
     def test_each_counted_state_roots_a_binomial_tree(self, word, power, container):
         # walked checks that each level's count of order k is as many as
-        # the states there whose predecessors are B_0 ... B_(k-1), one each,
-        # and that from level 2 on the walk builds none of them
+        # the states the walk meets there whose births to undo are k single
+        # births, roots of B_k, and that from level 2 on it builds none
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             walked(seeds, 5000)
@@ -700,7 +700,7 @@ class TestPairCounting:
             for shape, part in split.roots.items():
                 for state in part:
                     assert level_counts(state) == shape_levels(shape)
-            assert not any(counted(run_shape(s), _census_py._PAST) for s in split.expand)
+            assert not any(is_counted(run_shape(s), _census_py._PAST) for s in split.expand)
 
     def test_ends_one_to_three_in_every_container(self):
         # BBWBWWW (189 states) has states with one run of two births after
