@@ -88,16 +88,6 @@ def shape_kind(shape) -> str:
     return max(fuses, key=lambda k: int(k.split("-")[0])) if fuses else "pair"
 
 
-def tree_levels(shape) -> list[int]:
-    """The level counts of the tree below a root of shape (a, run codes):
-    (1 + x)^a times the factor of each run."""
-    a, codes = shape
-    out = [1]
-    for factor in [(1, 1)] * a + [_census_py._run_levels(*_census_py._run(code)) for code in codes]:
-        out = _census_py._times(out, factor)
-    return out
-
-
 def built_and_counted(seeds) -> dict[str, int]:
     """States the counting walk builds, then those it only counts, by kind.
 
@@ -120,7 +110,7 @@ def built_and_counted(seeds) -> dict[str, int]:
             met.append([*(((k, ()), n) for k, n in enumerate(orders) if n), *shapes.items()])
         for depth, roots in enumerate(met):
             for shape, n in roots:
-                tree = tree_levels(shape)[: len(met) - depth]
+                tree = _census_py._shape_levels(*shape)[: len(met) - depth]
                 kind = shape_kind(shape)
                 split[kind] = split.get(kind, 0) + n * sum(tree)
     order = ["built"] + sorted(k for k in split if k.startswith("B_")) + ["pair"]

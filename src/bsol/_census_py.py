@@ -13,16 +13,12 @@ L + 1.  That predecessor's own room is t + 2.
 
 A state is a byte string, one byte per pile: its birth depth plus the
 walk's offset, the largest pile of the cycle, so that no stored birth is
-negative.  The walk compares stored births only, with top = L + offset
-in place of L.  It reads only a state's piles up to its room, a few of
-the many it holds, and a byte string is copied in one block where a
-tuple takes a reference count per pile, at about a quarter of the
-memory.  Bytes and tuples slice, concatenate, repeat and index alike, so
-the walk's code is the same for both.  A byte holds at most _BYTE_MAX:
-once a newborn's stored birth would pass it, the walk turns its live
-level into tuples and goes on with them, and a cycle whose largest pile
-is _BYTE_MAX or more starts on tuples.  _flip turns pile values into
-stored births and back.
+negative; the walk compares stored births only, with top = L + offset.
+A byte string is copied in one block, at about a quarter of a tuple's
+memory, and slices, concatenates, repeats and indexes as a tuple does.
+Once a newborn's stored birth would pass _BYTE_MAX, the walk turns its
+live level into tuples, and a cycle whose largest pile is _BYTE_MAX or
+more starts on them.  _flip turns pile values into stored births and back.
 
 States of product shape are counted, never built.  Births 2 or less
 apart chain into runs.  When a state's births to undo, those up to its
@@ -48,16 +44,15 @@ w(i, k - i) x^i, w(n, z) the weak compositions of n with z zeros.  A
 close pair's 1 + 2x + 2x^2 is u_2.  Other runs have factors of their
 own: 1 + x + x^2 for two equal births or a pair whose second birth is
 past the room, 1 + 3x + 6x^2 + 6x^3 for the gaps (1, 1).  The walk counts
-the runs with at most _PAST births past the room, and builds the states
-with longer ones, so the table of run factors a process keeps stays small.
+the runs with at most _PAST births past the room and builds the others:
+with no bound _run_levels meets ever more runs, and B W^55 takes 3.8 s.
 
 The walk counts each state it meets and does not build by its shape
-(a, runs), a its single births and runs the codes of its longer runs, at
-its own level; at the level end it adds each shape's level counts below
-the root, times its states, to one list owed, an int per level ahead.
-Owed states join a level's count when that level is generated, and the
-budget check charges each level only with the states on it, so every
-walk caps at the level where it would cap if it built them.
+(a, runs), a its single births and runs the codes of its longer runs.
+At the level end it adds each shape's level counts below the root, times
+its states, to one list owed, an int per level ahead.  They join a
+level's count, and its budget check, when that level is generated, so
+every walk caps at the level where it would cap if it built them.
 
 Undoing pile j of a state at top T and room R, born at u <= R (it can
 have been stacked last; of equal births only the first, as they give
@@ -86,9 +81,8 @@ __all__ = ["census_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
-# (a, runs): a single births and the codes of the longer runs.  A run's
-# code is its gaps as base-6 digits after a leading 1, each plus 3 when the
-# birth after it is past the room
+# (a, runs): a single births and the codes of the longer runs, a code being the run's
+# gaps as base-6 digits after a leading 1, each plus 3 when the birth after it is past the room
 Shape = tuple[int, tuple[int, ...]]
 Step = tuple[int, list[State], list[int], dict[Shape, int]]
 
@@ -97,9 +91,7 @@ _PAST = 4  # the most births past the room that a counted run holds
 _BITS = 64  # the bits of a level's count in owed, before it is widened
 
 
-def _flip(
-    states: Iterable[Sequence[int]], off: int, depth: int, box: type = tuple
-) -> list:
+def _flip(states: Iterable[Sequence[int]], off: int, depth: int, box: type = tuple) -> list:
     # pile values <-> stored births at level depth of a walk with offset off:
     # value v is stored as off + depth + 1 - v.  Its own inverse
     c = off + depth + 1
@@ -114,7 +106,7 @@ def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 13)
 def _run_levels(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
     # the level counts of a run: births 0, gaps[0], gaps[0] + gaps[1], ...,
     # the first r to undo, the next more than 2 past the last.  Undoing birth
@@ -150,6 +142,14 @@ def _run(code: int) -> tuple[tuple[int, ...], int]:
         code, g = divmod(code, 6)
         digits.append(g)
     return tuple(g % 3 for g in reversed(digits)), len(digits) + 1 - sum(g > 2 for g in digits)
+
+
+def _shape_levels(a: int, runs: tuple[int, ...]) -> list[int]:
+    # the level counts of a root of shape (a, runs), the root first: what the level end sums packed
+    out = [1]
+    for factor in [(1, 1)] * a + [_run_levels(*_run(code)) for code in runs]:
+        out = _times(out, factor)
+    return out
 
 
 def _birth_levels(

@@ -45,14 +45,11 @@ def playable_parts(parts: tuple[int, ...]) -> list[int]:
     return out
 
 
-def reverse_move(
-    parts: tuple[int, ...], j: int, playable: list[int] | None = None
-) -> tuple[int, ...]:
-    """Undo the forward move assuming pile j (1-based) was the stacked one.
-
-    playable is playable_parts(parts), when the caller has it already.
-    """
-    if j not in (playable_parts(parts) if playable is None else playable):
+def reverse_move(parts: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Undo the forward move assuming pile j (1-based) was the stacked one."""
+    k = len(parts)
+    # j in playable_parts(parts): a pile of at least k - 1 chips, the last of its equal piles
+    if not (1 <= j <= k and parts[j - 1] >= k - 1 and (j == k or parts[j] != parts[j - 1])):
         raise ValueError(f"pile {j} of {parts!r} is not playable")
     v = parts[j - 1]
     rest = list(parts[: j - 1] + parts[j:])
@@ -70,5 +67,4 @@ def predecessors(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All partitions that the forward move sends to this one."""
     if not parts:
         return [()]  # the empty board maps only to itself
-    playable = playable_parts(parts)  # once per state, not once per move
-    return [reverse_move(parts, j, playable) for j in playable]
+    return [reverse_move(parts, j) for j in playable_parts(parts)]

@@ -459,6 +459,23 @@ def is_counted(shape: Shape | None, past: int) -> bool:
     return shape is not None and all(b <= past for _, b in shape[1])
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def binomial_order(parts: tuple[int, ...]) -> int | None:
+    """k when parts roots a binomial tree B_k, its predecessors roots of B_0, ..., B_(k-1); else None.
+
+    A predecessors search.  The first predecessor, which undoes the largest
+    pile, keeps the fewest piles to undo, so a search that fails mostly
+    fails there, early.
+    """
+    orders = []
+    for p in cached_predecessors(parts):
+        k = binomial_order(p)
+        if k is None:
+            return None
+        orders.append(k)
+    return len(orders) if sorted(orders) == list(range(len(orders))) else None
+
+
 class LevelShapes(NamedTuple):
     """One orbit level split as the census walk splits it, in value form."""
 

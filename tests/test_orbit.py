@@ -26,16 +26,15 @@ from bsol.partitions import forward_move, predecessors
 from bsol.polyrat import ONE, IntPoly, series_coeffs
 from oracles import (
     all_partitions,
+    binomial_order,
     cached_predecessors,
     h_series_forms,
-    is_counted,
     level_counts,
     parse_poly,
     run_levels,
     run_shape,
     shape_levels,
     shaped_levels,
-    times,
     weight,
 )
 
@@ -161,20 +160,11 @@ def walked(seeds, budget):
             assert shape[1] and n > 0
             met[decoded(shape)] += n
         for shape in [*((k, ()) for k, n in enumerate(orders) if n), *shapes]:
-            assert owed_levels(shape) == shape_levels(decoded(shape))
+            assert _census_py._shape_levels(*shape) == list(shape_levels(decoded(shape)))
         assert met == {shape: len(part) for shape, part in split.roots.items()}
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
-
-
-def owed_levels(shape):
-    """The level counts the walk owes for a root of shape (a, run codes): (1 + x)^a times each run's."""
-    a, codes = shape
-    out = (1,)
-    for factor in [(1, 1)] * a + [_census_py._run_levels(*_census_py._run(code)) for code in codes]:
-        out = times(out, factor)
-    return out
 
 
 def decoded(shape):
@@ -691,8 +681,10 @@ class TestPairCounting:
     def test_each_counted_state_has_its_product_levels(self, word, power, container):
         # walked checks each level's counted states by shape against the
         # oracle; here, from level 2 on, the level counts under each of
-        # them, found by a plain search, are its shape's product, and the
-        # walk builds no state whose runs it counts
+        # them, found by a plain search, are its shape's product, and by a
+        # search the walk builds no state that roots a binomial tree but
+        # the three piles (u, v, 2): undoing its pile of 2 adds no pile, but
+        # it chains to the empty piles, so the walk builds it, a B_3
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             levels, _ = walked(seeds, 5000)
@@ -700,7 +692,9 @@ class TestPairCounting:
             for shape, part in split.roots.items():
                 for state in part:
                     assert level_counts(state) == shape_levels(shape)
-            assert not any(is_counted(run_shape(s), _census_py._PAST) for s in split.expand)
+            for state in split.expand:
+                k = binomial_order(state)
+                assert k is None or (len(state), state[-1], k) == (3, 2, 3), state
 
     def test_ends_one_to_three_in_every_container(self):
         # BBWBWWW (189 states) has states with one run of two births after

@@ -54,14 +54,25 @@ class TestReverseMove:
         with pytest.raises(ValueError, match="not a partition"):
             reverse_move((2, 1, 3), 1)
 
+    def test_playable_check_is_playable_parts(self):
+        # reverse_move checks pile j on its own, and must accept exactly the
+        # piles playable_parts lists, on every partition of 0-12 chips
+        for n in range(13):
+            for lam in all_partitions(n):
+                playable = playable_parts(lam)
+                for j in range(-1, len(lam) + 3):
+                    try:
+                        reverse_move(lam, j)
+                    except ValueError as e:
+                        assert j not in playable and "not playable" in str(e)
+                    else:
+                        assert j in playable
+
     def test_predecessors_keep_each_check(self):
         # predecessors finds the playable piles once per state, yet checks
-        # each move's result, and a pile outside the list it passes on is
-        # still rejected
+        # each move's result, and gives reverse_move's result at each pile
         with pytest.raises(ValueError, match="not a partition"):
             predecessors((2, 1, 3))
-        with pytest.raises(ValueError, match="not playable"):
-            reverse_move((5, 3, 3, 2), 2, [1, 3])
         assert predecessors((5, 3, 3, 2)) == [reverse_move((5, 3, 3, 2), j) for j in (1, 3)]
 
     @given(partitions_20)
