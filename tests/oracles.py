@@ -463,9 +463,8 @@ def is_counted(shape: Shape | None, past: int) -> bool:
 def binomial_order(parts: tuple[int, ...]) -> int | None:
     """k when parts roots a binomial tree B_k, its predecessors roots of B_0, ..., B_(k-1); else None.
 
-    A predecessors search.  The first predecessor, which undoes the largest
-    pile, keeps the fewest piles to undo, so a search that fails mostly
-    fails there, early.
+    A predecessors search that stops at the first predecessor rooting no
+    binomial tree.
     """
     orders = []
     for p in cached_predecessors(parts):
