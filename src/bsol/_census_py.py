@@ -66,10 +66,12 @@ run, up to _PAST, and z, the next birth, reading a newborn past the
 state's end when R > u and T + 2, past p's end, when not.  p is counted
 when z lies more than 2 past its last run.  A p with newborns to undo
 (R > u >= T - 1) has 2 piles: (t, T + 1), a fork, when u = T - 1 is the
-state's second birth, and a cycle state else.  The walk builds about a
-seventy-first of the states it counts on the benchmark's growth rows.
-At depth 0 only leaves are counted: every level-1 candidate goes through
-the cycle check.
+state's second birth, and a cycle state else.  No level needs a rule of
+its own: a cycle state's one predecessor on the cycle undoes its first
+birth, and as a recurrent partition's piles lie at most 2 apart, its
+smallest 1 or 2, that run reaches the empty piles, so the walk builds it
+and the cycle check drops it.  The walk builds about a seventy-first of
+the states it counts on the benchmark's growth rows.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ State = bytes | Partition  # stored births, a byte string until they pass _BYTE_
 # (a, runs): a single births and the codes of the longer runs, a code being the run's
 # gaps as base-6 digits after a leading 1, each plus 3 when the birth after it is past the room
 Shape = tuple[int, tuple[int, ...]]
-Step = tuple[int, list[State], list[int], dict[Shape, int]]
+Step = tuple[int, list[State], dict[Shape, int]]  # size, the states to expand, the roots met by shape
 
 _BYTE_MAX = 255  # the largest stored birth a byte string holds
 _PAST = 4  # the most births past the room that a counted run holds
@@ -156,8 +158,8 @@ def _birth_levels(
     seeds: Iterable[Partition], max_states: int, max_depth: int | None = None
 ) -> Iterator[Step | None]:
     # each level as (its size, the states to expand, and the states it met
-    # and counted: B_k by k, and the others by shape); None when the budget
-    # runs out.  The walk stops after level max_depth
+    # and counted by shape, B_k as (k, ())); None when the budget runs out.
+    # The walk stops after level max_depth
     cycle = list(dict.fromkeys(seeds))
     off = max([v for s in cycle for v in s], default=0)
     box = bytes if off < _BYTE_MAX else tuple
@@ -165,14 +167,13 @@ def _birth_levels(
     level = _flip(cycle, off, 0, box)
     size = total = len(level)
     depth = 0
-    orders: list[int] = []
-    shapes: dict[Shape, int] = {}
+    met: dict[Shape, int] = {}
     owed: list[int] = []  # owed[i]: states below counted ones, i + 1 levels past the last
     bits = _BITS
     packs: dict[int, tuple[int, int]] = {}  # a run's code: its level counts packed, their sum
     ones = [1]  # ones[k]: (1 + x)^k packed
     while size:
-        yield size, level, orders, shapes
+        yield size, level, met
         if depth == max_depth:
             if total > max_states:  # only the cycle is not checked below
                 yield None
@@ -200,7 +201,7 @@ def _birth_levels(
             for state in level[i : i + 256]:
                 n = len(state)
                 room = top + 2 - n
-                plain = depth and n > 2  # past level 1, and no newborn to undo
+                plain = n > 2  # no newborn to undo
                 a0, runs0, rc = 0, (), 0
                 for j in range(n):
                     u = state[j]
@@ -219,13 +220,11 @@ def _birth_levels(
                         if j and u == state[j - 1]:
                             pass
                         elif j + 1 == n and room > u >= top - 1:
-                            # newborns to undo: n = 2, and p = (t, T + 1) is a fork past level 1
-                            if j and depth:
+                            # newborns to undo: n = 2, and p = (t, T + 1) is a fork
+                            if j:
                                 orders[2] += 1
                             else:
                                 push(state[:j] + born * (room - u))
-                        elif not depth and (rc or a0 or runs0):
-                            push(state[:j] + state[j + 1 :] + born * (room - u))
                         elif rc > 1:
                             key = a0, (*runs0, rc)
                             shapes[key] = shapes.get(key, 0) + 1
@@ -258,13 +257,13 @@ def _birth_levels(
                         last = state[k - 1]
                         z = state[k] if k < n else top + 1 if room > u else top + 2
                         past = 0  # the births past p's room that join its last run
-                        while z <= last + 2 and past < _PAST and k < n and depth:
+                        while z <= last + 2 and past < _PAST and k < n:
                             w = w * 6 + 3 + z - last
                             last = z
                             past += 1
                             k += 1
                             z = state[k] if k < n else top + 1 if room > u else top + 2
-                        if z <= last + 2 or not depth:
+                        if z <= last + 2:
                             push(state[:j] + state[j + 1 :] + born * (room - u))
                         elif w > 1:
                             runs += (w,)
@@ -283,12 +282,12 @@ def _birth_levels(
             return
         # each counted state owes the levels below it its shape's counts, summed
         # packed, bits to a level, widened until no level's sum can pass them
-        roots = [*(((k, ()), c) for k, c in enumerate(orders) if c), *shapes.items()]
+        met = {**{(k, ()): c for k, c in enumerate(orders) if c}, **shapes}
         while True:
             while len(ones) < len(orders):
                 ones.append(ones[-1] * ((1 << bits) + 1))
             add = sums = 0
-            for (a, runs), c in roots:
+            for (a, runs), c in met.items():
                 p, t = ones[a], 1 << a
                 for code in runs:
                     if code not in packs:

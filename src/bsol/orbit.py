@@ -21,8 +21,8 @@ product of one factor per run states below them by level (the paper's
 u_k for a run that is a k-fuse; binomial trees B_a when every run is a
 single birth; leaves, nearly half of every orbit, are B_0), are told
 apart before they are built, so the walk only counts them, as plain
-ints, and builds about a seventy-first of the states (1.4% on the
-benchmark's growth rows).  A caller that reads only
+ints, and builds about a seventy-first of the states (40,559 of
+2,886,719 on the benchmark's growth rows).  A caller that reads only
 the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
 the lemma 2.16 check counts its paths with partitions.predecessors,
 apart from the walk.

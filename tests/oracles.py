@@ -454,7 +454,7 @@ def shape_levels(shape: Shape) -> tuple[int, ...]:
 
 
 def is_counted(shape: Shape | None, past: int) -> bool:
-    """Whether the census walk counts a state of this shape that it meets past level 1:
+    """Whether the census walk counts a state of this shape that it meets, at any level:
     when its runs hold at most past piles past the room."""
     return shape is not None and all(b <= past for _, b in shape[1])
 
@@ -494,14 +494,14 @@ def shaped_levels(seeds: list[tuple[int, ...]], past: int) -> Iterator[LevelShap
     """The levels of the orbit hanging off the cycle seeds, by a predecessors search.
 
     Each state is classified by run_shape as the census walk classifies
-    it: from level 1 on a state with no predecessor is a leaf, B_0, and
-    from level 2 on a state whose runs hold at most past piles past the
-    room is one the walk does not build; every other state is one the walk
-    expands.  roots holds by shape the states the walk counts where it
-    meets them, as predecessors of states it built; the others lie below
-    a counted state, and the walk owes them as the levels of its shape.
-    Levels are made one at a time, so a caller that stops early builds
-    none past it.
+    it, by one rule at every level: the seeds are expanded, and from level
+    1 on a state whose runs hold at most past piles past the room, a leaf,
+    B_0, among them, is one the walk does not build; every other state is
+    one the walk expands.  roots holds by shape the states the walk counts
+    where it meets them, as predecessors of states it built; the others
+    lie below a counted state, and the walk owes them as the levels of its
+    shape.  Levels are made one at a time, so a caller that stops early
+    builds none past it.
     """
     cycle = set(seeds)
     built = list(dict.fromkeys(seeds))  # level 0: the cycle, expanded
@@ -512,7 +512,7 @@ def shaped_levels(seeds: list[tuple[int, ...]], past: int) -> Iterator[LevelShap
         for met, states in ((True, built), (False, owed)):
             for state in states:
                 shape = run_shape(state) if depth else None
-                if met and not (is_counted(shape, past) if depth > 1 else shape == (0, ())):
+                if met and not is_counted(shape, past):
                     split.expand.append(state)
                     continue
                 if met:

@@ -59,13 +59,13 @@ def test_orbit_split_adds_up_to_the_census(word, power):
 
 
 def test_orbit_split_kinds():
-    # BWBWBWW (148 states): its walk builds 16, and meets a B_0, roots
+    # BWBWBWW (148 states): its walk builds 14, and meets a B_0, roots
     # with pairs, a 4-fuse, whose tree holds u_4(1) = 34 states, and roots
     # with runs that are no fuse; a run's code is its gaps in base 6 after
     # a leading 1, each plus 3 when the birth after it is past the room
     orbit = load(BENCHMARKS / "bench_orbit.py")
     split = orbit.built_and_counted([cycle_partitions("BWBWBWW")])
-    assert split == {"built": 16, "B_0": 5, "pair": 27, "4-fuse": 34, "other": 66}
+    assert split == {"built": 14, "B_0": 4, "pair": 12, "4-fuse": 34, "other": 84}
     assert [orbit.run_kind(code) for code in (6 + 2, 6 + 3, 36 + 6 + 2, 36 + 6 + 1, 36 + 12 + 2)] == [
         "pair", "pair", "3-fuse", "other", "3-fuse"
     ]

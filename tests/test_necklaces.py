@@ -16,7 +16,7 @@ from bsol.necklaces import (
     rotate_right,
     word_partition,
 )
-from bsol.partitions import forward_move, is_partition
+from bsol.partitions import forward_move, is_partition, playable_parts, predecessors, reverse_move
 from oracles import level_and_cycle, weight
 
 words = st.text(alphabet="BW", min_size=1, max_size=10)
@@ -76,6 +76,24 @@ class TestCycles:
             assert level_and_cycle(lam) == (0, cycle_length(w))
         for a, b in zip(lams, lams[1:] + lams[:1]):
             assert forward_move(a) == b
+
+    def test_cycle_predecessor_undoes_the_first_playable_pile(self):
+        # a cycle state has one predecessor on its cycle, the state before
+        # it, and undoing its first playable pile gives it: every necklace of
+        # size 1-12 at powers 1-3, but W's empty cycle, which has no pile
+        states = 0
+        for m in range(1, 13):
+            for w in necklace_representatives(m):
+                for power in (1, 2, 3):
+                    lams = cycle_partitions(w * power)
+                    if lams == [()]:
+                        continue
+                    on_cycle = set(lams)
+                    for before, lam in zip(lams[-1:] + lams[:-1], lams):
+                        assert [p for p in predecessors(lam) if p in on_cycle] == [before]
+                        assert reverse_move(lam, playable_parts(lam)[0]) == before
+                        states += 1
+        assert states == 24569
 
     def test_all_cycles_of_n_chips_covered(self):
         # every recurrent partition with up to 12 chips comes from some word

@@ -137,8 +137,8 @@ def walked(seeds, budget):
 
     Each step's states to expand, decoded with _flip, must be the oracle's
     as a sorted list, and its size the oracle level's.  Each step reports
-    the states it met and counted there: B_k by k, and the others by shape,
-    which decoded must be the oracle's roots by shape, and the level
+    the states it met and counted there by shape, B_k as (k, ()), which
+    decoded must be the oracle's roots by shape, and the level
     counts the walk owes for each shape must be the oracle's, found by a
     predecessors search.  The states below a counted one are checked
     through the level sizes.  The oracle counts runs with as many births
@@ -151,17 +151,15 @@ def walked(seeds, budget):
     for depth, step in enumerate(_census_py._birth_levels(seeds, budget)):
         if step is None:
             return levels, True
-        size, level, orders, shapes = step
+        size, level, met = step
         split = next(oracle)
         assert sorted(_census_py._flip(level, off, depth)) == sorted(split.expand)
         assert size == len(split.states()) and None not in split.counted
-        met = Counter({(k, ()): n for k, n in enumerate(orders) if n})
-        for shape, n in shapes.items():
-            assert shape[1] and n > 0
-            met[decoded(shape)] += n
-        for shape in [*((k, ()) for k, n in enumerate(orders) if n), *shapes]:
-            assert _census_py._shape_levels(*shape) == list(shape_levels(decoded(shape)))
-        assert met == {shape: len(part) for shape, part in split.roots.items()}
+        roots = Counter()  # by the oracle's shape, which lists runs sorted
+        for shape, n in met.items():
+            assert n > 0 and _census_py._shape_levels(*shape) == list(shape_levels(decoded(shape)))
+            roots[decoded(shape)] += n
+        assert roots == {shape: len(part) for shape, part in split.roots.items()}
         levels.append(split)
     assert next(oracle, None) is None  # the walk ends where the orbit does
     return levels, False
@@ -179,6 +177,15 @@ def met_counts(levels):
     counts = Counter()
     for split in levels:
         counts.update({shape: len(part) for shape, part in split.roots.items()})
+    return counts
+
+
+def walk_met(steps):
+    """The states the walk's steps met and counted, by the oracle's shape."""
+    counts = Counter()
+    for _, _, met in steps:
+        for shape, n in met.items():
+            counts[decoded(shape)] += n
     return counts
 
 
@@ -246,7 +253,8 @@ class TestBuildOrbit:
     def test_walk_from_any_state_off_the_cycles(self, parts):
         # a state off every cycle with a predecessor hangs a tree of them as
         # well, and its first piles can lie more than two apart, as no cycle
-        # state's do: the walk must still count no tree but a leaf at level 1
+        # state's do: no predecessor of it is on a cycle, so the walk counts
+        # from level 1 on by the one rule it uses at every level
         state = tuple(sorted(parts, reverse=True))
         assume(predecessors(state) and not recurrent(state))
         walked([state], 2000)
@@ -371,9 +379,20 @@ class TestKernels:
         for container in CONTAINERS:
             with holding(container, seeds):
                 assert _census_py.census_levels(seeds, 1) == ([1], False)
-                ((size, level, orders, shapes),) = _census_py._birth_levels(seeds, 1)
-            assert size == 1 and not any(orders) and not shapes
+                ((size, level, met),) = _census_py._birth_levels(seeds, 1)
+            assert size == 1 and not met
             assert type(level[0]) is box[container]
+
+    @pytest.mark.parametrize("m", range(6, 13))
+    def test_level_one_is_exact(self, m):
+        # past DIFFERENTIAL_CASES' 30 chips: bounded to level 1, a census of
+        # every necklace of size m is its cycle and the cycle's predecessors
+        # off it, by partitions.predecessors, at a budget of exactly those
+        for word in necklace_representatives(m):
+            seeds = cycle_partitions(word)
+            cycle = set(seeds)
+            want = [len(cycle), sum(p not in cycle for s in cycle for p in predecessors(s))]
+            assert _census_py.census_levels(seeds, sum(want), 1) == (want, False)
 
     def test_big_board_honors_the_budget(self):
         # a 277-chip board stops at its budget with its whole cycle counted
@@ -546,7 +565,7 @@ class TestBinomialCounting:
     def test_each_counted_state_roots_a_binomial_tree(self, word, power, container):
         # walked checks that each level's count of order k is as many as
         # the states the walk meets there whose births to undo are k single
-        # births, roots of B_k, and that from level 2 on it builds none
+        # births, roots of B_k, and that from level 1 on it builds none
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             walked(seeds, 5000)
@@ -570,34 +589,37 @@ class TestStubCounting:
     @settings(max_examples=80, deadline=None)
     def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
         # walked checks each level's count of order 1 against the oracle;
-        # here, from level 2 on, the states of order 1 are exactly those
+        # here, from level 1 on, the states of order 1 are exactly those
         # whose one predecessor is a leaf, and the walk builds none of them
         levels, _ = walked(cycle_partitions(word * power), 5000)
-        for split in levels[2:]:
+        for split in levels[1:]:
             stubs = split.order(1)
             assert set(stubs) == {s for s in split.states() if is_stub(s)}
             assert not any(is_stub(s) for s in split.expand)
 
     def test_stubs_are_counted_ahead(self):
-        # BBW has a level of leaves and stubs only: no state is left to
-        # expand there, yet its stubs' leaves, one level down, must join
-        # the cap check
-        seeds = cycle_partitions("BBW")
+        # BWW's level 1 is one stub, by the oracle: no state is left to
+        # expand there, yet its leaf, one level down, must join the cap check
+        seeds = cycle_partitions("BWW")
+        split = list(shaped_levels(seeds, _census_py._PAST))[1]
+        assert split.roots == {(1, ()): split.states()} and not split.expand
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert any(orders[1] and not level for _, level, orders, *_ in steps[1:])
-        full = basin_census("BBW", 1)
+        assert any(met.get((1, ())) and not level for _, level, met in steps)
+        full = basin_census("BWW", 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
             assert _census_py.census_levels(seeds, budget) == want
 
-    def test_no_stub_at_level_one(self):
-        # BWW's one level-1 state has one predecessor, a leaf, yet it is
-        # built: every level-1 candidate goes through the cycle check
+    def test_stub_at_level_one(self):
+        # BWW's one level-1 state has one predecessor, a leaf, by a
+        # predecessors search: the walk counts it where it meets it, as a
+        # stub at any level, and builds no state past the cycle
         seeds = cycle_partitions("BWW")
+        (stub,) = [p for s in seeds for p in cached_predecessors(s) if p not in seeds]
+        assert is_stub(stub) and run_shape(stub) == (1, ())
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert [len(level) + sum(orders) for _, level, orders, *_ in steps] == [3, 1, 1]
-        assert len(steps[1][1]) == 1 and steps[1][2][1] == 0
-        assert run_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (1, ())
+        assert [size for size, *_ in steps] == [3, 1, 1]
+        assert steps[1][2] == {(1, ()): 1} and not any(level for _, level, _ in steps[1:])
 
 
 class TestForkCounting:
@@ -607,11 +629,11 @@ class TestForkCounting:
     @settings(max_examples=80, deadline=None)
     def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
         # walked checks each level's count of order 2 against the oracle;
-        # here, from level 2 on, the states of order 2 are exactly those
+        # here, from level 1 on, the states of order 2 are exactly those
         # whose two predecessors are a leaf and a stub, and the walk builds
         # none of them
         levels, _ = walked(cycle_partitions(word * power), 5000)
-        for split in levels[2:]:
+        for split in levels[1:]:
             forks = split.order(2)
             assert set(forks) == {s for s in split.states() if is_fork(s)}
             assert not any(is_fork(s) for s in split.expand)
@@ -623,7 +645,7 @@ class TestForkCounting:
         # down: at every budget each must join the cap check at its level
         seeds = cycle_partitions(word)
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert steps[depth - 1][2][2] and not steps[depth][1]
+        assert steps[depth - 1][2].get((2, ())) and not steps[depth][1]
         full = basin_census(word, 1)
         for budget in range(1, sum(full) + 1):
             want = (full, False) if budget == sum(full) else (capped_prefix(full, budget), True)
@@ -652,19 +674,20 @@ class TestForkCounting:
         assert [built, *(sum(len(split.order(k)) for split in levels) for k in range(7))] == pinned
         assert {k: n for k, n in met_counts(levels).items() if k[1]} == runs
         steps = list(_census_py._birth_levels(seeds, 10**6))
-        met = sum((Counter({decoded(k): n for k, n in step[3].items()}) for step in steps), Counter())
+        met = {k: n for k, n in walk_met(steps).items() if k[1]}
         assert sum(len(step[1]) for step in steps) == pinned[0] and met == runs
         assert sum(len(split.states()) for split in levels) == 625
 
-    def test_no_fork_at_level_one(self):
+    def test_fork_at_level_one(self):
         # BBW's one level-1 state has two predecessors, a leaf and a stub,
-        # yet it is built: every level-1 candidate goes through the cycle
-        # check
+        # by a predecessors search: the walk counts it where it meets it,
+        # as a fork at any level, and builds no state past the cycle
         seeds = cycle_partitions("BBW")
+        (fork,) = [p for s in seeds for p in cached_predecessors(s) if p not in seeds]
+        assert is_fork(fork) and run_shape(fork) == (2, ())
         steps = list(_census_py._birth_levels(seeds, 100))
-        assert [step[0] for step in steps] == [3, 1, 2, 1]
-        assert len(steps[1][1]) == 1 and steps[1][2][2] == 0
-        assert run_shape(_census_py._flip(steps[1][1], offset(seeds), 1)[0]) == (2, ())
+        assert [size for size, *_ in steps] == [3, 1, 2, 1]
+        assert steps[1][2] == {(2, ()): 1} and not any(level for _, level, _ in steps[1:])
 
 
 class TestPairCounting:
@@ -680,7 +703,7 @@ class TestPairCounting:
     @settings(max_examples=80, deadline=None)
     def test_each_counted_state_has_its_product_levels(self, word, power, container):
         # walked checks each level's counted states by shape against the
-        # oracle; here, from level 2 on, the level counts under each of
+        # oracle; here, from level 1 on, the level counts under each of
         # them, found by a plain search, are its shape's product, and by a
         # search the walk builds no state that roots a binomial tree but
         # the three piles (u, v, 2): undoing its pile of 2 adds no pile, but
@@ -688,7 +711,7 @@ class TestPairCounting:
         seeds = cycle_partitions(word * power)
         with holding(container, seeds):
             levels, _ = walked(seeds, 5000)
-        for split in levels[2:]:
+        for split in levels[1:]:
             for shape, part in split.roots.items():
                 for state in part:
                     assert level_counts(state) == shape_levels(shape)
@@ -776,17 +799,17 @@ class TestRunCounting:
 
     def test_three_and_four_runs_in_every_container(self):
         # BWBWBWW (148 states): the walk meets a 4-fuse, whose factor is
-        # u_4, a run of four births with three past the room, runs of three
-        # births with none and two past it, and a run of six births, by the
-        # oracle; it builds 16 states, in bytes, in tuples and across the
-        # switch between them
+        # u_4, a run of three births with none past the room, runs of four
+        # and five births with two past it, and a run of six births with
+        # four, by the oracle; it builds 14 states, in bytes, in tuples and
+        # across the switch between them
         seeds = cycle_partitions("BWBWBWW")
         want = {
-            (0, (((2, 1, 0), 3),)): 1,
             (0, (((2, 2, 0, 0, 0), 4),)): 1,
+            (0, (((2, 2, 1, 0), 2),)): 1,
             (0, (((2, 2, 2), 0),)): 1,
-            (1, (((1, 0), 2),)): 1,
-            (1, (((2, 0), 0),)): 2,
+            (1, (((0, 2, 0), 2),)): 1,
+            (1, (((2, 0), 0),)): 1,
         }
         assert shape_levels((0, (((2, 2, 2), 0),))) == (1, 4, 9, 12, 8)
         for container in CONTAINERS:
@@ -795,9 +818,8 @@ class TestRunCounting:
                 steps = list(_census_py._birth_levels(seeds, 10**6))
             assert not capped
             assert with_long_runs(met_counts(levels)) == want
-            met = sum((Counter({decoded(k): n for k, n in step[3].items()}) for step in steps), Counter())
-            assert with_long_runs(met) == want
-            assert sum(len(step[1]) for step in steps) == 16
+            assert with_long_runs(walk_met(steps)) == want
+            assert sum(len(step[1]) for step in steps) == 14
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_fuse_runs_count_by_u_k(self, k):
