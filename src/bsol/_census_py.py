@@ -201,7 +201,6 @@ def _birth_levels(
             for state in level[i : i + 256]:
                 n = len(state)
                 room = top + 2 - n
-                plain = n > 2  # no newborn to undo
                 a0, runs0, rc = 0, (), 0
                 for j in range(n):
                     u = state[j]
@@ -210,13 +209,6 @@ def _birth_levels(
                     x = state[j + 1] if j + 1 < n else top + 3
                     if x > u + 2:
                         # p undoes only the births before u, in the runs they form
-                        if not rc and plain:  # u is a single birth
-                            if runs0:
-                                shapes[a0, runs0] = shapes.get((a0, runs0), 0) + 1
-                            else:
-                                orders[a0] += 1
-                            a0 += 1
-                            continue
                         if j and u == state[j - 1]:
                             pass
                         elif j + 1 == n and room > u >= top - 1:

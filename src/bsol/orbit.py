@@ -8,24 +8,12 @@ once the low coefficients stop changing.  Only d_series builds a
 polynomial, so it alone loads polyrat: bs orbit and bs dseries print
 level_sizes and never load the polynomial layer.
 
-Every census is one walk, _census_py.census_levels; see that module for
-why it needs no visited set.  It holds each pile as its birth depth, the
-level at which the pile appeared; a reverse move grows every surviving
-pile by one, so birth depths never change and a predecessor is two
-slices and a pad of newborn piles.  A state is a byte string, one byte a
-pile, holding its birth depth plus an offset, the cycle's largest pile,
-so no byte is negative; a walk whose births would pass 255 turns its
-states into tuples and goes on with them.  States of product shape,
-whose births to undo fall into runs of births 2 or less apart, with the
-product of one factor per run states below them by level (the paper's
-u_k for a run that is a k-fuse; binomial trees B_a when every run is a
-single birth; leaves, nearly half of every orbit, are B_0), are told
-apart before they are built, so the walk only counts them, as plain
-ints, and builds about a seventy-first of the states (40,559 of
-2,886,719 on the benchmark's growth rows).  A caller that reads only
-the first levels bounds the walk's depth.  Nothing here stores an orbit's states:
-the lemma 2.16 check counts its paths with partitions.predecessors,
-apart from the walk.
+Every census is one walk, _census_py.census_levels; that module's
+docstring gives how it holds states, the run factors by which it counts
+the states it does not build, and how many it builds.  A caller that
+reads only the first levels bounds the walk's depth.  Nothing here
+stores an orbit's states: the lemma 2.16 check counts its paths with
+partitions.predecessors, apart from the walk.
 """
 
 from __future__ import annotations
