@@ -408,6 +408,24 @@ class TestKernels:
 class TestBirthDepths:
     """The walk holds each pile as the level it was born at; pin that encoding."""
 
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=6), power=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_each_level_is_the_predecessors_of_the_last(self, word, power):
+        seeds = cycle_partitions(word * power)
+        cycle = set(seeds)
+        splits, capped = walked(seeds, 2000)
+        levels = [split.states() for split in splits]
+        if not capped:
+            levels.append([])  # the walk ends where no state has a predecessor
+        assert sorted(levels[0]) == sorted(cycle)
+        for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
+            preds = [p for s in level for p in cached_predecessors(s) if depth or p not in cycle]
+            assert sorted(nxt) == sorted(preds)
+        # and each state the walk builds is a predecessor of one it built
+        for depth, (split, below) in enumerate(zip(splits, splits[1:])):
+            preds = {p for s in split.expand for p in cached_predecessors(s) if depth or p not in cycle}
+            assert set(below.expand) <= preds
+
     @given(
         parts=st.lists(st.integers(1, 30), max_size=12),
         off=st.integers(30, 60),
@@ -540,6 +558,20 @@ class TestDepthBound:
 class TestBinomialCounting:
     """census_levels counts the states that root binomial trees B_k, of every order k."""
 
+    @given(
+        word=st.text(alphabet="BW", min_size=1, max_size=7),
+        power=st.integers(1, 3),
+        container=st.sampled_from(CONTAINERS),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_counted_state_roots_a_binomial_tree(self, word, power, container):
+        # walked checks that each level's count of order k is as many as
+        # the states the walk meets there whose births to undo are k single
+        # births, roots of B_k, and that from level 1 on it builds none
+        seeds = cycle_partitions(word * power)
+        with holding(container, seeds):
+            walked(seeds, 5000)
+
     def test_orders_three_to_five_in_every_container(self):
         # BWW^4 has states of every order up to 5; a B_5 counted at level
         # 9 puts 5, 10, 10, 5 and 1 of its states on the five levels below
@@ -554,6 +586,18 @@ class TestBinomialCounting:
 
 class TestStubCounting:
     """census_levels counts stubs, B_1, states whose one predecessor is a leaf."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_stub_has_one_predecessor_a_leaf(self, word, power):
+        # walked checks each level's count of order 1 against the oracle;
+        # here, from level 1 on, the states of order 1 are exactly those
+        # whose one predecessor is a leaf, and the walk builds none of them
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        for split in levels[1:]:
+            stubs = split.order(1)
+            assert set(stubs) == {s for s in split.states() if is_stub(s)}
+            assert not any(is_stub(s) for s in split.expand)
 
     def test_stubs_are_counted_ahead(self):
         # BWW's level 1 is one stub, by the oracle: no state is left to
@@ -582,6 +626,19 @@ class TestStubCounting:
 
 class TestForkCounting:
     """census_levels counts forks, B_2, states whose two predecessors are a leaf and a stub."""
+
+    @given(word=st.text(alphabet="BW", min_size=1, max_size=7), power=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_each_fork_has_a_leaf_and_a_stub(self, word, power):
+        # walked checks each level's count of order 2 against the oracle;
+        # here, from level 1 on, the states of order 2 are exactly those
+        # whose two predecessors are a leaf and a stub, and the walk builds
+        # none of them
+        levels, _ = walked(cycle_partitions(word * power), 5000)
+        for split in levels[1:]:
+            forks = split.order(2)
+            assert set(forks) == {s for s in split.states() if is_fork(s)}
+            assert not any(is_fork(s) for s in split.expand)
 
     @pytest.mark.parametrize("word,depth", [("BWWW", 3), ("BBWW", 4)])
     def test_forks_are_counted_ahead(self, word, depth):
@@ -647,36 +704,16 @@ class TestPairCounting:
     @example(word="BWW", power=3, container="bytes")  # runs with 1 to 3 births past the room
     @settings(max_examples=80, deadline=None)
     def test_each_counted_state_has_its_product_levels(self, word, power, container):
-        # walked checks each level's states to build and its counted states
-        # by shape against the oracle, B_k as (k, ()).  Here, by a plain
-        # predecessors search: each level is the predecessors of the last,
-        # less the cycle at level 1, and each state the walk builds is a
-        # predecessor of one it built.  From level 1 on, the states of order
-        # 1 are exactly the stubs, whose one predecessor is a leaf, and those
-        # of order 2 the forks, whose two are a leaf and a stub; the level
-        # counts under each counted state are its shape's product; and the
-        # walk builds no stub or fork, and no state that roots a binomial
-        # tree but the three piles (u, v, 2): undoing its pile of 2 adds no
-        # pile, but it chains to the empty piles, so the walk builds it, a B_3
+        # walked checks each level's counted states by shape against the
+        # oracle; here, from level 1 on, the level counts under each of
+        # them, found by a plain search, are its shape's product, and by a
+        # search the walk builds no state that roots a binomial tree but
+        # the three piles (u, v, 2): undoing its pile of 2 adds no pile, but
+        # it chains to the empty piles, so the walk builds it, a B_3
         seeds = cycle_partitions(word * power)
-        cycle = set(seeds)
         with holding(container, seeds):
-            splits, capped = walked(seeds, 5000)
-        levels = [split.states() for split in splits]
-        if not capped:
-            levels.append([])  # the walk ends where no state has a predecessor
-        assert sorted(levels[0]) == sorted(cycle)
-        for depth, (level, nxt) in enumerate(zip(levels, levels[1:])):
-            preds = [p for s in level for p in cached_predecessors(s) if depth or p not in cycle]
-            assert sorted(nxt) == sorted(preds)
-        for depth, (split, below) in enumerate(zip(splits, splits[1:])):
-            preds = {p for s in split.expand for p in cached_predecessors(s) if depth or p not in cycle}
-            assert set(below.expand) <= preds
-        for split in splits[1:]:
-            states = split.states()
-            assert set(split.order(1)) == {s for s in states if is_stub(s)}
-            assert set(split.order(2)) == {s for s in states if is_fork(s)}
-            assert not any(is_stub(s) or is_fork(s) for s in split.expand)
+            levels, _ = walked(seeds, 5000)
+        for split in levels[1:]:
             for shape, part in split.roots.items():
                 for state in part:
                     assert level_counts(state) == shape_levels(shape)
