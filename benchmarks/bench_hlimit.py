@@ -5,10 +5,12 @@ and BW, the shorter ones, have no closing system) N times and prints the
 family count and the median seconds of the whole sweep with the first
 and third quartiles of the N beside it, so that the spread between runs
 shows, then the same three for limits.assemble_system alone over the
-same families (the tree expansion, without the solve).  It then counts
-the polyrat.poly_gcd calls of one more sweep, the reduction RatFn makes
-of every value it builds, and the share of them that found a
-non-constant gcd.
+same families (the tree expansion, without the solve), and for
+assemble_system over B^n W and W^n B for n in LONG_RUNS, whose boards
+hold the longest fuses, so that a slow factor of a long run shows.  It
+then counts the polyrat.poly_gcd calls of one more sweep, the reduction
+RatFn makes of every value it builds, and the share of them that found
+a non-constant gcd.
 
 Every H must be right: a family of the appendix table (golden.h_table(),
 matched by canonical rotation) must give its tabulated H, and every
@@ -29,12 +31,17 @@ from bsol.golden import h_table
 from bsol.necklaces import canonical, distinct_rotations, is_primitive, necklace_representatives
 
 TOP_SIZE = 9
+LONG_RUNS = (12, 20, 26)
 
 
 def families() -> list[str]:
     return [
         w for m in range(3, TOP_SIZE + 1) for w in necklace_representatives(m) if is_primitive(w)
     ]
+
+
+def long_run_families() -> list[str]:
+    return [w for n in LONG_RUNS for w in ("B" * n + "W", "W" * n + "B")]
 
 
 def sweep(words) -> tuple[float, list]:
@@ -107,6 +114,11 @@ def main() -> None:
     )
     q1, median, q3 = quartiles([assembly(words) for _ in range(args.repeat)])
     print(f"assemble_system: q1 {q1:.3f} s, median {median:.3f} s, q3 {q3:.3f} s")
+    q1, median, q3 = quartiles([assembly(long_run_families()) for _ in range(args.repeat)])
+    print(
+        f"assemble_system, B^n W and W^n B for n = {', '.join(map(str, LONG_RUNS))}:"
+        f" q1 {q1:.3f} s, median {median:.3f} s, q3 {q3:.3f} s"
+    )
     calls, nontrivial = gcd_calls(words)
     print(f"poly_gcd: {calls} calls, {nontrivial} ({nontrivial / calls:.1%}) non-constant")
 

@@ -30,22 +30,23 @@ births before and after it, one run or two, the later with its births
 up to u + 2 to undo, and no later birth to undo.  So with P_i the
 product over the first i runs, the predecessors that undo a birth of run
 i give x g_i P_(i-1) = P_i - P_(i-1), where 1 + x g_i depends on the run
-alone: _run_levels finds it by this recursion.  A single birth's factor
+alone: run_levels finds it by this recursion.  A single birth's factor
 is 1 + x, so a state of a single births only roots a binomial tree B_a,
 with C(a, i) states i levels down: a leaf, with no birth to undo, is
 B_0, a stub B_1 and a fork B_2.
 
 This is the paper's factoring of a reverse-move tree by the segments of
 its board, whose entries are the birth gaps and whose bars the births to
-undo.  Its fuse lemma, in finite form: a run of k births, all to undo,
-whose gaps are 1s and 2s with no two 1s adjacent and whose next birth
-lies more than 2 past it, is a k-fuse, with factor u_k = sum_i
+undo; limits factors the leading runs of its infinite boards by the same
+run_levels.  Its fuse lemma, in finite form: a run of k births, all to
+undo, whose gaps are 1s and 2s with no two 1s adjacent and whose next
+birth lies more than 2 past it, is a k-fuse, with factor u_k = sum_i
 w(i, k - i) x^i, w(n, z) the weak compositions of n with z zeros.  A
 close pair's 1 + 2x + 2x^2 is u_2.  Other runs have factors of their
 own: 1 + x + x^2 for two equal births or a pair whose second birth is
 past the room, 1 + 3x + 6x^2 + 6x^3 for the gaps (1, 1).  The walk counts
 the runs with at most _PAST births past the room and builds the others:
-with no bound _run_levels meets ever more runs, and B W^55 takes 3.8 s.
+with no bound run_levels meets ever more runs, and B W^55 takes 3.8 s.
 
 The walk counts each state it meets and does not build by its shape
 (a, runs), a its single births and runs the codes of its longer runs.
@@ -79,7 +80,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["census_levels"]
+__all__ = ["census_levels", "run_levels"]
 
 Partition = tuple[int, ...]
 State = bytes | Partition  # stored births, a byte string until they pass _BYTE_MAX
@@ -109,28 +110,31 @@ def _times(p: Sequence[int], q: Sequence[int]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=1 << 13)
-def _run_levels(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
-    # the level counts of a run: births 0, gaps[0], gaps[0] + gaps[1], ...,
-    # the first r to undo, the next more than 2 past the last.  Undoing birth
-    # i leaves the births before it, to undo, and those after it, those within
-    # 2 of it to undo: one run when the births beside it lie 2 apart or less
+def run_levels(gaps: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The level counts of a run, the factor 1 + x g of the module docstring.
+
+    The run's births are 0, gaps[0], gaps[0] + gaps[1], ..., the first r
+    of them to undo, the next more than 2 past the last.  Undoing birth i
+    leaves the births before it, to undo, and those after it, those within
+    2 of it to undo: one run when the births beside it lie 2 apart or less.
+    """
     out = [1]
     for i in range(r):
         if i and not gaps[i - 1]:
             continue  # equal births give equal predecessors
         if i == len(gaps):
-            below = _run_levels(gaps[: i - 1], i) if i else (1,)
+            below = run_levels(gaps[: i - 1], i) if i else (1,)
         else:
             d, k = gaps[i], i + 1
             while k < len(gaps) and d + gaps[k] <= 2:
                 d += gaps[k]
                 k += 1
             if i and gaps[i - 1] + gaps[i] <= 2:
-                below = _run_levels((*gaps[: i - 1], gaps[i - 1] + gaps[i], *gaps[i + 1 :]), k)
+                below = run_levels((*gaps[: i - 1], gaps[i - 1] + gaps[i], *gaps[i + 1 :]), k)
             else:
-                below = _run_levels(gaps[i + 1 :], k - i)
+                below = run_levels(gaps[i + 1 :], k - i)
                 if i:
-                    below = _times(below, _run_levels(gaps[: i - 1], i))
+                    below = _times(below, run_levels(gaps[: i - 1], i))
         out += [0] * (len(below) + 1 - len(out))
         for k, m in enumerate(below, 1):
             out[k] += m
@@ -149,7 +153,7 @@ def _run(code: int) -> tuple[tuple[int, ...], int]:
 def _shape_levels(a: int, runs: tuple[int, ...]) -> list[int]:
     # the level counts of a root of shape (a, runs), the root first: what the level end sums packed
     out = [1]
-    for factor in [(1, 1)] * a + [_run_levels(*_run(code)) for code in runs]:
+    for factor in [(1, 1)] * a + [run_levels(*_run(code)) for code in runs]:
         out = _times(out, factor)
     return out
 
@@ -283,7 +287,7 @@ def _birth_levels(
                 p, t = ones[a], 1 << a
                 for code in runs:
                     if code not in packs:
-                        levels = _run_levels(*_run(code))
+                        levels = run_levels(*_run(code))
                         packs[code] = sum(m << bits * i for i, m in enumerate(levels)), sum(levels)
                     q, m = packs[code]
                     p, t = p * q, t * m

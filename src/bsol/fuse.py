@@ -1,43 +1,19 @@
-"""Fuse segments of infinite boards and their play-counting polynomials.
+"""Play-counting polynomials of the fuse segments of infinite boards.
 
 A length-k fuse is a barred initial run whose first k-1 entries are 1s and
 2s with no two 1s adjacent and whose k-th entry is at least 3.  Every play
 sequence inside such a run dies after at most k moves, and the number of
 sequences that take exactly i moves is the number of weak compositions of
-i with exactly k-i zero parts.  This module detects fuses and computes
-those counts and the level polynomials built from them.
+i with exactly k-i zero parts.  This module computes those counts and
+the level polynomials built from them; limits finds a board's fuses as
+runs in front of a wall, whose factor _census_py.run_levels gives.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .murep import InfSeq
 from .polyrat import IntPoly, X, ZERO
-
-# --- detection ----------------------------------------------------------------
-
-
-def detect_fuse(s: InfSeq) -> int:
-    """Length of the fuse the board starts with, 0 when it starts with none.
-
-    Two adjacent 1s inside the barred run disqualify the whole board, even
-    if a large entry follows, and so does a run that ends at an unbarred
-    position instead of a large entry.
-    """
-    prev_one = False
-    i = 1
-    # bars live only in the prefix, so the scan is bounded
-    while s.barred_at(i):
-        v = s.value_at(i)
-        if v >= 3:
-            return i
-        if v == 1 and prev_one:
-            return 0
-        prev_one = v == 1
-        i += 1
-    return 0
-
 
 # --- weak composition counts and the level polynomials ------------------------
 

@@ -1,10 +1,11 @@
 """Limiting forests over infinite boards and their generating functions.
 
 Each primitive necklace has one recurrent board per distinct rotation.  The
-reverse-move tree above each of those boards, with every fuse subtree
-collapsed to a single weighted node, is finite whenever the family closes;
-the per-level counts g_i then satisfy a linear system over Z[x].  Solving
-it and summing gives the limit series of the orbit sizes,
+reverse-move tree above each of those boards, with every run in front of
+a wall collapsed to a single node weighted by its census factor
+(_census_py.run_levels; a fuse's is u_k), is finite whenever the family
+closes; the per-level counts g_i then satisfy a linear system over Z[x].
+Solving it and summing gives the limit series of the orbit sizes,
 H(x) = (1 - x) * sum_i g_i(x).
 """
 
@@ -14,7 +15,8 @@ import functools
 from dataclasses import dataclass
 
 from . import NonClosingError, murep
-from .fuse import detect_fuse, u_poly, v_norm
+from ._census_py import run_levels
+from .fuse import v_norm
 from .murep import BAR_WINDOW, InfSeq, drop_head, inf_move
 from .necklaces import canonical, check_word, distinct_rotations, rotate_right
 from .polyrat import ONE, RatFn, IntPoly, X, ZERO
@@ -54,7 +56,7 @@ def _wall_head(s: InfSeq) -> int | None:
     each be an unbarred zero or a barred sub-window value; the wall sits
     at t + 1.  Unbarred nonzero entries disqualify the head: a later move
     behind the wall can re-bar them, so their event set is not fixed.
-    Returns t >= 1, or None (t = 0 would be a 1-fuse, handled as such).
+    Returns t >= 0, or None; t = 0 is a wall at the front, a 1-fuse.
     """
     t = 0
     while t < len(s.prefix):
@@ -62,7 +64,7 @@ def _wall_head(s: InfSeq) -> int | None:
         if v >= BAR_WINDOW or barred != (v != 0):
             break
         t += 1
-    if t == 0 or t >= len(s.prefix):
+    if t >= len(s.prefix):
         return None
     v, barred = s.prefix[t]
     if barred and v >= BAR_WINDOW:
@@ -70,40 +72,20 @@ def _wall_head(s: InfSeq) -> int | None:
     return None
 
 
-def _count_paths(s: InfSeq, fuel: int) -> IntPoly:
-    """Sum of x^length over all reverse-move paths from s, plain recursion.
+@functools.cache
+def _run_factor(head: tuple[int, ...]) -> IntPoly:
+    """g([head wall nu]) / g(nu), for the values head in front of a wall.
 
-    Only terminates when every branch dies out; callers must know that it
-    does (head aftermaths behind a wall do: each move strips the bars past
-    its window and drags the wall leftward, so the barred region shrinks).
+    The head and the wall are a census run (_census_py): the board's
+    entries are birth gaps and its bars the births to undo, so the
+    len(head) + 1 births up to the wall are all to undo, a zero gap
+    joining two equal births, and the wall puts the next birth more than
+    2 past them.  A move at or left of the wall kills every bar behind it,
+    as the re-bar window cannot see past a wall, so the run burns
+    independently of what follows.  A k-fuse's head is k - 1 ones and
+    twos, no two ones adjacent, and its factor is u_k.
     """
-    if fuel <= 0:
-        raise ArithmeticError("path count recursion did not terminate")
-    total = ONE
-    for j in s.bars():
-        total = total + X * _count_paths(inf_move(s, j), fuel - 1)
-    return total
-
-
-def _head_factor(s: InfSeq, t: int) -> IntPoly:
-    """The factor with g([head wall nu]) = factor * g(nu), head length t.
-
-    Any move at or left of the wall kills every bar behind it (the re-bar
-    window cannot see past a wall), so each path through the board is a
-    path of [wall nu] never playing position 1, interleaved with at most
-    one head event and its forced aftermath; and a path of [wall nu]
-    either avoids position 1 or ends by playing it, so the restricted
-    count is g([wall nu]) / (1 + x) = u_poly(1) g(nu) / (1 + x) = g(nu).
-    The factor is 1 plus x times the aftermath path count of each head
-    event.
-    """
-    fuel = 4 * len(s.prefix) + 16
-    phi = ONE
-    for j in s.bars():
-        if j > t + 1:
-            break
-        phi = phi + X * _count_paths(inf_move(s, j), fuel)
-    return phi
+    return IntPoly(dict(enumerate(run_levels(head, len(head) + 1))))
 
 
 def _expand_row(
@@ -112,9 +94,8 @@ def _expand_row(
     """(A[i], M[i]): the reverse-move tree above roots[i], collapsed.
 
     A node equal to a root's board, bars included, is a match.  Other
-    nodes are first head-reduced: a leading fuse factors out as u_k (the
-    fuse burns independently of whatever follows it), and a wall-headed
-    board factors out per _head_factor; both strictly shorten the board.
+    nodes are first head-reduced: a run up to a wall factors out per
+    _run_factor and is dropped, which strictly shortens the board.
     """
     depth_cap = default_depth_cap(len(word))
     constant = ZERO
@@ -130,16 +111,11 @@ def _expand_row(
             if j is not None:
                 row[j] = row[j] + w * X**level
                 return
-            k = detect_fuse(s)
-            if k:
-                w = w * u_poly(k)
-                s = drop_head(s, k)
-            else:
-                t = _wall_head(s)
-                if t is None:
-                    break
-                w = w * _head_factor(s, t)
-                s = drop_head(s, t + 1)
+            t = _wall_head(s)
+            if t is None:
+                break
+            w = w * _run_factor(tuple(v for v, _ in s.prefix[:t]))
+            s = drop_head(s, t + 1)
         constant = constant + w * X**level
         if level >= depth_cap:
             raise NonClosingError(word, i, branch)
@@ -178,11 +154,11 @@ def assemble_system(word: str) -> LinearSystem:
 
     Nodes are matched exactly, bars included, against the rotations' boards,
     which hold only the values 0, 1 and 2.  A match adds the accumulated
-    weight times x^level to M[i][j].  Unmatched fuse or wall heads factor
-    out of the subtree sum and the expansion continues on the shortened
-    board with the factor folded into the weight.  Every other node adds
-    its weight times x^level to A[i] and is expanded further, down to
-    default_depth_cap.
+    weight times x^level to M[i][j].  An unmatched run in front of a wall
+    factors out of the subtree sum and the expansion continues on the
+    shortened board with the factor folded into the weight.  Every other
+    node adds its weight times x^level to A[i] and is expanded further,
+    down to default_depth_cap.
     """
     words, roots = family_roots(word)
     key_of = {r: i for i, r in enumerate(roots)}

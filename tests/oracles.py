@@ -6,7 +6,7 @@ build inputs with:
 
 - the fuse play census by exhaustive play, the closed form of the weak
   composition counts, the bijection between play sequences and weak
-  compositions, and the prefuse scan;
+  compositions, and the fuse and prefuse scans;
 - the reverse move on finite barred difference sequences, the finite
   form of the infinite-board move;
 - forward trajectories, partition enumeration, the staircase and a
@@ -103,12 +103,34 @@ def u_tree_oracle(k: int, tail: InfSeq | None = None) -> IntPoly:
     return IntPoly(Counter(len(plays) for plays in fuse_plays(k, tail)))
 
 
+def detect_fuse(s: InfSeq) -> int:
+    """Length of the fuse the board starts with, 0 when it starts with none.
+
+    The paper's fuse test, read off the board.  Two adjacent 1s inside the
+    barred run disqualify the whole board, even if a large entry follows,
+    and so does a run that ends at an unbarred position instead of a large
+    entry.
+    """
+    prev_one = False
+    i = 1
+    # bars live only in the prefix, so the scan is bounded
+    while s.barred_at(i):
+        v = s.value_at(i)
+        if v >= 3:
+            return i
+        if v == 1 and prev_one:
+            return 0
+        prev_one = v == 1
+        i += 1
+    return 0
+
+
 def prefuse_length(s: InfSeq) -> int:
     """Length k of a prefuse the board starts with, 0 when it has none.
 
     A prefuse has a fuse's barred run of 1s and 2s, no two 1s adjacent,
     but the run ends at an unbarred position instead of a barred entry
-    >= 3; fuse.detect_fuse gives 0 for it.
+    >= 3; detect_fuse gives 0 for it.
     """
     prev_one = False
     i = 1

@@ -105,7 +105,8 @@ class TestAcceptance:
         for word, kmax, f in plans:
             for k in range(1, kmax + 1):
                 checked += 1
-                if orbit_size(word, k) != f(k):
+                # a budget above the orbit: a census that re-adds its cycle caps at once
+                if orbit_size(word, k, max_states=2 * f(k)) != f(k):
                     bad.append((word, k))
         ok = not bad and time.time() - t0 < 300
         _report(

@@ -2,11 +2,13 @@ import pytest
 from fractions import Fraction
 
 import oracles
-from bsol.fuse import detect_fuse, u_poly, v_norm, weak_comp_count
+from bsol.fuse import u_poly, v_norm, weak_comp_count
+from bsol.limits import _run_factor, _wall_head
 from bsol.murep import inf_move, inf_seq, recurrent_elements
 from bsol.polyrat import X, IntPoly, RatFn, series_coeffs
 from oracles import (
     composition_of_play,
+    detect_fuse,
     fuse_plays,
     parse_poly,
     play_of_composition,
@@ -149,6 +151,19 @@ class TestTreeOracle:
             fuse_plays(2)
         with pytest.raises(ArithmeticError, match="fuse survived too many moves"):
             u_tree_oracle(2)
+
+
+class TestFuseIsARun:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_fuse_factors_as_a_head(self, k):
+        # the fuse lemma as a case of the one head rule: a k-fuse is a head of
+        # length k - 1 in front of a wall, whatever the tail, and its run
+        # factor is u_k
+        for word in ["W", "BBW", "BWW", "BWWW"]:
+            s = oracles._fuse_board(k, recurrent(word))
+            assert detect_fuse(s) == k
+            assert _wall_head(s) == k - 1
+            assert _run_factor(tuple(v for v, _ in s.prefix[: k - 1])) == u_poly(k)
 
 
 class TestBijection:

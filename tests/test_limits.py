@@ -7,7 +7,7 @@ from bsol.golden import h_table
 from bsol.limits import (
     LinearSystem,
     NonClosingError,
-    _head_factor,
+    _run_factor,
     _wall_head,
     assemble_system,
     default_depth_cap,
@@ -98,9 +98,11 @@ class TestWallHead:
         s = inf_seq(((0, U), (4, U), (1, B)), (1,))
         assert _wall_head(s) is None
 
-    def test_wall_at_front_is_not_a_head(self):
+    def test_wall_at_front_is_an_empty_head(self):
+        # a wall at the front is a 1-fuse: a head of length 0, factor 1 + x
         s = inf_seq(((4, B), (1, B)), (1,))
-        assert _wall_head(s) is None
+        assert _wall_head(s) == 0
+        assert _run_factor(()) == parse_poly("1 + x")
 
     def test_no_wall(self):
         s = inf_seq(((0, U), (1, B), (2, B)), (1,))
@@ -113,25 +115,26 @@ class TestHeadFactor:
         for a in range(1, 5):
             s = inf_seq(((0, U),) * a + ((3, B), (1, B)), (2, 0, 1))
             assert _wall_head(s) == a
-            assert _head_factor(s, a) == IntPoly({e: 1 for e in range(a + 2)})
+            assert _run_factor((0,) * a) == IntPoly({e: 1 for e in range(a + 2)})
 
     def test_barred_two_head_agrees_with_fuse(self):
-        # [2* W ...] is both a 2-fuse and a wall head; the factors agree
+        # [2* W ...] is a 2-fuse: its head (2,) has the factor u_2
         s = inf_seq(((2, B), (4, B), (0, U)), (1, 2))
-        assert _head_factor(s, 1) == u_poly(2)
+        assert _wall_head(s) == 1
+        assert _run_factor((2,)) == u_poly(2)
 
     def test_adjacent_barred_ones(self):
         # not a fuse, but still a valid head
         s = inf_seq(((1, B), (1, B), (3, B), (1, U)), (1,))
         t = _wall_head(s)
         assert t == 2
-        phi = _head_factor(s, t)
+        phi = _run_factor((1, 1))
         assert phi.coeff(0) == 1
         assert sum(phi.coeffs.values()) == 1 + 3 * sum(u_poly(2).coeffs.values())
 
     @given(
         head=st.lists(
-            st.sampled_from([(0, U), (1, B), (2, B)]), min_size=1, max_size=3
+            st.sampled_from([(0, U), (1, B), (2, B)]), min_size=0, max_size=3
         ),
         wall=st.integers(3, 8),
         tail=st.lists(
@@ -147,12 +150,11 @@ class TestHeadFactor:
         entries += [(v, b and v > 0) for v, b in tail]
         s = inf_seq(tuple(entries), tuple(period))
         t = _wall_head(s)
-        if t is None:
-            return
+        assert t == len(head)
         chi = drop_head(s, t + 1)
         depth = 6
         lhs = g_trunc(s, depth)
-        rhs = _head_factor(s, t) * g_trunc(chi, depth)
+        rhs = _run_factor(tuple(v for v, _ in head)) * g_trunc(chi, depth)
         for e in range(depth + 1):
             assert lhs.coeff(e) == rhs.coeff(e)
 
