@@ -114,7 +114,8 @@ def main() -> None:
     )
     q1, median, q3 = quartiles([assembly(words) for _ in range(args.repeat)])
     print(f"assemble_system: q1 {q1:.3f} s, median {median:.3f} s, q3 {q3:.3f} s")
-    q1, median, q3 = quartiles([assembly(long_run_families()) for _ in range(args.repeat)])
+    long = long_run_families()
+    q1, median, q3 = quartiles([assembly(long) for _ in range(args.repeat)])
     print(
         f"assemble_system, B^n W and W^n B for n = {', '.join(map(str, LONG_RUNS))}:"
         f" q1 {q1:.3f} s, median {median:.3f} s, q3 {q3:.3f} s"

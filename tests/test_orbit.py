@@ -88,8 +88,7 @@ class TestDSeries:
         assert e.value.max_states == 10
 
 
-LEVEL_CASES = [("BWW", 1), ("BWW", 2), ("BWW", 3), ("BBWW", 2), ("BBBBBW", 2)]
-# a budget above each case's orbit: a census that re-adds its cycle caps at once
+# each case with a budget above its orbit: a census that re-adds its cycle caps at once
 LEVEL_BUDGET = {
     ("BWW", 1): 10,
     ("BWW", 2): 50,
@@ -97,6 +96,7 @@ LEVEL_BUDGET = {
     ("BBWW", 2): 300,
     ("BBBBBW", 2): 200_000,
 }
+LEVEL_CASES = list(LEVEL_BUDGET)
 
 
 @functools.cache
