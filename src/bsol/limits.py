@@ -36,8 +36,8 @@ def family_words(word: str) -> list[str]:
 def family_roots(word: str) -> tuple[list[str], list[InfSeq]]:
     """family_words(word) and the recurrent board of each, in that order.
 
-    One pass of murep.recurrent_elements yields the boards of every
-    rotation, so the family's cycle is walked once, not once per rotation.
+    One murep.recurrent_elements call reads every rotation's board off the
+    word and checks the cycle moves between them once for the family.
     """
     words = family_words(word)
     boards = murep.recurrent_elements(words[0])

@@ -7,13 +7,13 @@ rest left, drop one chip marker at a finite depth, and re-derive bars from
 a bounded window.  That locality is what lets the rule run on infinite,
 eventually periodic sequences, where the board itself has no partition
 anymore; this module holds those boards and the recurrent ones of each
-necklace.
+necklace, read off the word: a recurrent board's values are its
+rotation's tail, and one cycle move fixes its bars from those values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .necklaces import check_word, distinct_rotations, rotate_left
 
@@ -61,15 +61,6 @@ class InfSeq:
     def bars(self) -> tuple[int, ...]:
         return tuple(i for i, (_, b) in enumerate(self.prefix, start=1) if b)
 
-    def first_nonzero(self) -> int:
-        for i in count(1):
-            if self.value_at(i) != 0:
-                return i
-        raise ArithmeticError("unreachable, period has positive sum")
-
-    def values_upto(self, m: int) -> tuple[int, ...]:
-        return tuple(self.value_at(i) for i in range(1, m + 1))
-
     def __str__(self) -> str:
         head = " ".join(f"{v}*" if b else str(v) for v, b in self.prefix)
         tail = " ".join(str(v) for v in self.period)
@@ -96,17 +87,9 @@ def inf_seq(
     return InfSeq(tuple(prefix), period)
 
 
-def inf_move(s: InfSeq, j: int, *, force: bool = False) -> InfSeq:
-    """Reverse move at position j on an infinite board.
-
-    With force=True the bar check is skipped (used to bootstrap recurrent
-    elements, where bars are the unknown being computed); the value at j
-    must still be nonzero.
-    """
-    if force:
-        if s.value_at(j) == 0:
-            raise ValueError(f"cannot force a move on the zero entry {j}")
-    elif not s.barred_at(j):
+def inf_move(s: InfSeq, j: int) -> InfSeq:
+    """Reverse move at position j on an infinite board."""
+    if not s.barred_at(j):
         raise ValueError(f"position {j} of {s} is not barred")
 
     p, per, n = len(s.prefix), s.period, len(s.period)
@@ -163,36 +146,42 @@ def tail_from_word(word: str) -> tuple[int, ...]:
     return tuple(_PAIR_GAP[(word[i], word[(i + 1) % m])] for i in range(m))
 
 
+def recurrent_board(rot: str) -> InfSeq:
+    """The recurrent board of one rotation, read off the word.
+
+    It is the cycle move of the board of rotate_right(rot) at that board's
+    first nonzero entry.  The move shifts the values one place left, so
+    they become rot's tail repeated, and it bars exactly the nonzero
+    entries read while the tail's last entry (the one the move pulls)
+    plus the entries before them stays under BAR_WINDOW.  Neither depends
+    on the bars of the board moved.
+    """
+    tail = tail_from_word(rot)
+    prefix = []
+    pulled = tail[-1]
+    while pulled < BAR_WINDOW:
+        v = tail[len(prefix) % len(tail)]
+        prefix.append((v, v != 0))
+        pulled += v
+    r = len(prefix) % len(tail)
+    return inf_seq(tuple(prefix), tail[r:] + tail[:r])
+
+
 def recurrent_elements(word: str) -> dict[str, InfSeq]:
     """The recurrent infinite boards of a necklace, keyed by rotation.
 
-    The values of each board are forced (the rotation's tail); its bars are
-    pinned down by running the move rule around the cycle until it
-    reproduces itself.  A reverse move sends the board of rotation r to the
-    board of rotate_left(r); the warm-up pass plays the first nonzero
-    position with the bar check suspended, the validation pass replays the
-    full cycle with real bars and must come back to the start.
+    Each board comes from recurrent_board.  The move rule cross-checks
+    them: a reverse move at its first bar sends the board of rotation r
+    to the board of rotate_left(r), and distinct rotations give distinct
+    boards.
     """
-    check_word(word)
-    rots = distinct_rotations(word)
-    s = inf_seq((), tail_from_word(word))
-    for _ in rots:
-        s = inf_move(s, s.first_nonzero(), force=True)
-    start = s
-    out: dict[str, InfSeq] = {}
-    cur = start
-    for t in range(len(rots)):
-        rot = rotate_left(word, t)
-        out[rot] = cur
-        bars = cur.bars()
-        if not bars or bars[0] != cur.first_nonzero():
-            raise ArithmeticError(f"cycle move of {cur} is not its first bar")
-        nxt = inf_move(cur, bars[0])
-        if cur.values_upto(len(word)) != tail_from_word(rot):
-            raise ArithmeticError(f"values of {cur} drifted off the {rot} tail")
-        cur = nxt
-    if cur != start:
-        raise ArithmeticError(f"cycle of {word} did not close")
-    if len(set(out.values())) != len(rots):
+    rots = distinct_rotations(check_word(word))
+    boards = {rot: recurrent_board(rot) for rot in rots}
+    for rot, board in boards.items():
+        nxt = rotate_left(rot)
+        bars = board.bars()
+        if not bars or inf_move(board, bars[0]) != boards.get(nxt):
+            raise ArithmeticError(f"cycle move of {board} is not the {nxt} board")
+    if len(set(boards.values())) != len(boards):
         raise ArithmeticError(f"rotations of {word} gave duplicate boards")
-    return out
+    return boards

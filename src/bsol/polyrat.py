@@ -259,9 +259,6 @@ class RatFn:
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den == ONE
 

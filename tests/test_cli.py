@@ -27,26 +27,28 @@ def bs(*argv):
 
 class TestOrbit:
     def test_power_two(self, capsys):
-        code, rep = run_json(capsys, "orbit", "--necklace", "BWW", "--power", "2")
+        code, rep = run_json(
+            capsys, "orbit", "--necklace", "BWW", "--power", "2", "--max-states", "100"
+        )
         assert code == 0
         assert rep["size"] == "25"
         assert rep["status"] == "ok"
 
     def test_depth_reported(self, capsys):
-        _, rep = run_json(capsys, "orbit", "--necklace", "BWW")
+        _, rep = run_json(capsys, "orbit", "--necklace", "BWW", "--max-states", "100")
         assert rep["depth"] == 2
         assert rep["size"] == "5"
 
 
 class TestDSeries:
     def test_coeffs(self, capsys):
-        code, rep = run_json(capsys, "dseries", "--necklace", "BWW")
+        code, rep = run_json(capsys, "dseries", "--necklace", "BWW", "--max-states", "100")
         assert code == 0
         assert rep["d_series"] == ["3", "1", "1"]
         assert rep["size"] == "5"
 
     def test_kernel_named(self, capsys):
-        _, rep = run_json(capsys, "dseries", "--necklace", "BWW")
+        _, rep = run_json(capsys, "dseries", "--necklace", "BWW", "--max-states", "100")
         assert rep["kernel"] == "py"
 
 
@@ -54,7 +56,9 @@ class TestDSeries:
         code, rep = run_json(
             capsys, "dseries", "--necklace", "BWW", "--power", "3", "--max-states", "60"
         )
-        _, full = run_json(capsys, "dseries", "--necklace", "BWW", "--power", "3")
+        _, full = run_json(
+            capsys, "dseries", "--necklace", "BWW", "--power", "3", "--max-states", "1000"
+        )
         assert code == 0
         assert rep["command"] == "dseries"
         assert rep["status"] == "capped"
@@ -65,14 +69,17 @@ class TestDSeries:
 
 class TestHSeries:
     def test_stabilizes(self, capsys):
-        code, rep = run_json(capsys, "hseries", "--necklace", "BWW", "--coeffs", "4")
+        code, rep = run_json(
+            capsys, "hseries", "--necklace", "BWW", "--coeffs", "4", "--max-states", "1000"
+        )
         assert code == 0
         assert rep["coefficients"] == ["3", "1", "2", "3", "5"]
         assert rep["status"] == "ok"
 
     def test_capped_status(self, capsys):
         code, rep = run_json(
-            capsys, "hseries", "--necklace", "BW", "--coeffs", "3", "--max-k", "4"
+            capsys, "hseries", "--necklace", "BW", "--coeffs", "3", "--max-k", "4",
+            "--max-states", "1000",
         )
         assert code == 0
         assert rep["status"] == "capped"
@@ -109,7 +116,7 @@ class TestHLimit:
         assert run(["hlimit", "--necklace", "BBW"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "internal error: values of [2* | 0 1 2] drifted off the BBW tail\n"
+        assert captured.err == "internal error: cycle move of [1* 2* | 0 1 2] is not the BBW board\n"
 
     def test_pivot_fault_is_internal(self, capsys, monkeypatch):
         # a system whose M is not divisible by x breaks the no-pivoting rule;
@@ -161,7 +168,9 @@ class TestUFuse:
 
 class TestCRatio:
     def test_ratio(self, capsys):
-        code, rep = run_json(capsys, "cratio", "--necklace", "BWW", "--max-k", "3")
+        code, rep = run_json(
+            capsys, "cratio", "--necklace", "BWW", "--max-k", "3", "--max-states", "1000"
+        )
         assert code == 0
         assert rep["ratio"] == "5"
         assert [r["size"] for r in rep["rows"]] == ["5", "25", "125"]
@@ -185,7 +194,9 @@ class TestVerify:
         assert all(r["isomorphic"] and r["equal_h"] for r in rep["results"])
 
     def test_lemma216(self, capsys):
-        code, rep = run_json(capsys, "verify", "lemma216", "--necklace", "BWW")
+        code, rep = run_json(
+            capsys, "verify", "lemma216", "--necklace", "BWW", "--max-states", "100"
+        )
         assert code == 0
         assert rep["status"] == "ok"
 
@@ -273,7 +284,9 @@ class TestReportHead:
         monkeypatch.setattr(golden, "dual_pairs", lambda: [("BWW", "BBW")])
         rows = golden.size_rows()[:1]
         monkeypatch.setattr(golden, "size_rows", lambda: rows)
-        code, rep = run_json(capsys, *argv)
+        census = hasattr(cli._build_parser().parse_args(argv), "max_states")
+        # a census handler runs under a budget above its orbit
+        code, rep = run_json(capsys, *argv, *(["--max-states", "1000"] if census else []))
         assert code == 0
         assert rep["status"] == "ok"
         head = argv[:2] if argv[0] == "verify" else argv[:1]
@@ -360,9 +373,12 @@ class TestUsageErrors:
         [
             (["verify", "thm13", "--max-k", "2"], "ok"),
             (["verify", "brandt", "--max-size", "1"], "ok"),
-            (["verify", "lemma216", "--necklace", "BWW", "--coeffs", "0"], "ok"),
+            (
+                ["verify", "lemma216", "--necklace", "BWW", "--coeffs", "0", "--max-states", "100"],
+                "ok",
+            ),
             # one power cannot agree with a next one: a capped report, not an error
-            (["hseries", "--necklace", "BWW", "--max-k", "1"], "capped"),
+            (["hseries", "--necklace", "BWW", "--max-k", "1", "--max-states", "100"], "capped"),
             (["ufuse", "--max-k", "0"], "ok"),
             (["tables", "--max-size", "1"], "ok"),
             (["tables", "--max-power", "1"], "ok"),
@@ -384,21 +400,21 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_timing_flag_adds_field(self, capsys):
-        _, rep = run_json(capsys, "orbit", "--necklace", "BWW", "--timing")
+        _, rep = run_json(capsys, "orbit", "--necklace", "BWW", "--max-states", "100", "--timing")
         assert "elapsed_seconds" in rep
 
 
 class TestOutFlag:
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
-        code = run(["orbit", "--necklace", "BWW", "--out", str(target)])
+        code = run(["orbit", "--necklace", "BWW", "--max-states", "100", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["size"] == "5"
 
     def test_missing_directory_is_usage_error(self, capsys, tmp_path):
         # it used to end in a FileNotFoundError traceback
         target = tmp_path / "missing" / "out.json"
-        assert run(["orbit", "--necklace", "BWW", "--out", str(target)]) == 1
+        assert run(["orbit", "--necklace", "BWW", "--max-states", "100", "--out", str(target)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: cannot write {target}: No such file or directory\n"
@@ -440,7 +456,7 @@ class TestHelp:
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "bsol.cli", "orbit", "--necklace", "BWW"],
+            [sys.executable, "-m", "bsol.cli", "orbit", "--necklace", "BWW", "--max-states", "100"],
             capture_output=True,
             text=True,
         )
@@ -471,7 +487,7 @@ class TestEntryPoint:
         assert proc.stderr.startswith("usage error:")
 
     def test_hseries_power_cap(self):
-        proc = bs("hseries", "--necklace", "BWW")
+        proc = bs("hseries", "--necklace", "BWW", "--max-states", "1000")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["max_power"] == 8
         proc = bs("hseries", "--necklace", "BWW", "--max-k", "0")
@@ -507,9 +523,9 @@ class TestImportSet:
         # one fresh interpreter runs the commands in turn; each stage lists the
         # watched modules loaded so far
         commands = [
-            ["orbit", "--necklace", "BWW", "--power", "3"],
-            ["cratio", "--necklace", "BBW", "--max-k", "3"],
-            ["hseries", "--necklace", "BWW", "--coeffs", "3"],
+            ["orbit", "--necklace", "BWW", "--power", "3", "--max-states", "1000"],
+            ["cratio", "--necklace", "BBW", "--max-k", "3", "--max-states", "1000"],
+            ["hseries", "--necklace", "BWW", "--coeffs", "3", "--max-states", "1000"],
             ["verify", "brandt"],
             ["tables"],
         ]

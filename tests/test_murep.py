@@ -6,10 +6,17 @@ from bsol.murep import (
     drop_head,
     inf_move,
     inf_seq,
+    recurrent_board,
     recurrent_elements,
     tail_from_word,
 )
-from bsol.necklaces import necklace_representatives, rotate_left, word_partition
+from bsol.necklaces import (
+    distinct_rotations,
+    necklace_representatives,
+    rotate_left,
+    rotate_right,
+    word_partition,
+)
 from bsol.partitions import playable_parts, reverse_move
 from oracles import (
     BarredSeq,
@@ -24,6 +31,10 @@ from oracles import (
 
 def bs(values, bars):
     return BarredSeq(tuple(values), frozenset(bars))
+
+
+def values_upto(s, m):
+    return tuple(s.value_at(i) for i in range(1, m + 1))
 
 
 class TestFiniteSeq:
@@ -81,7 +92,7 @@ class TestInfSeqCanonical:
         s = inf_seq(((2, True), (1, False), (0, False)), (2, 1, 0))
         t = inf_seq(((2, True),), (1, 0, 2))
         assert s == t
-        assert s.values_upto(7) == (2, 1, 0, 2, 1, 0, 2)
+        assert values_upto(s, 7) == (2, 1, 0, 2, 1, 0, 2)
 
     def test_primitive_period(self):
         assert inf_seq((), (2, 0, 2, 0)) == inf_seq((), (2, 0))
@@ -90,7 +101,7 @@ class TestInfSeqCanonical:
         a = inf_seq(((1, True), (1, True)), (1,))
         b = inf_seq(((1, True),), (1,))
         assert a != b
-        assert a.values_upto(5) == b.values_upto(5)
+        assert values_upto(a, 5) == values_upto(b, 5)
 
     def test_rejects_zero_period(self):
         with pytest.raises(ValueError):
@@ -117,7 +128,7 @@ class TestInfSeqCanonical:
             pre[i][0] if i < len(pre) else per[(i - len(pre)) % len(per)]
             for i in range(m)
         ]
-        assert list(s.values_upto(m)) == expect
+        assert list(values_upto(s, m)) == expect
 
 
 class TestTails:
@@ -187,7 +198,7 @@ class TestRecurrentElements:
         xs = recurrent_elements("WBBB")
         for w, bars in expect.items():
             assert xs[w].bars() == bars
-            assert xs[w].values_upto(4) == tail_from_word(w)
+            assert values_upto(xs[w], 4) == tail_from_word(w)
 
     def test_bbbbw_bars(self):
         assert recurrent_elements("WBBBB")["BBBBW"].bars() == (1, 2, 3)
@@ -208,6 +219,23 @@ class TestRecurrentElements:
                     nxt = inf_move(s, s.bars()[0])
                     assert nxt == xs[rotate_left(rot)]
 
+    def test_board_is_the_cycle_move_of_any_bars(self):
+        # the move at the first nonzero entry of rotate_right(rot)'s values
+        # fixes every bar from the values alone
+        for m in range(1, 13):
+            for w in necklace_representatives(m):
+                for rot in distinct_rotations(w):
+                    expect = recurrent_board(rot)
+                    tail = tail_from_word(rotate_right(rot))
+                    values = tail * 2
+                    j = next(i for i, v in enumerate(values, start=1) if v)
+                    for bits in (0, -1, 0x5555):
+                        prefix = tuple(
+                            (v, v != 0 and (i == j or bool(bits >> i & 1)))
+                            for i, v in enumerate(values, start=1)
+                        )
+                        assert inf_move(inf_seq(prefix, tail), j) == expect
+
     def test_matches_finite_cycle_boards(self):
         # the finite recurrent board agrees with the infinite one on the
         # first m-1 entries, bars included
@@ -217,7 +245,7 @@ class TestRecurrentElements:
                 for rot, s in xs.items():
                     fin = from_partition(word_partition(rot))
                     cut = m - 1
-                    assert fin.values[:cut] == s.values_upto(cut)
+                    assert fin.values[:cut] == values_upto(s, cut)
                     assert {i for i in fin.bars if i <= cut} == {
                         i for i in s.bars() if i <= cut
                     }
@@ -240,11 +268,6 @@ class TestInfMoves:
         with pytest.raises(ValueError):
             inf_move(elem("W"), 3)
 
-    def test_force_rejects_zero(self):
-        s = inf_seq((), (0, 2))
-        with pytest.raises(ValueError):
-            inf_move(s, 1, force=True)
-
     def test_dead_end_board(self):
         s = inf_seq(((5, True),), (1,))
         t = inf_move(s, 1)
@@ -261,5 +284,5 @@ class TestDropHead:
     def test_past_prefix(self):
         s = inf_seq(((2, True), (1, True)), (0, 2, 1))
         t = drop_head(s, 3)
-        assert t.values_upto(6) == (2, 1, 0, 2, 1, 0)
+        assert values_upto(t, 6) == (2, 1, 0, 2, 1, 0)
         assert t.bars() == ()
