@@ -38,11 +38,14 @@ B_0, a stub B_1 and a fork B_2.
 This is the paper's factoring of a reverse-move tree by the segments of
 its board, whose entries are the birth gaps and whose bars the births to
 undo; limits factors the leading runs of its infinite boards by the same
-run_levels.  Its fuse lemma, in finite form: a run of k births, all to
-undo, whose gaps are 1s and 2s with no two 1s adjacent and whose next
-birth lies more than 2 past it, is a k-fuse, with factor u_k = sum_i
-w(i, k - i) x^i, w(n, z) the weak compositions of n with z zeros.  A
-close pair's 1 + 2x + 2x^2 is u_2.  Other runs have factors of their
+run_levels.  The births to undo are those up to the room, so a board's
+bars are its nonzero gaps up to one bound, murep.InfSeq.bound: the
+board's bound is the walk's room in gap coordinates.  The paper's fuse
+lemma, in finite form: a run of k births, all to undo, whose gaps are 1s
+and 2s with no two 1s adjacent and whose next birth lies more than 2
+past it, is a k-fuse, with factor u_k = sum_i w(i, k - i) x^i, w(n, z)
+the weak compositions of n with z zeros.  A close pair's 1 + 2x + 2x^2
+is u_2.  Other runs have factors of their
 own: 1 + x + x^2 for two equal births or a pair whose second birth is
 past the room, 1 + 3x + 6x^2 + 6x^3 for the gaps (1, 1).  The walk counts
 the runs with at most _PAST births past the room and builds the others:

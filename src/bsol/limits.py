@@ -50,25 +50,18 @@ def default_depth_cap(n: int) -> int:
 
 
 def _wall_head(s: InfSeq) -> int | None:
-    """Length of a barred-iff-nonzero sub-window head in front of a wall.
+    """Length t of the head in front of the board's first barred wall.
 
-    A wall is a barred entry of value >= BAR_WINDOW.  Positions 1..t must
-    each be an unbarred zero or a barred sub-window value; the wall sits
-    at t + 1.  Unbarred nonzero entries disqualify the head: a later move
-    behind the wall can re-bar them, so their event set is not fixed.
-    Returns t >= 0, or None; t = 0 is a wall at the front, a 1-fuse.
+    A wall is a barred entry of value >= BAR_WINDOW.  The bars are the
+    nonzero entries up to the board's bound, and the wall lies within
+    it, so the head, positions 1..t, holds only zeros and barred
+    sub-window values: no later move can re-bar a head entry.  Returns
+    t >= 0, or None when no entry up to the bound is a wall; t = 0 is a
+    wall at the front, a 1-fuse.
     """
-    t = 0
-    while t < len(s.prefix):
-        v, barred = s.prefix[t]
-        if v >= BAR_WINDOW or barred != (v != 0):
-            break
-        t += 1
-    if t >= len(s.prefix):
-        return None
-    v, barred = s.prefix[t]
-    if barred and v >= BAR_WINDOW:
-        return t
+    for t, v in enumerate(s.prefix[: s.bound]):
+        if v >= BAR_WINDOW:
+            return t
     return None
 
 
@@ -114,7 +107,7 @@ def _expand_row(
             t = _wall_head(s)
             if t is None:
                 break
-            w = w * _run_factor(tuple(v for v, _ in s.prefix[:t]))
+            w = w * _run_factor(s.prefix[:t])
             s = drop_head(s, t + 1)
         constant = constant + w * X**level
         if level >= depth_cap:

@@ -1,14 +1,17 @@
 """Gap coordinates for the reverse game on infinite boards.
 
-A partition turns into its sequence of consecutive differences plus a set
-of bars marking where a reverse move may act.  Written in these
-coordinates the reverse move becomes local: merge two entries, move the
-rest left, drop one chip marker at a finite depth, and re-derive bars from
-a bounded window.  That locality is what lets the rule run on infinite,
-eventually periodic sequences, where the board itself has no partition
-anymore; this module holds those boards and the recurrent ones of each
-necklace, read off the word: a recurrent board's values are its
-rotation's tail, and one cycle move fixes its bars from those values.
+A partition turns into its sequence of consecutive differences, barred
+where a reverse move may act.  A pile may be undone when it holds at
+least len - 1 chips, a threshold on weakly decreasing piles, so the
+playable piles are a leading run and the bars are exactly the nonzero
+entries up to one bound.  Written in these coordinates the reverse move
+becomes local: merge two entries, move the rest left, drop one chip
+marker at a finite depth, and re-derive the bound from a bounded window.
+That locality is what lets the rule run on infinite, eventually periodic
+sequences, where the board itself has no partition anymore; this module
+holds those boards and the recurrent ones of each necklace, read off the
+word: a recurrent board's values are its rotation's tail, and one cycle
+move fixes its bound from those values.
 """
 
 from __future__ import annotations
@@ -27,15 +30,18 @@ BAR_WINDOW = 3
 
 @dataclass(frozen=True)
 class InfSeq:
-    """Eventually periodic difference sequence with finitely many bars.
+    """Eventually periodic difference sequence, barred up to a bound.
 
-    prefix holds (value, barred) pairs for positions 1..p; period gives the
-    values from position p+1 on, repeating forever, never barred.  Stored
-    canonically: primitive period, prefix trimmed as short as the bars and
-    the phase allow.  Equality of canonical forms is equality of boards.
+    prefix holds the values at positions 1..p; period gives the values
+    from position p+1 on, repeating forever.  The bars are the nonzero
+    entries at positions 1..bound, which is exact: see the module
+    docstring.  Stored canonically: primitive period, bound 0 or on a
+    nonzero entry, prefix trimmed only past the bound.  Equality of
+    canonical forms is equality of boards.
     """
 
-    prefix: tuple[tuple[int, bool], ...]
+    prefix: tuple[int, ...]
+    bound: int
     period: tuple[int, ...]
 
     def __post_init__(self):
@@ -43,26 +49,28 @@ class InfSeq:
             raise ValueError("period must be nonempty with entries >= 0")
         if sum(self.period) == 0:
             raise ValueError("period must have positive sum")
-        for v, b in self.prefix:
-            if v < 0 or (b and v == 0):
-                raise ValueError("bad prefix entry")
+        if any(v < 0 for v in self.prefix) or not 0 <= self.bound <= len(self.prefix):
+            raise ValueError("bad prefix entry or bound")
 
     def value_at(self, i: int) -> int:
         p = len(self.prefix)
         if i < 1:
             raise IndexError(i)
         if i <= p:
-            return self.prefix[i - 1][0]
+            return self.prefix[i - 1]
         return self.period[(i - p - 1) % len(self.period)]
 
     def barred_at(self, i: int) -> bool:
-        return i <= len(self.prefix) and self.prefix[i - 1][1]
+        return 1 <= i <= self.bound and self.prefix[i - 1] != 0
 
     def bars(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, b) in enumerate(self.prefix, start=1) if b)
+        return tuple(i for i in range(1, self.bound + 1) if self.prefix[i - 1])
 
     def __str__(self) -> str:
-        head = " ".join(f"{v}*" if b else str(v) for v, b in self.prefix)
+        head = " ".join(
+            f"{v}*" if self.barred_at(i) else str(v)
+            for i, v in enumerate(self.prefix, start=1)
+        )
         tail = " ".join(str(v) for v in self.period)
         return f"[{head} | {tail}]" if head else f"[| {tail}]"
 
@@ -75,16 +83,18 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-def inf_seq(
-    prefix: tuple[tuple[int, bool], ...], period: tuple[int, ...]
-) -> InfSeq:
-    """Canonical constructor: primitive period, maximally trimmed prefix."""
+def inf_seq(values: tuple[int, ...], bound: int, period: tuple[int, ...]) -> InfSeq:
+    """Canonical constructor: values barred where nonzero up to bound."""
+    if not 0 <= bound <= len(values):
+        raise ValueError(f"bound {bound} is outside the values {values}")
     period = _primitive(tuple(period))
-    prefix = list(prefix)
-    while prefix and prefix[-1] == (period[-1], False):
+    prefix = list(values)
+    while bound and not prefix[bound - 1]:
+        bound -= 1
+    while len(prefix) > bound and prefix[-1] == period[-1]:
         prefix.pop()
         period = (period[-1],) + period[:-1]
-    return InfSeq(tuple(prefix), period)
+    return InfSeq(tuple(prefix), bound, period)
 
 
 def inf_move(s: InfSeq, j: int) -> InfSeq:
@@ -94,33 +104,21 @@ def inf_move(s: InfSeq, j: int) -> InfSeq:
 
     p, per, n = len(s.prefix), s.period, len(s.period)
 
-    # last position whose cumulative pulled chips stay under the window
-    h = j - 1
-    acc = 0
-    i = j
-    while True:
-        acc += s.value_at(i)
-        if acc >= BAR_WINDOW:
-            break
-        h = i
-        i += 1
+    # last position whose cumulative pulled chips stay under the window;
+    # it is the new bound, and never below j - 1
+    h, acc = j - 1, s.value_at(j)
+    while acc < BAR_WINDOW:
+        h += 1
+        acc += s.value_at(h + 1)
 
-    q = max(p - 1, h, j - 1, 0)
-
-    def new_val(i: int) -> int:
-        if i < j - 1:
-            return s.value_at(i)
-        if i == j - 1:
-            return s.value_at(j - 1) + s.value_at(j)
-        return s.value_at(i + 1)
-
-    new_prefix = []
-    for i in range(1, q + 1):
-        v = new_val(i)
-        barred = v != 0 and (i <= j - 1 or i <= h)
-        new_prefix.append((v, barred))
+    # merge entries j - 1 and j, and move the rest left
+    q = max(p - 1, h)
+    values = [s.value_at(i) for i in range(1, q + 2)]
+    del values[j - 1]
+    if j > 1:
+        values[j - 2] += s.value_at(j)
     new_per = per[(q + 1 - p) % n :] + per[: (q + 1 - p) % n]
-    return inf_seq(tuple(new_prefix), new_per)
+    return inf_seq(tuple(values), h, new_per)
 
 
 def drop_head(s: InfSeq, k: int) -> InfSeq:
@@ -129,9 +127,9 @@ def drop_head(s: InfSeq, k: int) -> InfSeq:
         raise ValueError(k)
     p, per, n = len(s.prefix), s.period, len(s.period)
     if k <= p:
-        return inf_seq(s.prefix[k:], per)
+        return inf_seq(s.prefix[k:], max(s.bound - k, 0), per)
     r = (k - p) % n
-    return inf_seq((), per[r:] + per[:r])
+    return inf_seq((), 0, per[r:] + per[:r])
 
 
 # --- necklace tails and recurrent boards -------------------------------------
@@ -161,10 +159,10 @@ def recurrent_board(rot: str) -> InfSeq:
     pulled = tail[-1]
     while pulled < BAR_WINDOW:
         v = tail[len(prefix) % len(tail)]
-        prefix.append((v, v != 0))
+        prefix.append(v)
         pulled += v
     r = len(prefix) % len(tail)
-    return inf_seq(tuple(prefix), tail[r:] + tail[:r])
+    return inf_seq(tuple(prefix), len(prefix), tail[r:] + tail[:r])
 
 
 def recurrent_elements(word: str) -> dict[str, InfSeq]:

@@ -301,22 +301,27 @@ class RatFn:
         return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
 
 
-def series_coeffs(f: RatFn, m: int) -> list[Fraction]:
-    """Taylor coefficients c_0..c_m of f at the origin, exact.
+def series_coeffs(f: RatFn, m: int) -> list[int]:
+    """Taylor coefficients c_0..c_m of f at the origin, exact integers.
 
-    Requires den(0) != 0, i.e. no pole at the origin.
+    Requires den(0) != 0, i.e. no pole at the origin.  Each step divides
+    exactly by den(0); a coefficient that is not an integer raises
+    ArithmeticError.  Every H has den(0) = +-1, so its series never does.
     """
     d0 = f.den.coeff(0)
     if d0 == 0:
         raise ValueError("pole at the origin, no Taylor series")
-    out: list[Fraction] = []
+    out: list[int] = []
     for k in range(m + 1):
-        acc = Fraction(f.num.coeff(k))
+        acc = f.num.coeff(k)
         for i in range(1, k + 1):
             di = f.den.coeff(i)
             if di:
                 acc -= di * out[k - i]
-        out.append(acc / d0)
+        c, r = divmod(acc, d0)
+        if r:
+            raise ArithmeticError(f"coefficient {k} of the series of {f} is not an integer")
+        out.append(c)
     return out
 
 

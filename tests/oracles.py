@@ -60,15 +60,13 @@ def weak_compositions(n: int, i: int) -> list[tuple[int, ...]]:
 def _fuse_board(k: int, tail: InfSeq) -> InfSeq:
     """A board opening with a canonical length-k fuse, continuing as tail.
 
-    The fuse values alternate 2, 1, 2, ... and close with a 3; the tail is
-    attached unbarred.
+    The fuse values alternate 2, 1, 2, ... and close with a 3; the board's
+    bound is the 3, so the tail is attached unbarred.
     """
     if k < 1:
         raise ValueError(k)
-    vals = [2 if t % 2 == 0 else 1 for t in range(k - 1)] + [3]
-    prefix = tuple((v, True) for v in vals)
-    prefix += tuple((v, False) for v, _ in tail.prefix)
-    return inf_seq(prefix, tail.period)
+    vals = tuple(2 if t % 2 == 0 else 1 for t in range(k - 1)) + (3,)
+    return inf_seq(vals + tail.prefix, k, tail.period)
 
 
 def fuse_plays(k: int, tail: InfSeq | None = None) -> list[tuple[int, ...]]:

@@ -18,12 +18,9 @@ from oracles import (
     weak_compositions,
 )
 
-B = True
-U = False
-
-
-def board(entries, period):
-    return inf_seq(tuple(entries), tuple(period))
+def board(values, period):
+    # barred at every entry
+    return inf_seq(tuple(values), len(values), tuple(period))
 
 
 def recurrent(word):
@@ -32,20 +29,20 @@ def recurrent(word):
 
 class TestDetect:
     def test_fuse_closed_by_three(self):
-        s = board([(2, B), (1, B), (3, B), (1, B), (2, B)], (1,))
+        s = board([2, 1, 3, 1, 2], (1,))
         assert detect_fuse(s) == 3
 
     def test_fuse_other_order(self):
-        s = board([(1, B), (2, B), (3, B), (2, B), (2, B)], (1,))
+        s = board([1, 2, 3, 2, 2], (1,))
         assert detect_fuse(s) == 3
 
     def test_adjacent_ones_disqualify(self):
-        s = board([(1, B), (1, B)], (1,))
+        s = board([1, 1], (1,))
         assert detect_fuse(s) == 0
         assert prefuse_length(s) == 0
 
     def test_adjacent_ones_before_cap_disqualify(self):
-        s = board([(2, B), (1, B), (1, B), (3, B)], (1,))
+        s = board([2, 1, 1, 3], (1,))
         assert detect_fuse(s) == 0
 
     def test_recurrent_board_is_prefuse(self):
@@ -60,7 +57,7 @@ class TestDetect:
         assert prefuse_length(s) == 0
 
     def test_large_entry_must_be_barred(self):
-        s = board([(2, B), (1, B)], (3, 1, 1))
+        s = board([2, 1], (3, 1, 1))
         assert detect_fuse(s) == 0
         assert prefuse_length(s) == 2
 
@@ -163,7 +160,7 @@ class TestFuseIsARun:
             s = oracles._fuse_board(k, recurrent(word))
             assert detect_fuse(s) == k
             assert _wall_head(s) == k - 1
-            assert _run_factor(tuple(v for v, _ in s.prefix[: k - 1])) == u_poly(k)
+            assert _run_factor(s.prefix[: k - 1]) == u_poly(k)
 
 
 class TestBijection:

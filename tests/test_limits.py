@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +28,6 @@ from bsol.murep import drop_head, inf_move, inf_seq, recurrent_elements
 from bsol.necklaces import cycle_length, distinct_rotations, necklace_representatives
 from bsol.polyrat import ONE, ZERO, IntPoly, RatFn, X, series_coeffs
 from oracles import anchored_self_coeff, parse_poly
-
-B = True
-U = False
 
 
 def g_trunc(s, depth):
@@ -82,30 +81,27 @@ class TestFamilyRoots:
 
 class TestWallHead:
     def test_zero_head(self):
-        s = inf_seq(((0, U), (4, B), (1, B)), (1,))
+        s = inf_seq((0, 4, 1), 3, (1,))
         assert _wall_head(s) == 1
 
     def test_mixed_head(self):
-        s = inf_seq(((1, B), (0, U), (2, B), (5, B), (1, U)), (2, 0, 1))
+        s = inf_seq((1, 0, 2, 5, 1), 4, (2, 0, 1))
         assert _wall_head(s) == 3
 
-    def test_unbarred_nonzero_disqualifies(self):
-        # a later move behind the wall can re-bar this entry
-        s = inf_seq(((1, U), (4, B), (1, B)), (1,))
-        assert _wall_head(s) is None
-
-    def test_unbarred_wall_disqualifies(self):
-        s = inf_seq(((0, U), (4, U), (1, B)), (1,))
-        assert _wall_head(s) is None
+    def test_wall_past_the_bound_is_no_wall(self):
+        # an unbarred large entry is no wall, wherever the bound stops
+        for bound in range(3):
+            assert _wall_head(inf_seq((1, 2, 4, 1), bound, (1,))) is None
+        assert _wall_head(inf_seq((1, 2, 4, 1), 3, (1,))) == 2
 
     def test_wall_at_front_is_an_empty_head(self):
         # a wall at the front is a 1-fuse: a head of length 0, factor 1 + x
-        s = inf_seq(((4, B), (1, B)), (1,))
+        s = inf_seq((4, 1), 2, (1,))
         assert _wall_head(s) == 0
         assert _run_factor(()) == parse_poly("1 + x")
 
     def test_no_wall(self):
-        s = inf_seq(((0, U), (1, B), (2, B)), (1,))
+        s = inf_seq((0, 1, 2), 3, (1,))
         assert _wall_head(s) is None
 
 
@@ -113,19 +109,19 @@ class TestHeadFactor:
     def test_zeros_burn_chain(self):
         # a zeros in front of a wall contribute 1 + x + ... + x^(a+1)
         for a in range(1, 5):
-            s = inf_seq(((0, U),) * a + ((3, B), (1, B)), (2, 0, 1))
+            s = inf_seq((0,) * a + (3, 1), a + 2, (2, 0, 1))
             assert _wall_head(s) == a
             assert _run_factor((0,) * a) == IntPoly({e: 1 for e in range(a + 2)})
 
     def test_barred_two_head_agrees_with_fuse(self):
         # [2* W ...] is a 2-fuse: its head (2,) has the factor u_2
-        s = inf_seq(((2, B), (4, B), (0, U)), (1, 2))
+        s = inf_seq((2, 4, 0), 2, (1, 2))
         assert _wall_head(s) == 1
         assert _run_factor((2,)) == u_poly(2)
 
     def test_adjacent_barred_ones(self):
         # not a fuse, but still a valid head
-        s = inf_seq(((1, B), (1, B), (3, B), (1, U)), (1,))
+        s = inf_seq((1, 1, 3, 1), 3, (1,))
         t = _wall_head(s)
         assert t == 2
         phi = _run_factor((1, 1))
@@ -133,12 +129,10 @@ class TestHeadFactor:
         assert sum(phi.coeffs.values()) == 1 + 3 * sum(u_poly(2).coeffs.values())
 
     @given(
-        head=st.lists(
-            st.sampled_from([(0, U), (1, B), (2, B)]), min_size=0, max_size=3
-        ),
+        head=st.lists(st.integers(0, 2), min_size=0, max_size=3),
         wall=st.integers(3, 8),
-        tail=st.lists(
-            st.tuples(st.integers(0, 5), st.booleans()), min_size=0, max_size=3
+        tail=st.lists(st.integers(0, 5), min_size=0, max_size=3).flatmap(
+            lambda t: st.tuples(st.just(tuple(t)), st.integers(0, len(t)))
         ),
         period=st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(
             lambda p: sum(p) > 0
@@ -146,15 +140,16 @@ class TestHeadFactor:
     )
     @settings(max_examples=60, deadline=None)
     def test_factorization_identity(self, head, wall, tail, period):
-        entries = list(head) + [(wall, B)]
-        entries += [(v, b and v > 0) for v, b in tail]
-        s = inf_seq(tuple(entries), tuple(period))
+        # the bound runs through the wall and on into the tail
+        values, tail_bound = tail
+        entries = tuple(head) + (wall,) + values
+        s = inf_seq(entries, len(head) + 1 + tail_bound, tuple(period))
         t = _wall_head(s)
         assert t == len(head)
         chi = drop_head(s, t + 1)
         depth = 6
         lhs = g_trunc(s, depth)
-        rhs = _run_factor(tuple(v for v, _ in head)) * g_trunc(chi, depth)
+        rhs = _run_factor(tuple(head)) * g_trunc(chi, depth)
         for e in range(depth + 1):
             assert lhs.coeff(e) == rhs.coeff(e)
 
@@ -386,6 +381,30 @@ class TestDenominatorPolynomials:
             h_poly(0)
 
 
+class TestPinnedSystems:
+    def test_limit_systems_of_size_3_to_11(self):
+        # one sha256 over every primitive family's words and sorted A and M
+        # coefficients; any change to what assembly produces moves it
+        def coeffs(p):
+            return sorted(p.coeffs.items())
+
+        digest = hashlib.sha256()
+        families = 0
+        for m in range(3, 12):
+            for word in necklace_representatives(m):
+                if cycle_length(word) != m:
+                    continue
+                families += 1
+                sys = assemble_system(word)
+                A = [coeffs(a) for a in sys.A]
+                M = [[coeffs(e) for e in row] for row in sys.M]
+                digest.update(repr((sys.words, A, M)).encode())
+        assert families == 409
+        assert digest.hexdigest() == (
+            "159b10435a378443b176939a9f5e15668b96b58235d55d09d10bf2c0b06b8638"
+        )
+
+
 class TestExactSolve:
     def test_recurrent_boards_hold_only_gaps_up_to_two(self):
         # assemble_system matches nodes against the roots exactly; that
@@ -397,7 +416,7 @@ class TestExactSolve:
                     continue
                 checked += 1
                 for w, board in recurrent_elements(word).items():
-                    values = [v for v, _ in board.prefix] + list(board.period)
+                    values = board.prefix + board.period
                     assert max(values) <= 2, (word, w, board)
         assert checked == 747
 

@@ -11,6 +11,7 @@ from bsol.murep import (
     tail_from_word,
 )
 from bsol.necklaces import (
+    cycle_length,
     distinct_rotations,
     necklace_representatives,
     rotate_left,
@@ -47,9 +48,14 @@ class TestFiniteSeq:
                 assert to_partition(from_partition(lam)) == lam
 
     def test_bars_are_playable_positions(self):
+        # the bars are also the nonzero entries up to the largest bar: the
+        # one bound an infinite board stores
         for n in range(0, 19):
             for lam in all_partitions(n):
-                assert from_partition(lam).bars == frozenset(playable_parts(lam))
+                s = from_partition(lam)
+                assert s.bars == frozenset(playable_parts(lam))
+                top = max(s.bars, default=0)
+                assert s.bars == {i for i in range(1, top + 1) if s.values[i - 1]}
 
     def test_move_examples(self):
         s = from_partition((5, 3, 3, 2))
@@ -78,57 +84,70 @@ class TestFiniteSeq:
 periods = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
     lambda p: sum(p) > 0
 )
-prefixes = st.lists(
-    st.tuples(st.integers(0, 3), st.booleans()).map(
-        lambda t: (t[0], t[1] and t[0] != 0)
-    ),
-    max_size=5,
+# values with a bound anywhere from 0 to their length
+prefixes = st.lists(st.integers(0, 3), max_size=5).flatmap(
+    lambda pre: st.tuples(st.just(tuple(pre)), st.integers(0, len(pre)))
 )
 
 
 class TestInfSeqCanonical:
     def test_trim(self):
-        # unbarred tail entries matching the period fold into it
-        s = inf_seq(((2, True), (1, False), (0, False)), (2, 1, 0))
-        t = inf_seq(((2, True),), (1, 0, 2))
+        # entries past the bound matching the period fold into it
+        s = inf_seq((2, 1, 0), 1, (2, 1, 0))
+        t = inf_seq((2,), 1, (1, 0, 2))
         assert s == t
         assert values_upto(s, 7) == (2, 1, 0, 2, 1, 0, 2)
 
     def test_primitive_period(self):
-        assert inf_seq((), (2, 0, 2, 0)) == inf_seq((), (2, 0))
+        assert inf_seq((), 0, (2, 0, 2, 0)) == inf_seq((), 0, (2, 0))
 
     def test_same_values_different_bars_differ(self):
-        a = inf_seq(((1, True), (1, True)), (1,))
-        b = inf_seq(((1, True),), (1,))
+        a = inf_seq((1, 1), 2, (1,))
+        b = inf_seq((1,), 1, (1,))
         assert a != b
         assert values_upto(a, 5) == values_upto(b, 5)
 
     def test_rejects_zero_period(self):
         with pytest.raises(ValueError):
-            inf_seq((), (0, 0))
+            inf_seq((), 0, (0, 0))
+
+    def test_bound_outside_the_values_rejected(self):
+        for bound in (-1, 2):
+            with pytest.raises(ValueError):
+                inf_seq((1,), bound, (1,))
+
+    def test_bound_falls_to_the_last_bar(self):
+        # zeros at the end of the barred run carry no bar
+        s = inf_seq((1, 0, 0), 3, (1,))
+        assert s == inf_seq((1, 0, 0), 1, (1,))
+        assert s.bound == 1
+        assert s.bars() == (1,)
+        assert inf_seq((0, 0), 2, (1,)).bars() == ()
 
     @given(prefixes, periods)
     def test_canonical_idempotent(self, pre, per):
-        s = inf_seq(tuple(pre), tuple(per))
-        assert inf_seq(s.prefix, s.period) == s
+        s = inf_seq(*pre, tuple(per))
+        assert inf_seq(s.prefix, s.bound, s.period) == s
 
     @given(prefixes, periods)
     def test_unrolling_period_changes_nothing(self, pre, per):
-        s = inf_seq(tuple(pre), tuple(per))
-        ext = s.prefix + ((s.period[0], False),)
+        s = inf_seq(*pre, tuple(per))
+        ext = s.prefix + (s.period[0],)
         rolled = s.period[1:] + s.period[:1]
-        t = inf_seq(ext, rolled)
+        t = inf_seq(ext, s.bound, rolled)
         assert t == s
 
     @given(prefixes, periods)
     def test_values_survive_canonicalization(self, pre, per):
-        s = inf_seq(tuple(pre), tuple(per))
-        m = len(pre) + 2 * len(per)
+        values, bound = pre
+        s = inf_seq(values, bound, tuple(per))
+        m = len(values) + 2 * len(per)
         expect = [
-            pre[i][0] if i < len(pre) else per[(i - len(pre)) % len(per)]
+            values[i] if i < len(values) else per[(i - len(values)) % len(per)]
             for i in range(m)
         ]
         assert list(values_upto(s, m)) == expect
+        assert s.bars() == tuple(i for i in range(1, bound + 1) if values[i - 1])
 
 
 class TestTails:
@@ -173,16 +192,16 @@ def elem(word):
 
 class TestRecurrentElements:
     def test_staircase_board(self):
-        assert elem("W") == inf_seq(((1, True), (1, True)), (1,))
+        assert elem("W") == inf_seq((1, 1), 2, (1,))
         # all-B necklaces share the same board
         assert elem("B") == elem("W")
         assert elem("BB") == elem("W")
 
     def test_three_cycle_boards(self):
         xs = recurrent_elements("BWW")
-        assert xs["BWW"] == inf_seq(((2, True), (1, True)), (0, 2, 1))
-        assert xs["WWB"] == inf_seq(((1, True),), (0, 2, 1))
-        assert xs["WBW"] == inf_seq(((0, False), (2, True)), (1, 0, 2))
+        assert xs["BWW"] == inf_seq((2, 1), 2, (0, 2, 1))
+        assert xs["WWB"] == inf_seq((1,), 1, (0, 2, 1))
+        assert xs["WBW"] == inf_seq((0, 2), 2, (1, 0, 2))
 
     def test_four_cycle_bars(self):
         for w, bars in {
@@ -205,10 +224,8 @@ class TestRecurrentElements:
 
     def test_alternating_bars(self):
         xs = recurrent_elements("BWBW")
-        assert xs["BWBW"] == inf_seq(
-            ((2, True), (0, False), (2, True)), (0, 2)
-        )
-        assert xs["WBWB"] == inf_seq(((0, False), (2, True)), (0, 2))
+        assert xs["BWBW"] == inf_seq((2, 0, 2), 3, (0, 2))
+        assert xs["WBWB"] == inf_seq((0, 2), 2, (0, 2))
 
     def test_cycle_structure_all_small_necklaces(self):
         # one board per distinct rotation, moves walk the cycle leftward
@@ -221,7 +238,7 @@ class TestRecurrentElements:
 
     def test_board_is_the_cycle_move_of_any_bars(self):
         # the move at the first nonzero entry of rotate_right(rot)'s values
-        # fixes every bar from the values alone
+        # fixes every bar from the values alone, whatever the bound moved
         for m in range(1, 13):
             for w in necklace_representatives(m):
                 for rot in distinct_rotations(w):
@@ -229,12 +246,8 @@ class TestRecurrentElements:
                     tail = tail_from_word(rotate_right(rot))
                     values = tail * 2
                     j = next(i for i, v in enumerate(values, start=1) if v)
-                    for bits in (0, -1, 0x5555):
-                        prefix = tuple(
-                            (v, v != 0 and (i == j or bool(bits >> i & 1)))
-                            for i, v in enumerate(values, start=1)
-                        )
-                        assert inf_move(inf_seq(prefix, tail), j) == expect
+                    for bound in (j, (j + len(values)) // 2, len(values)):
+                        assert inf_move(inf_seq(values, bound, tail), j) == expect
 
     def test_matches_finite_cycle_boards(self):
         # the finite recurrent board agrees with the infinite one on the
@@ -256,33 +269,58 @@ class TestInfMoves:
         root = elem("W")
         assert inf_move(root, 1) == root  # the cycle is a fixed point
         lvl1 = inf_move(root, 2)
-        assert lvl1 == inf_seq(((2, True), (1, True), (1, True)), (1,))
+        assert lvl1 == inf_seq((2, 1, 1), 3, (1,))
         kids = [inf_move(lvl1, j) for j in lvl1.bars()]
         assert kids == [
-            inf_seq(((1, True),), (1,)),
-            inf_seq(((3, True), (1, True), (1, True)), (1,)),
-            inf_seq(((2, True), (2, True), (1, True), (1, True)), (1,)),
+            inf_seq((1,), 1, (1,)),
+            inf_seq((3, 1, 1), 3, (1,)),
+            inf_seq((2, 2, 1, 1), 4, (1,)),
         ]
+
+    def test_matches_finite_boards_beyond_the_cycle(self):
+        # every node to depth 4 above each recurrent board agrees with the
+        # same moves on a finite board of twelve turns, on the first four
+        # turns of entries, bars included
+        nodes = 0
+
+        def walk(s, fin, cut, depth):
+            nonlocal nodes
+            nodes += 1
+            assert fin.values[:cut] == values_upto(s, cut)
+            assert {i for i in fin.bars if i <= cut} == {
+                i for i in s.bars() if i <= cut
+            }
+            if depth < 4:
+                for j in s.bars():
+                    walk(inf_move(s, j), move(fin, j), cut, depth + 1)
+
+        for m in range(1, 7):
+            for w in necklace_representatives(m):
+                if cycle_length(w) != m:
+                    continue
+                for rot, s in recurrent_elements(w).items():
+                    walk(s, from_partition(word_partition(rot * 12)), 4 * m, 0)
+        assert nodes == 2644
 
     def test_unbarred_move_rejected(self):
         with pytest.raises(ValueError):
             inf_move(elem("W"), 3)
 
     def test_dead_end_board(self):
-        s = inf_seq(((5, True),), (1,))
+        s = inf_seq((5,), 1, (1,))
         t = inf_move(s, 1)
         assert t.bars() == ()
-        assert t == inf_seq((), (1,))
+        assert t == inf_seq((), 0, (1,))
 
 
 class TestDropHead:
     def test_within_prefix(self):
-        s = inf_seq(((2, True), (1, True)), (0, 2, 1))
-        assert drop_head(s, 1) == inf_seq(((1, True),), (0, 2, 1))
+        s = inf_seq((2, 1), 2, (0, 2, 1))
+        assert drop_head(s, 1) == inf_seq((1,), 1, (0, 2, 1))
         assert drop_head(s, 0) == s
 
     def test_past_prefix(self):
-        s = inf_seq(((2, True), (1, True)), (0, 2, 1))
+        s = inf_seq((2, 1), 2, (0, 2, 1))
         t = drop_head(s, 3)
         assert values_upto(t, 6) == (2, 1, 0, 2, 1, 0)
         assert t.bars() == ()

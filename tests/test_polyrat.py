@@ -270,7 +270,17 @@ class TestRatFn:
 class TestSeries:
     def test_geometric(self):
         f = RatFn(ONE, parse_poly("-x + 1"))
-        assert series_coeffs(f, 5) == [1, 1, 1, 1, 1, 1]
+        cs = series_coeffs(f, 5)
+        assert cs == [1, 1, 1, 1, 1, 1]
+        assert all(type(c) is int for c in cs)
+
+    def test_fractional_coefficient_rejected(self):
+        # 1/(2 - x) = 1/2 + x/4 + ...: no integer series
+        f = RatFn(ONE, parse_poly("2 - x"))
+        message = r"coefficient 0 of the series of \(-1\) / \(x - 2\) is not"
+        with pytest.raises(ArithmeticError, match=message):
+            series_coeffs(f, 3)
+        assert series_coeffs(RatFn(parse_poly("2"), parse_poly("2 - x")), 0) == [1]
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
@@ -291,10 +301,13 @@ class TestSeries:
         den = IntPoly({0: d0, 1: -2, 3: 1})
         f = RatFn(num, den)
         m = max(8, f.num.degree + f.den.degree + 2)
+        # d0^(m+1) clears every denominator of the first m + 1 coefficients
+        f = RatFn(num * IntPoly({0: d0 ** (m + 1)}), den)
         cs = series_coeffs(f, m)
+        assert all(type(c) is int for c in cs)
         # multiply the truncated series back by den and compare low terms
         for k in range(m - f.den.degree + 1):
-            acc = Fraction(0)
+            acc = 0
             for i, di in f.den.coeffs.items():
                 if 0 <= k - i <= m:
                     acc += di * cs[k - i]
